@@ -20,7 +20,6 @@ theta_n < 0) two algebraic facts are used heavily:
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     BoundaryDegeneracy,
@@ -200,7 +199,7 @@ class ExpFamily:
         g = (self._C * wp) @ self._C.T - np.outer(eta, eta)
         g = 0.5 * (g + g.T)
         try:
-            cho_factor(g, lower=True)
+            np.linalg.cholesky(g)
         except np.linalg.LinAlgError as err:
             raise DegenerateFisher("Fisher matrix is not positive definite") from err
         return g
@@ -267,7 +266,7 @@ class ExpFamily:
             if best <= tol * scale:
                 return theta
             g = self.fisher_matrix(theta)
-            step = -cho_solve(cho_factor(g, lower=True), res)
+            step = -np.linalg.solve(g, res)
             t = 1.0
             while t >= 2.0 ** -30:
                 cand = theta + t * step

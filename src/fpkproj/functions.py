@@ -3,7 +3,6 @@
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite_e import HermiteE
-from scipy.interpolate import CubicSpline
 
 from .errors import DerivativeUnavailable
 from .quadrature import Domain
@@ -157,6 +156,9 @@ def gaussian_pdf_fn(mean: float, var: float) -> DifferentiableFn:
 
 def spline_fn(xs, ys) -> DifferentiableFn:
     """Natural cubic spline through tabulated samples."""
+    # imported here so that importing the package does not load scipy.interpolate
+    from scipy.interpolate import CubicSpline
+
     cs = CubicSpline(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), bc_type="natural")
     return DifferentiableFn(cs, cs.derivative(1), cs.derivative(2), representation="tabulated-spline")
 

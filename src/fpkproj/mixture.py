@@ -54,8 +54,8 @@ class MixtureFamily:
                 f"components must integrate to 1, worst deviation {np.max(np.abs(masses - 1.0)):.3e}")
         self._Q = q
         self._D = q[:-1] - q[-1]
-        self._Q1 = None
-        self._Q2 = None
+        self._D1 = None
+        self._D2 = None
         gamma, beta = self._assemble_metric()
         if np.linalg.eigvalsh(gamma).min() <= METRIC_EIGENVALUE_FLOOR:
             raise DegenerateMixtureMetric("mixture metric is numerically singular")
@@ -81,12 +81,15 @@ class MixtureFamily:
         """(n, m) values of q_i - q_{n+1} at the quadrature nodes."""
         return self._D
 
-    def component_derivative_values(self):
-        if self._Q1 is None:
+    def tangent_derivative_values(self):
+        """First and second derivatives of q_i - q_{n+1} at the nodes."""
+        if self._D1 is None:
             x = self.rule.nodes
-            self._Q1 = np.vstack([c.d1(x) for c in self.components])
-            self._Q2 = np.vstack([c.d2(x) for c in self.components])
-        return self._Q1, self._Q2
+            q1 = np.vstack([c.d1(x) for c in self.components])
+            q2 = np.vstack([c.d2(x) for c in self.components])
+            self._D1 = q1[:-1] - q1[-1]
+            self._D2 = q2[:-1] - q2[-1]
+        return self._D1, self._D2
 
     def gamma_and_beta(self):
         """Recompute the constant metric and offset from scratch."""
@@ -111,12 +114,17 @@ class MixtureFamily:
         return theta
 
     def clamp_weights(self, theta):
-        """Project onto the margin-shrunk simplex; report whether anything moved."""
+        """Project onto the margin-shrunk simplex; report whether anything moved.
+
+        An over-full vector is rescaled to sum 1 - 2 WEIGHT_MARGIN: rounding
+        in the rescale can leave the sum a few ulps above its target, and
+        the extra margin keeps the result admissible.
+        """
         theta = np.asarray(theta, dtype=float)
         clamped = np.where(theta < 0.0, 0.0, theta)
         total = float(clamped.sum())
         if total > 1.0 - WEIGHT_MARGIN:
-            clamped = clamped * ((1.0 - WEIGHT_MARGIN) / total)
+            clamped = clamped * ((1.0 - 2.0 * WEIGHT_MARGIN) / total)
             total = float(clamped.sum())
         if total < WEIGHT_MARGIN:
             clamped = np.full(self.n, WEIGHT_MARGIN / self.n)

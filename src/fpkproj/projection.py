@@ -16,6 +16,9 @@ The expectation form m_dot = v(theta(m)) and a Galerkin discretization on
 the basis (q_1 - q_{n+1}, ..., q_n - q_{n+1}, q_{n+1}) with the last
 coefficient frozen at 1 reproduce the identical vector field.
 
+`ProjectedOde` holds the one implementation of each of the five fields;
+the free `*_rhs` functions check their inputs and evaluate it.
+
 The residual of the projection at theta is the L2 distance, in the
 sqrt-density geometry, between L* p and its tangent-space image:
 
@@ -26,7 +29,6 @@ sqrt-density geometry, between L* p and its tangent-space image:
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     DegenerateBasis,
@@ -44,24 +46,9 @@ EF_METHODS = ("tangent-ef", "ada-ef")
 MIX_METHODS = ("tangent-mix", "ada-mix", "galerkin")
 
 
-def _model_arrays(model: SdeModel, x: np.ndarray):
-    return np.asarray(model.drift(x), dtype=float), np.asarray(model.diffusion(x), dtype=float)
-
-
-def generator_on_stats(fam: ExpFamily, model: SdeModel) -> np.ndarray:
-    """(n, m) array of (L c_i)(x_j) at the family's quadrature nodes."""
-    f, a = _model_arrays(model, fam.rule.nodes)
-    c1, c2 = fam.stat_derivative_values()
-    return f * c1 + 0.5 * a * c2
-
-
 def ef_theta_rhs(fam: ExpFamily, model: SdeModel, theta) -> np.ndarray:
     """Canonical-coordinate projected drift g(theta)^{-1} E_theta[L c]."""
-    lc = generator_on_stats(fam, model)
-    pvals = fam.density_values(theta)
-    v = lc @ (fam.rule.weights * pvals)
-    g = fam.fisher_matrix(theta)
-    return cho_solve(cho_factor(g, lower=True), v)
+    return ProjectedOde(fam, model, "tangent-ef").rhs(fam.require_admissible(theta))
 
 
 def ef_eta_rhs(fam: ExpFamily, model: SdeModel, eta, initial=None) -> np.ndarray:
@@ -70,35 +57,19 @@ def ef_eta_rhs(fam: ExpFamily, model: SdeModel, eta, initial=None) -> np.ndarray
     The canonical point is recovered by Newton inversion; `initial` seeds
     the iteration when a good guess is available.
     """
-    theta = fam.expectation_to_canonical(np.asarray(eta, dtype=float), initial=initial)
-    lc = generator_on_stats(fam, model)
-    pvals = fam.density_values(theta)
-    return lc @ (fam.rule.weights * pvals)
-
-
-def mixture_generator_matrix(fam: MixtureFamily, model: SdeModel) -> np.ndarray:
-    """(n, n+1) matrix B_jk = <L(q_j - q_{n+1}), q_k>."""
-    f, a = _model_arrays(model, fam.rule.nodes)
-    q1, q2 = fam.component_derivative_values()
-    d1 = q1[:-1] - q1[-1]
-    d2 = q2[:-1] - q2[-1]
-    ld = f * d1 + 0.5 * a * d2
-    return (ld * fam.rule.weights) @ fam.component_values().T
+    return ProjectedOde(fam, model, "ada-ef").rhs(np.asarray(eta, dtype=float), initial)
 
 
 def mixture_theta_rhs(fam: MixtureFamily, model: SdeModel, theta) -> np.ndarray:
     """Weight-coordinate projected drift gamma^{-1} E_theta[L(q - q_{n+1})]."""
-    theta = fam.require_admissible(theta)
-    b = mixture_generator_matrix(fam, model)
-    v = b @ fam.theta_hat(theta)
-    return np.linalg.solve(fam.gamma, v)
+    return ProjectedOde(fam, model, "tangent-mix").rhs(fam.require_admissible(theta))
 
 
 def mixture_m_rhs(fam: MixtureFamily, model: SdeModel, m) -> np.ndarray:
     """Expectation-coordinate projected drift E_m[L(q - q_{n+1})]."""
-    theta = fam.expectations_to_weights(m)
-    b = mixture_generator_matrix(fam, model)
-    return b @ fam.theta_hat(theta)
+    # raises unless m maps to weights inside the open simplex
+    fam.expectations_to_weights(m)
+    return ProjectedOde(fam, model, "ada-mix").rhs(np.asarray(m, dtype=float))
 
 
 def galerkin_rhs(fam: MixtureFamily, model: SdeModel, coeffs) -> np.ndarray:
@@ -106,30 +77,52 @@ def galerkin_rhs(fam: MixtureFamily, model: SdeModel, coeffs) -> np.ndarray:
 
     The last coefficient is constrained to 1 (mass) and its equation is
     dropped; the returned vector is d/dt of the first n coefficients.
-    Assembled independently of the projection formulas: full mass and
-    stiffness matrices first, constraint elimination second.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (fam.n + 1,):
         raise ValidationError(f"expected {fam.n + 1} coefficients")
     if abs(coeffs[-1] - 1.0) > 1e-12:
         raise ValidationError("the last coefficient is the mass constraint and must equal 1")
+    return ProjectedOde(fam, model, "galerkin").rhs(coeffs[:-1])
+
+
+def _projection_affine(fam: MixtureFamily, model: SdeModel, method: str):
+    """(A, c) of the tangent-space projection in weight or expectation coordinates.
+
+    With B_jk = <L(q_j - q_{n+1}), q_k> and theta_hat = (theta, 1 - sum theta),
+    B theta_hat = E theta + b for E = B[:, :n] - B[:, n] and b = B[:, n], so
+    theta_dot = gamma^{-1} (E theta + b) and, through m = gamma theta + beta,
+    m_dot = E gamma^{-1} (m - beta) + b.
+    """
+    ld = model.generator_values(fam.rule.nodes, *fam.tangent_derivative_values())
+    big_b = (ld * fam.rule.weights) @ fam.component_values().T
+    e = big_b[:, :-1] - big_b[:, -1:]
+    b = big_b[:, -1]
+    if method == "tangent-mix":
+        return np.linalg.solve(fam.gamma, e), np.linalg.solve(fam.gamma, b)
+    a = np.linalg.solve(fam.gamma, e.T).T
+    return a, b - a @ fam.beta
+
+
+def _galerkin_affine(fam: MixtureFamily, model: SdeModel):
+    """(A, c) of the Galerkin coefficient dynamics, assembled from the weak form.
+
+    Independent of gamma and B: full mass and stiffness matrices on the
+    basis first, then elimination of the pinned mass coefficient, which
+    moves the last stiffness column into the constant term.
+    """
     w = fam.rule.weights
-    q = fam.component_values()
-    basis = np.vstack([fam.tangent_values(), q[-1]])
+    basis = np.vstack([fam.tangent_values(), fam.component_values()[-1]])
     mass = (basis * w) @ basis.T
-    f, a = _model_arrays(model, fam.rule.nodes)
-    q1, q2 = fam.component_derivative_values()
-    d1 = q1[:-1] - q1[-1]
-    d2 = q2[:-1] - q2[-1]
-    lphi = f * d1 + 0.5 * a * d2
+    lphi = model.generator_values(fam.rule.nodes, *fam.tangent_derivative_values())
     stiffness = (lphi * w) @ basis.T
     lhs = mass[:-1, :-1]
     try:
-        factor = cho_factor(lhs, lower=True)
+        np.linalg.cholesky(lhs)
     except np.linalg.LinAlgError as err:
         raise DegenerateBasis("mass matrix is singular on the constrained subspace") from err
-    return cho_solve(factor, stiffness @ coeffs)
+    sol = np.linalg.solve(lhs, stiffness)
+    return sol[:, :-1], sol[:, -1]
 
 
 def residual_terms(fam: ExpFamily, model: SdeModel, theta) -> dict:
@@ -142,7 +135,8 @@ def residual_terms(fam: ExpFamily, model: SdeModel, theta) -> dict:
     theta = fam.require_admissible(theta)
     x = fam.rule.nodes
     w = fam.rule.weights
-    f, a = _model_arrays(model, x)
+    f = np.asarray(model.drift(x), dtype=float)
+    a = np.asarray(model.diffusion(x), dtype=float)
     f1 = np.asarray(model.drift.d1(x), dtype=float)
     a1 = np.asarray(model.diffusion.d1(x), dtype=float)
     a2 = np.asarray(model.diffusion.d2(x), dtype=float)
@@ -160,7 +154,7 @@ def residual_terms(fam: ExpFamily, model: SdeModel, theta) -> dict:
     centered = fam.stat_values() - eta[:, None]
     b = (centered * wp) @ ratio / 4.0
     g = fam.fisher_matrix(theta)
-    coeff = cho_solve(cho_factor(g, lower=True), b)
+    coeff = np.linalg.solve(g, b)
     proj_norm_sq = 4.0 * float(b @ coeff)
     tangent = coeff @ centered
     proj_pointwise_sq = float(wp @ (tangent * tangent))
@@ -192,10 +186,15 @@ class ClampEvent:
 
 @dataclass
 class Trajectory:
-    """Dense record of an integrated projected flow."""
+    """Dense record of an integrated projected flow.
+
+    `states` are in the method's own coordinates; `thetas` holds the
+    canonical/weight coordinates of the same steps.
+    """
 
     times: np.ndarray
     states: np.ndarray
+    thetas: np.ndarray
     coordinates: str
     residuals: np.ndarray | None = None
     clamped: np.ndarray | None = None
@@ -207,10 +206,15 @@ class Trajectory:
 
 
 class ProjectedOde:
-    """Family + model + coordinate choice, with cached assembly.
+    """Family + model + coordinate choice: the one implementation of each field.
 
-    The cached generator arrays make each right-hand-side evaluation a
-    matter of one density evaluation and a few small matvecs.
+    Everything that does not depend on the state is assembled here.  The
+    exponential-family methods cache the generator applied to the
+    statistics, so a right-hand-side evaluation is one density evaluation
+    (after a Newton inversion for ada-ef) and a few small matvecs.  The
+    mixture methods are the constant affine field state_dot = A state + c:
+    tangent-mix and ada-mix take (A, c) from the projection formulas, in
+    weight and expectation coordinates, and galerkin from the weak form.
     """
 
     def __init__(self, family, model: SdeModel, method: str):
@@ -225,71 +229,56 @@ class ProjectedOde:
         self.method = method
         self.coordinates = "expectation" if method in ("ada-ef", "ada-mix") else "canonical"
         self.dim = family.n
-        if isinstance(family, ExpFamily):
-            self._lc = generator_on_stats(family, model)
-            self._b = None
+        if method in EF_METHODS:
+            self._lc = model.generator_values(family.rule.nodes,
+                                              *family.stat_derivative_values())
+        elif method == "galerkin":
+            self._a, self._c = _galerkin_affine(family, model)
         else:
-            self._lc = None
-            self._b = mixture_generator_matrix(family, model)
-
-    # -- right-hand side ------------------------------------------------
+            self._a, self._c = _projection_affine(family, model, method)
 
     def rhs(self, state, theta_guess=None) -> np.ndarray:
+        """Time derivative of the state; `theta_guess` seeds ada-ef's inversion."""
+        if self.method in MIX_METHODS:
+            return self._a @ state + self._c
         fam = self.family
         if self.method == "tangent-ef":
-            pvals = fam.density_values(state)
-            v = self._lc @ (fam.rule.weights * pvals)
-            g = fam.fisher_matrix(state)
-            return cho_solve(cho_factor(g, lower=True), v)
-        if self.method == "ada-ef":
-            theta = fam.expectation_to_canonical(state, initial=theta_guess)
-            pvals = fam.density_values(theta)
-            return self._lc @ (fam.rule.weights * pvals)
-        if self.method == "tangent-mix":
-            return np.linalg.solve(fam.gamma, self._b @ fam.theta_hat(fam.require_admissible(state)))
-        if self.method == "ada-mix":
-            theta = fam.expectations_to_weights(state)
-            return self._b @ fam.theta_hat(theta)
-        # galerkin: state holds the free coefficients, mass coefficient pinned at 1
-        return galerkin_rhs(fam, self.model, np.concatenate([state, [1.0]]))
+            v = self._lc @ (fam.rule.weights * fam.density_values(state))
+            return np.linalg.solve(fam.fisher_matrix(state), v)
+        theta = fam.expectation_to_canonical(state, initial=theta_guess)
+        return self._lc @ (fam.rule.weights * fam.density_values(theta))
 
-    # -- coordinate plumbing ---------------------------------------------
-
-    def theta_at(self, state, guess=None) -> np.ndarray:
-        """Canonical/weight coordinates of the current state."""
-        if self.method == "ada-ef":
-            return self.family.expectation_to_canonical(state, initial=guess)
-        if self.method == "ada-mix":
-            return self.family.expectations_to_weights(state)
-        return np.asarray(state, dtype=float)
-
-    def prepare_initial(self, state) -> np.ndarray:
+    def prepare_initial(self, state):
+        """Validated start state and its canonical/weight coordinates."""
         state = np.asarray(state, dtype=float)
         if state.shape != (self.dim,):
             raise ValueError(f"initial state must have length {self.dim}")
-        if self.method in ("tangent-ef",):
-            self.family.require_admissible(state)
-        elif self.method in ("tangent-mix", "galerkin"):
-            self.family.require_admissible(state)
-        elif self.method == "ada-mix":
-            self.family.expectations_to_weights(state)
-        return state
-
-    def constrain(self, state):
-        """Post-step admissibility repair; returns (state, clamped?, raw)."""
-        fam = self.family
-        if self.method in ("tangent-mix", "galerkin"):
-            clamped, changed = fam.clamp_weights(state)
-            return clamped, changed, state
+        if self.method == "ada-ef":
+            return state, self.family.expectation_to_canonical(state)
         if self.method == "ada-mix":
-            theta = np.linalg.solve(fam.gamma, state - fam.beta)
-            clamped, changed = fam.clamp_weights(theta)
-            if changed:
-                return fam.gamma @ clamped + fam.beta, True, state
-            return state, False, state
-        if self.method == "tangent-ef" and not fam.is_admissible(state):
-            raise TrajectoryExit(f"canonical state left the admissible set: {state}")
-        return state, False, state
+            return state, self.family.expectations_to_weights(state)
+        return state, self.family.require_admissible(state)
+
+    def constrain(self, state, theta_guess=None):
+        """Post-step repair: (state, its canonical/weight coordinates, clamped?).
+
+        Mixture weights are clamped to the margin-shrunk simplex; a
+        canonical state outside the admissible set ends the trajectory.
+        """
+        fam = self.family
+        if self.method == "ada-ef":
+            return state, fam.expectation_to_canonical(state, initial=theta_guess), False
+        if self.method == "tangent-ef":
+            if not fam.is_admissible(state):
+                raise TrajectoryExit(f"canonical state left the admissible set: {state}")
+            return state, state, False
+        theta = np.linalg.solve(fam.gamma, state - fam.beta) if self.method == "ada-mix" else state
+        clamped, changed = fam.clamp_weights(theta)
+        if not changed:
+            return state, theta, False
+        if self.method == "ada-mix":
+            return fam.gamma @ clamped + fam.beta, clamped, True
+        return clamped, clamped, True
 
 
 def make_ode(family, model: SdeModel, method: str) -> ProjectedOde:
@@ -312,34 +301,30 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
     if record_residual and not isinstance(ode.family, ExpFamily):
         raise ValidationError("residual recording applies to exponential families only")
 
-    y = ode.prepare_initial(initial_state)
+    y, theta = ode.prepare_initial(initial_state)
     times = dt * np.arange(nsteps + 1)
     states = np.empty((nsteps + 1, ode.dim))
+    thetas = np.empty((nsteps + 1, ode.dim))
     clamped = np.zeros(nsteps + 1, dtype=bool)
     residuals = np.empty(nsteps + 1) if record_residual else None
     events = []
     states[0] = y
-
-    guess = None
-    if ode.method == "ada-ef":
-        guess = ode.theta_at(y, None)
+    thetas[0] = theta
     if record_residual:
-        residuals[0] = residual(ode.family, ode.model, ode.theta_at(y, guess))
+        residuals[0] = residual(ode.family, ode.model, theta)
 
     half = 0.5 * dt
     sixth = dt / 6.0
     for k in range(1, nsteps + 1):
         try:
-            k1 = ode.rhs(y, guess)
-            k2 = ode.rhs(y + half * k1, guess)
-            k3 = ode.rhs(y + half * k2, guess)
-            k4 = ode.rhs(y + dt * k3, guess)
-            y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            y, was_clamped, raw = ode.constrain(y)
-            if ode.method == "ada-ef":
-                guess = ode.theta_at(y, guess)
+            k1 = ode.rhs(y, theta)
+            k2 = ode.rhs(y + half * k1, theta)
+            k3 = ode.rhs(y + half * k2, theta)
+            k4 = ode.rhs(y + dt * k3, theta)
+            raw = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            y, theta, was_clamped = ode.constrain(raw, theta)
             if record_residual:
-                residuals[k] = residual(ode.family, ode.model, ode.theta_at(y, guess))
+                residuals[k] = residual(ode.family, ode.model, theta)
         except TrajectoryExit as err:
             raise TrajectoryExit(f"step {k}: {err}", step=k) from err
         except FpkprojError as err:
@@ -348,5 +333,6 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
             events.append(ClampEvent(step=k, time=float(times[k]), raw_state=tuple(raw)))
             clamped[k] = True
         states[k] = y
-    return Trajectory(times=times, states=states, coordinates=ode.coordinates,
+        thetas[k] = theta
+    return Trajectory(times=times, states=states, thetas=thetas, coordinates=ode.coordinates,
                       residuals=residuals, clamped=clamped, clamp_events=events)

@@ -13,9 +13,6 @@ from .errors import NonFiniteIntegrand, ValidationError
 
 DOMAIN_KINDS = ("unbounded-truncated", "bounded-reflecting")
 
-# Absolute tolerance the default rule is expected to meet for smooth,
-# rapidly decaying integrands; documented, not enforced.
-DEFAULT_ABS_TOL = 1e-10
 DEFAULT_LEVEL = 12
 
 

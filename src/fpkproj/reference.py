@@ -296,19 +296,14 @@ def metric_project_mix(p: GridDensity, fam: MixtureFamily) -> np.ndarray:
 
 def _eigenvalues_for(family, model: SdeModel):
     """Rayleigh-quotient eigenvalues with a strict pointwise verification."""
-    x = family.rule.nodes
     w = family.rule.weights
-    f = np.asarray(model.drift(x), dtype=float)
-    a = np.asarray(model.diffusion(x), dtype=float)
     if isinstance(family, ExpFamily):
         vals = family.stat_values()
-        v1, v2 = family.stat_derivative_values()
+        derivs = family.stat_derivative_values()
     else:
         vals = family.tangent_values()
-        q1, q2 = family.component_derivative_values()
-        v1 = q1[:-1] - q1[-1]
-        v2 = q2[:-1] - q2[-1]
-    lvals = f * v1 + 0.5 * a * v2
+        derivs = family.tangent_derivative_values()
+    lvals = model.generator_values(family.rule.nodes, *derivs)
     lambdas = np.empty(vals.shape[0])
     for i in range(vals.shape[0]):
         norm_sq = float(w @ (vals[i] * vals[i]))

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import InadmissibleRecovery, ValidationError
 from .expfamily import ExpFamily
-from .mixture import MixtureFamily
 from .projection import ProjectedOde, integrate_ode
 from .reference import (
     DecayReport,
@@ -97,34 +96,23 @@ def _density_file_name(t: float) -> str:
     return f"density_t{format(float(t), 'g')}.csv"
 
 
-def _initial_state(scenario: Scenario, family, method: str) -> np.ndarray:
-    init = scenario.initial
-    if method == "tangent-ef":
-        return np.asarray(init["theta"], dtype=float)
-    if method == "ada-ef":
-        if "eta" in init:
-            return np.asarray(init["eta"], dtype=float)
-        return family.expectation_params(np.asarray(init["theta"], dtype=float))
-    if method in ("tangent-mix", "galerkin"):
-        return np.asarray(init["theta"], dtype=float)
-    if "m" in init:
-        return np.asarray(init["m"], dtype=float)
-    return family.weights_to_expectations(np.asarray(init["theta"], dtype=float))
-
-
-def _state_coordinates(ode: ProjectedOde, state, guess=None):
-    """(theta, eta_or_m) pair for a trajectory state."""
-    family = ode.family
+def _expectations(family, theta) -> np.ndarray:
+    """eta (exponential family) or m (mixture) at canonical/weight coordinates."""
     if isinstance(family, ExpFamily):
-        if ode.coordinates == "expectation":
-            theta = family.expectation_to_canonical(state, initial=guess)
-            return theta, np.asarray(state, dtype=float)
-        return np.asarray(state, dtype=float), family.expectation_params(state)
-    if ode.coordinates == "expectation":
-        theta = family.expectations_to_weights(state)
-        return theta, np.asarray(state, dtype=float)
-    theta = np.asarray(state, dtype=float)
-    return theta, family.gamma @ theta + family.beta
+        return family.expectation_params(theta)
+    return family.weights_to_expectations(theta)
+
+
+def _start_state(initial: dict, family, coordinates: str):
+    """Start of a flow in canonical or expectation coordinates; None if unset."""
+    if coordinates == "canonical":
+        return np.asarray(initial["theta"], dtype=float)
+    key = "eta" if isinstance(family, ExpFamily) else "m"
+    if key in initial:
+        return np.asarray(initial[key], dtype=float)
+    if "theta" in initial:
+        return _expectations(family, np.asarray(initial["theta"], dtype=float))
+    return None
 
 
 def _reference_lookup(model, scenario: Scenario, domain):
@@ -139,7 +127,7 @@ def _run_trajectory_method(scenario: Scenario, model, family, output_dir: Path,
                            quiet: bool) -> ResultTable:
     num = scenario.numerics
     ode = ProjectedOde(family, model, scenario.method)
-    y0 = _initial_state(scenario, family, scenario.method)
+    y0 = _start_state(scenario.initial, family, ode.coordinates)
     traj = integrate_ode(ode, y0, num.t_end, num.ode_dt,
                          record_residual=num.record_residual)
     nsteps = traj.times.size - 1
@@ -153,11 +141,12 @@ def _run_trajectory_method(scenario: Scenario, model, family, output_dir: Path,
         snap_times = np.array([s.time for s in snapshots])
 
     rows = []
-    guess = None
     for idx in sample_idx:
-        state = traj.states[idx]
-        theta, coords = _state_coordinates(ode, state, guess)
-        guess = theta
+        theta = traj.thetas[idx]
+        if ode.coordinates == "expectation":
+            coords = traj.states[idx]
+        else:
+            coords = _expectations(family, theta)
         kl = hell = l2 = None
         if snapshots is not None:
             snap = snapshots[int(np.argmin(np.abs(snap_times - traj.times[idx])))]
@@ -190,7 +179,6 @@ def _run_metric_projection(scenario: Scenario, model, family, output_dir: Path,
         clamped_flag = False
         if isinstance(family, ExpFamily):
             theta = metric_project_ef(snap, family)
-            coords = family.expectation_params(theta)
         else:
             try:
                 theta = metric_project_mix(snap, family)
@@ -198,7 +186,7 @@ def _run_metric_projection(scenario: Scenario, model, family, output_dir: Path,
                 theta, _ = family.clamp_weights(np.asarray(err.value, dtype=float))
                 clamped_flag = True
                 clamp_count += 1
-            coords = family.gamma @ theta + family.beta
+        coords = _expectations(family, theta)
         fam_density = family.density(theta)
         rows.append((float(snap.time), *map(float, theta), *map(float, coords),
                      None,
@@ -221,18 +209,7 @@ def _run_decay(scenario: Scenario, model, family, output_dir: Path,
     num = scenario.numerics
     density_fn = build_initial_density(scenario.initial["density"])
     p0 = grid_density(model.domain, num.pde_nx, density_fn)
-    start = None
-    init = scenario.initial
-    if isinstance(family, ExpFamily):
-        if "eta" in init:
-            start = np.asarray(init["eta"], dtype=float)
-        elif "theta" in init:
-            start = family.expectation_params(np.asarray(init["theta"], dtype=float))
-    else:
-        if "m" in init:
-            start = np.asarray(init["m"], dtype=float)
-        elif "theta" in init:
-            start = family.weights_to_expectations(np.asarray(init["theta"], dtype=float))
+    start = _start_state(scenario.initial, family, "expectation")
     report = decay_experiment(
         model, family, p0, num.t_end, pde_dt=num.pde_dt, ode_dt=num.ode_dt,
         sample_stride=num.sample_stride, start=start, fit_window=num.fit_window)

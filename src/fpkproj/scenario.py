@@ -16,15 +16,12 @@ from .errors import ValidationError
 from .expfamily import custom_poly_family, ep_family, hermite_family
 from .functions import DifferentiableFn, constant_fn, cosine_fn, gaussian_pdf_fn
 from .mixture import cosine_circle_family, gaussian_mixture_family
+from .projection import EF_METHODS, MIX_METHODS
+from .projection import METHODS as ODE_METHODS
 from .quadrature import Domain, default_domain, simpson_rule
 from .sde import circle_diffusion, ornstein_uhlenbeck, polynomial_drift
 
-METHODS = (
-    "tangent-ef", "ada-ef", "tangent-mix", "ada-mix", "galerkin",
-    "metric-projection", "decay-experiment",
-)
-EF_METHODS = ("tangent-ef", "ada-ef")
-MIX_METHODS = ("tangent-mix", "ada-mix", "galerkin")
+METHODS = ODE_METHODS + ("metric-projection", "decay-experiment")
 EF_FAMILIES = ("ep", "hermite", "custom-poly")
 MIX_FAMILIES = ("gaussian-mixture", "cosine-circle")
 

@@ -44,12 +44,13 @@ class SdeModel:
         """Return x -> f(x) phi'(x) + a(x) phi''(x) / 2."""
         if not phi.has_derivatives:
             raise DerivativeUnavailable("generator needs phi with two derivatives")
-        f, a = self.drift, self.diffusion
+        return lambda x: self.generator_values(x, phi.d1(x), phi.d2(x))
 
-        def l_phi(x):
-            return f(x) * phi.d1(x) + 0.5 * a(x) * phi.d2(x)
-
-        return l_phi
+    def generator_values(self, x, phi_d1, phi_d2) -> np.ndarray:
+        """(L phi)(x) from phi' and phi'' sampled at x (rows broadcast over x)."""
+        f = np.asarray(self.drift(x), dtype=float)
+        a = np.asarray(self.diffusion(x), dtype=float)
+        return f * phi_d1 + 0.5 * a * phi_d2
 
     def apply_adjoint(self, p: DifferentiableFn):
         """Return the density-side operator x -> (L* p)(x)."""

@@ -22,6 +22,7 @@ from fpkproj import (
 )
 from fpkproj.errors import (
     BoundaryDegeneracy,
+    DegenerateFisher,
     DependentStatistics,
     IllConditionedMoments,
     InadmissibleParameter,
@@ -208,6 +209,13 @@ def test_admissibility_rules():
         fam.require_admissible(np.array([0.3, 0.5]))
     with pytest.raises(InadmissibleParameter):
         fam.require_admissible(np.array([0.3]))
+
+
+def test_collapsed_member_has_degenerate_fisher():
+    # theta_2 = -1e8 concentrates the member on a single quadrature node,
+    # so the covariance of the statistics vanishes under the rule
+    with pytest.raises(DegenerateFisher):
+        ep_family(2).fisher_matrix([0.0, -1e8])
 
 
 def test_hermite_family_admissibility_and_metric():

@@ -1,5 +1,8 @@
 """Function wrappers: values, exact derivatives, arithmetic closure."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -100,6 +103,15 @@ def test_spline_tracks_samples_and_slope():
     mid = np.linspace(-2.5, 2.5, 57)
     assert np.max(np.abs(s(mid) - np.sin(mid))) <= 1e-6
     assert np.max(np.abs(s.d1(mid) - np.cos(mid))) <= 1e-4
+
+
+def test_package_import_leaves_interpolation_unloaded():
+    # spline_fn imports scipy.interpolate on first use; importing the
+    # package must not pay for it
+    code = "import sys, fpkproj; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_check_derivatives_accepts_smooth_function():

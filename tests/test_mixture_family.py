@@ -118,6 +118,13 @@ def test_admissibility_and_clamping():
     same, changed = fam.clamp_weights(np.array([0.3, 0.3]))
     assert not changed
     assert np.array_equal(same, np.array([0.3, 0.3]))
+    # over-full vectors are rescaled; rounding must not leave the sum above
+    # the margin-shrunk bound
+    rng = np.random.default_rng(23)
+    for over_full in rng.uniform(0.5, 1.5, size=(200, 2)):
+        clamped, changed = fam.clamp_weights(over_full)
+        assert changed
+        assert fam.is_admissible(clamped), over_full
 
 
 def test_inadmissible_expectation_target_raises_with_value():

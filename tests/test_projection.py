@@ -122,6 +122,38 @@ def test_galerkin_requires_pinned_last_coefficient():
         galerkin_rhs(fam, model, np.array([0.2, 0.1, 0.97]))
 
 
+def test_mixture_methods_clamp_at_the_simplex_boundary():
+    # the first weight is driven through zero at step 368; all three
+    # methods integrate the same affine field, clamp after each step and
+    # must carry on to t_end together
+    fam = gaussian_mixture_family([-1.3514, -0.2091, 1.2055], [0.6652, 0.5867, 0.3426])
+    model = ornstein_uhlenbeck(kappa=1.4602, sigma=1.3115317762067376)
+    theta0 = np.array([0.2189, 0.3573])
+    thetas = {}
+    for method in ("tangent-mix", "ada-mix", "galerkin"):
+        y0 = fam.weights_to_expectations(theta0) if method == "ada-mix" else theta0
+        traj = integrate_ode(make_ode(fam, model, method), y0, t_end=0.5, dt=1e-3)
+        assert traj.times[-1] == pytest.approx(0.5)
+        assert traj.clamp_events and traj.clamp_events[0].step == 368
+        assert all(fam.is_admissible(theta) for theta in traj.thetas)
+        thetas[method] = traj.thetas
+    for method in ("ada-mix", "galerkin"):
+        assert np.max(np.abs(thetas[method] - thetas["tangent-mix"])) <= 1e-9
+
+
+def test_trajectory_carries_canonical_coordinates():
+    fam = ep_family(2)
+    traj = integrate_ode(make_ode(fam, OU, "ada-ef"), np.array([0.5, 1.25]),
+                         t_end=0.05, dt=1e-2)
+    for theta, eta in zip(traj.thetas, traj.states):
+        assert np.max(np.abs(fam.expectation_params(theta) - eta)) <= 1e-10
+    mix = gaussian_mixture_family([-1.0, 0.0, 1.0], [0.5, 0.5, 0.5])
+    m0 = mix.weights_to_expectations(np.array([0.3, 0.3]))
+    traj = integrate_ode(make_ode(mix, OU, "ada-mix"), m0, t_end=0.05, dt=1e-2)
+    for theta, m in zip(traj.thetas, traj.states):
+        assert np.max(np.abs(mix.weights_to_expectations(theta) - m)) <= 1e-14
+
+
 def test_residual_vanishes_when_family_is_invariant():
     fam = ep_family(2)
     rng = np.random.default_rng(34)
