@@ -154,6 +154,23 @@ def gaussian_pdf_fn(mean: float, var: float) -> DifferentiableFn:
     return DifferentiableFn(value, d1, d2, representation="gaussian")
 
 
+def gaussian_mixture_pdf_fn(weights, means, variances) -> DifferentiableFn:
+    """Convex combination sum_k w_k N(mean_k, var_k) of normal densities."""
+    weights = [float(w) for w in weights]
+    if not weights or not len(weights) == len(means) == len(variances):
+        raise ValueError("need one mean and one variance per weight")
+    if min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-9:
+        raise ValueError("weights must be nonnegative and sum to 1")
+    return sum(w * gaussian_pdf_fn(mu, v) for w, mu, v in zip(weights, means, variances))
+
+
+def cosine_series_pdf_fn(coefficients) -> DifferentiableFn:
+    """(1 + sum_k a_k cos(k x)) / (2 pi), a density on [0, 2 pi] for small a_k."""
+    scale = 1.0 / (2.0 * np.pi)
+    terms = [cosine_fn(k, amplitude=a * scale) for k, a in enumerate(coefficients, 1) if a != 0.0]
+    return sum(terms, constant_fn(scale))
+
+
 def spline_fn(xs, ys) -> DifferentiableFn:
     """Natural cubic spline through tabulated samples."""
     # imported here so that importing the package does not load scipy.interpolate

@@ -45,6 +45,26 @@ METHODS = ("tangent-ef", "ada-ef", "tangent-mix", "ada-mix", "galerkin")
 EF_METHODS = ("tangent-ef", "ada-ef")
 MIX_METHODS = ("tangent-mix", "ada-mix", "galerkin")
 
+STEP_TOL = 1e-8
+
+
+def whole_steps(span: float, dt: float, what: str) -> int:
+    """Number of steps of length dt in span; ValidationError unless whole and positive."""
+    if not (dt > 0 and span > 0 and np.isfinite(span / dt)):
+        raise ValidationError(f"{what} ({span:g}) and its step ({dt:g}) must be positive")
+    nsteps = int(round(span / dt))
+    if nsteps < 1 or abs(nsteps * dt - span) > STEP_TOL * max(1.0, span):
+        raise ValidationError(f"{what} ({span:g}) is not a whole number of steps of {dt:g}")
+    return nsteps
+
+
+def sample_steps(nsteps: int, stride: int) -> list:
+    """Indices of the recorded steps: every stride-th step and always the last."""
+    steps = list(range(0, nsteps + 1, stride))
+    if steps[-1] != nsteps:
+        steps.append(nsteps)
+    return steps
+
 
 def ef_theta_rhs(fam: ExpFamily, model: SdeModel, theta) -> np.ndarray:
     """Canonical-coordinate projected drift g(theta)^{-1} E_theta[L c]."""
@@ -252,7 +272,7 @@ class ProjectedOde:
         """Validated start state and its canonical/weight coordinates."""
         state = np.asarray(state, dtype=float)
         if state.shape != (self.dim,):
-            raise ValueError(f"initial state must have length {self.dim}")
+            raise ValidationError(f"initial state must have length {self.dim}")
         if self.method == "ada-ef":
             return state, self.family.expectation_to_canonical(state)
         if self.method == "ada-mix":
@@ -293,11 +313,7 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
     Mixture weights are clamped to the margin-shrunk simplex after each
     step and every clamp is recorded.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValidationError("dt and t_end must be positive")
-    nsteps = int(round(t_end / dt))
-    if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-8 * max(1.0, t_end):
-        raise ValidationError("t_end must be an integral number of steps")
+    nsteps = whole_steps(t_end, dt, "t_end")
     if record_residual and not isinstance(ode.family, ExpFamily):
         raise ValidationError("residual recording applies to exponential families only")
 

@@ -15,8 +15,7 @@ distance for simple mixtures (a constant linear solve).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     FpkprojError,
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .expfamily import ExpFamily, canonical_from_moments
 from .mixture import MixtureFamily
-from .projection import ProjectedOde, integrate_ode
+from .projection import STEP_TOL, ProjectedOde, integrate_ode, sample_steps, whole_steps
 from .quadrature import Domain
 from .sde import SdeModel
 
@@ -151,24 +150,22 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
               sample_stride: int = 1) -> list[GridDensity]:
     """Crank-Nicolson evolution of the grid density; returns sampled snapshots.
 
-    Snapshots include the initial condition and the final step.  Raises
-    SchemeInstability on negative densities beyond round-off or on loss
-    of mass conservation.
+    Snapshots are taken every sample_stride steps and at the final step
+    (see `sample_steps`).  The implicit half-step is one LAPACK tridiagonal
+    factorization, reused by every step.  Raises SchemeInstability when
+    that matrix is singular, on negative densities beyond round-off or on
+    loss of mass conservation.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    nsteps = whole_steps(t_end, dt, "t_end")
     if sample_stride < 1:
-        raise ValueError("sample_stride must be at least 1")
-    nsteps = int(round(t_end / dt))
-    if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-8 * max(1.0, t_end):
-        raise ValueError("t_end must be an integral number of steps")
-    nx = p0.nx
-    lower, diag, upper = fpk_operator(model, p0.domain, nx)
+        raise ValidationError("sample_stride must be at least 1")
+    lower, diag, upper = fpk_operator(model, p0.domain, p0.nx)
     half = 0.5 * dt
-    implicit = diags(
-        [-half * lower, 1.0 - half * diag, -half * upper], offsets=[-1, 0, 1],
-        shape=(nx, nx), format="csc")
-    lu = splu(implicit)
+    factors = dgttrf(-half * lower, 1.0 - half * diag, -half * upper)
+    if factors[-1] != 0:
+        raise SchemeInstability(f"Crank-Nicolson matrix is singular (LAPACK info {factors[-1]})")
+    factors = factors[:-1]
+    recorded = set(sample_steps(nsteps, sample_stride))
 
     def explicit_apply(p):
         out = (1.0 + half * diag) * p
@@ -182,7 +179,9 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
     snapshots = [GridDensity(domain=p0.domain, values=p.copy(), time=0.0)]
     prev_mass = mass0
     for k in range(1, nsteps + 1):
-        p = lu.solve(explicit_apply(p))
+        p, info = dgttrs(*factors, explicit_apply(p))
+        if info != 0:
+            raise SchemeInstability(f"tridiagonal solve failed at step {k} (LAPACK info {info})")
         if p.min() < -NEGATIVITY_TOL:
             raise SchemeInstability(
                 f"density dropped to {p.min()} at step {k}")
@@ -191,10 +190,19 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
             raise SchemeInstability(
                 f"mass drifted by {mass - prev_mass} in step {k}")
         prev_mass = mass
-        if k % sample_stride == 0 or k == nsteps:
+        if k in recorded:
             snapshots.append(GridDensity(
                 domain=p0.domain, values=np.maximum(p, 0.0), time=float(k * dt)))
     return snapshots
+
+
+def snapshot_index(times, t: float) -> int:
+    """Index of the snapshot taken at time t; ValidationError if none is."""
+    times = np.asarray(times, dtype=float)
+    hit = np.flatnonzero(np.abs(times - t) <= STEP_TOL * max(1.0, float(times[-1])))
+    if hit.size == 0:
+        raise ValidationError(f"t = {t:g} is not a reference snapshot time")
+    return int(hit[0])
 
 
 # -- divergences ------------------------------------------------------
@@ -393,11 +401,8 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
     else:
         raise ValidationError("decay experiments need an exponential or mixture family")
 
-    stride_ratio = sample_stride * pde_dt / ode_dt
-    if abs(stride_ratio - round(stride_ratio)) > 1e-9:
-        raise ValidationError("sample_stride * pde_dt must be a multiple of ode_dt")
-    stride_ratio = int(round(stride_ratio))
-
+    # every snapshot must fall on an ODE step
+    whole_steps(sample_stride * pde_dt, ode_dt, "sample_stride * pde_dt")
     snapshots = solve_fpk(model, p0, t_end, pde_dt, sample_stride=sample_stride)
     ref_moments = np.vstack([[snap.expect(row) for row in obs] for snap in snapshots])
     if start is None:

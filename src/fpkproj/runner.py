@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InadmissibleRecovery, ValidationError
 from .expfamily import ExpFamily
-from .projection import ProjectedOde, integrate_ode
+from .projection import ProjectedOde, integrate_ode, sample_steps
 from .reference import (
     DecayReport,
     GridDensity,
@@ -21,16 +21,17 @@ from .reference import (
     divergence_hellinger,
     divergence_kl,
     divergence_l2,
-    grid_density,
     metric_project_ef,
     metric_project_mix,
+    snapshot_index,
     solve_fpk,
 )
 from .scenario import (
     Scenario,
     build_family,
-    build_initial_density,
     build_model,
+    build_reference_start,
+    reference_stride,
     scenario_domain,
 )
 
@@ -81,19 +82,11 @@ def write_density_csv(path, snap: GridDensity):
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _density_snapshot_map(snapshots, wanted_times):
-    out = {}
-    if not wanted_times:
-        return out
-    times = np.array([s.time for s in snapshots])
-    for t in wanted_times:
-        idx = int(np.argmin(np.abs(times - t)))
-        out[float(t)] = snapshots[idx]
-    return out
-
-
-def _density_file_name(t: float) -> str:
-    return f"density_t{format(float(t), 'g')}.csv"
+def _write_density_slices(scenario: Scenario, snapshots, output_dir: Path):
+    times = [s.time for s in snapshots]
+    for t in scenario.outputs["density_times"]:
+        write_density_csv(output_dir / f"density_t{format(float(t), 'g')}.csv",
+                          snapshots[snapshot_index(times, t)])
 
 
 def _expectations(family, theta) -> np.ndarray:
@@ -115,12 +108,11 @@ def _start_state(initial: dict, family, coordinates: str):
     return None
 
 
-def _reference_lookup(model, scenario: Scenario, domain):
-    """Solve the grid reference for scenarios that want divergence columns."""
-    density_fn = build_initial_density(scenario.initial["density"])
-    p0 = grid_density(domain, scenario.numerics.pde_nx, density_fn)
+def _reference_snapshots(model, scenario: Scenario):
+    """Solve the grid reference; a trajectory method gets one snapshot per row."""
+    p0 = build_reference_start(scenario, model)
     return solve_fpk(model, p0, scenario.numerics.t_end, scenario.numerics.pde_dt,
-                     sample_stride=scenario.numerics.sample_stride)
+                     sample_stride=reference_stride(scenario))
 
 
 def _run_trajectory_method(scenario: Scenario, model, family, output_dir: Path,
@@ -130,26 +122,20 @@ def _run_trajectory_method(scenario: Scenario, model, family, output_dir: Path,
     y0 = _start_state(scenario.initial, family, ode.coordinates)
     traj = integrate_ode(ode, y0, num.t_end, num.ode_dt,
                          record_residual=num.record_residual)
-    nsteps = traj.times.size - 1
-    sample_idx = list(range(0, nsteps + 1, num.sample_stride))
-    if sample_idx[-1] != nsteps:
-        sample_idx.append(nsteps)
-
-    snapshots = None
+    sample_idx = sample_steps(traj.times.size - 1, num.sample_stride)
+    snapshots = [None] * len(sample_idx)
     if num.attach_reference:
-        snapshots = _reference_lookup(model, scenario, model.domain)
-        snap_times = np.array([s.time for s in snapshots])
+        snapshots = _reference_snapshots(model, scenario)
 
     rows = []
-    for idx in sample_idx:
+    for idx, snap in zip(sample_idx, snapshots, strict=True):
         theta = traj.thetas[idx]
         if ode.coordinates == "expectation":
             coords = traj.states[idx]
         else:
             coords = _expectations(family, theta)
         kl = hell = l2 = None
-        if snapshots is not None:
-            snap = snapshots[int(np.argmin(np.abs(snap_times - traj.times[idx])))]
+        if snap is not None:
             fam_density = family.density(theta)
             kl = divergence_kl(snap, fam_density)
             hell = divergence_hellinger(snap, fam_density)
@@ -159,9 +145,8 @@ def _run_trajectory_method(scenario: Scenario, model, family, output_dir: Path,
                      res, kl, hell, l2, bool(traj.clamped[idx])))
     table = ResultTable(header=trajectory_header(family.n), rows=rows)
     write_csv(output_dir / scenario.outputs["trajectory"], table)
-    if snapshots is not None:
-        for t, snap in _density_snapshot_map(snapshots, scenario.outputs["density_times"]).items():
-            write_density_csv(output_dir / _density_file_name(t), snap)
+    if num.attach_reference:
+        _write_density_slices(scenario, snapshots, output_dir)
     if not quiet:
         final = ", ".join(format(v, ".6g") for v in traj.states[-1])
         print(f"{scenario.name}: {scenario.method} reached t={num.t_end:g}, "
@@ -172,7 +157,7 @@ def _run_trajectory_method(scenario: Scenario, model, family, output_dir: Path,
 
 def _run_metric_projection(scenario: Scenario, model, family, output_dir: Path,
                            quiet: bool) -> ResultTable:
-    snapshots = _reference_lookup(model, scenario, model.domain)
+    snapshots = _reference_snapshots(model, scenario)
     rows = []
     clamp_count = 0
     for snap in snapshots:
@@ -196,8 +181,7 @@ def _run_metric_projection(scenario: Scenario, model, family, output_dir: Path,
                      clamped_flag))
     table = ResultTable(header=trajectory_header(family.n), rows=rows)
     write_csv(output_dir / scenario.outputs["trajectory"], table)
-    for t, snap in _density_snapshot_map(snapshots, scenario.outputs["density_times"]).items():
-        write_density_csv(output_dir / _density_file_name(t), snap)
+    _write_density_slices(scenario, snapshots, output_dir)
     if not quiet:
         print(f"{scenario.name}: projected {len(rows)} snapshots"
               + (f", {clamp_count} clamped" if clamp_count else ""))
@@ -207,8 +191,7 @@ def _run_metric_projection(scenario: Scenario, model, family, output_dir: Path,
 def _run_decay(scenario: Scenario, model, family, output_dir: Path,
                quiet: bool) -> ResultTable:
     num = scenario.numerics
-    density_fn = build_initial_density(scenario.initial["density"])
-    p0 = grid_density(model.domain, num.pde_nx, density_fn)
+    p0 = build_reference_start(scenario, model)
     start = _start_state(scenario.initial, family, "expectation")
     report = decay_experiment(
         model, family, p0, num.t_end, pde_dt=num.pde_dt, ode_dt=num.ode_dt,

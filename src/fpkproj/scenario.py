@@ -1,54 +1,50 @@
 """Scenario files: schema, validation, and construction of runtime objects.
 
 A scenario is a YAML mapping with sections model / family / method /
-numerics / initial / outputs.  Validation is strict: unknown keys are
-rejected by name, required fields are reported with their full path, and
-method/family compatibility is checked before anything is built.
+numerics / initial / outputs.  Each typed section (model, family, initial
+density) has one table that maps a type to its fields and to the factory
+that builds it; parsing, construction and `presets list` all read it.
+
+Validation parses every field, rejecting unknown keys by name and naming
+missing required fields by their full path, and then builds the model,
+family and initial density exactly as a run does.  Value constraints are
+therefore checked once, by the factories, and a construction failure is
+reported as a ValidationError that names its section.
 """
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .errors import ValidationError
+from .errors import FpkprojError, ValidationError
 from .expfamily import custom_poly_family, ep_family, hermite_family
-from .functions import DifferentiableFn, constant_fn, cosine_fn, gaussian_pdf_fn
+from .functions import DifferentiableFn, cosine_series_pdf_fn, gaussian_mixture_pdf_fn, gaussian_pdf_fn
 from .mixture import cosine_circle_family, gaussian_mixture_family
-from .projection import EF_METHODS, MIX_METHODS
+from .projection import EF_METHODS, MIX_METHODS, sample_steps, whole_steps
 from .projection import METHODS as ODE_METHODS
 from .quadrature import Domain, default_domain, simpson_rule
+from .reference import GridDensity, grid_density, snapshot_index
 from .sde import circle_diffusion, ornstein_uhlenbeck, polynomial_drift
 
-METHODS = ODE_METHODS + ("metric-projection", "decay-experiment")
-EF_FAMILIES = ("ep", "hermite", "custom-poly")
-MIX_FAMILIES = ("gaussian-mixture", "cosine-circle")
+REFERENCE_METHODS = ("metric-projection", "decay-experiment")
+METHODS = ODE_METHODS + REFERENCE_METHODS
+REQUIRED = object()
 
 _TOP_KEYS = {"name", "model", "family", "method", "numerics", "initial", "outputs"}
-_MODEL_KEYS = {
-    "ou": {"type", "kappa", "sigma"},
-    "circle-diffusion": {"type", "diffusion"},
-    "polynomial-drift": {"type", "coefficients", "diffusion"},
+# initial keys each method can start from; one of them must be given
+_START_KEYS = {
+    "tangent-ef": ("theta",),
+    "ada-ef": ("eta", "theta"),
+    "tangent-mix": ("theta",),
+    "ada-mix": ("m", "theta"),
+    "galerkin": ("theta",),
+    "metric-projection": ("density",),
+    "decay-experiment": ("density",),
 }
-_FAMILY_KEYS = {
-    "ep": {"type", "n"},
-    "hermite": {"type", "indices"},
-    "custom-poly": {"type", "exponents"},
-    "gaussian-mixture": {"type", "means", "variances"},
-    "cosine-circle": {"type", "harmonics"},
-}
-_NUMERICS_KEYS = {
-    "domain", "quadrature_level", "ode_dt", "pde_nx", "pde_dt", "t_end",
-    "sample_stride", "fit_window", "record_residual", "attach_reference",
-}
-_INITIAL_KEYS = {"theta", "eta", "m", "density"}
-_DENSITY_KEYS = {
-    "gaussian": {"type", "mean", "var"},
-    "gaussian-mixture": {"type", "weights", "means", "variances"},
-    "cosine": {"type", "coefficients"},
-}
-_OUTPUT_KEYS = {"trajectory", "decay", "density_times"}
 
 
 def _require_mapping(value, path):
@@ -63,52 +59,186 @@ def _reject_unknown(mapping, allowed, path):
             raise ValidationError(f"unknown key {key!r} in {path}")
 
 
-def _as_float(value, path):
-    if isinstance(value, bool):
-        raise ValidationError(f"{path} must be a number")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+# -- field parsers: (value, path) -> parsed value or ValidationError ---
+
+
+def _number(value, path):
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
         try:
-            return float(value)
-        except ValueError:
-            pass
-    raise ValidationError(f"{path} must be a number, got {value!r}")
+            out = float(value)
+        except (ValueError, OverflowError):
+            out = math.nan
+        if math.isfinite(out):
+            return out
+    raise ValidationError(f"{path} must be a finite number, got {value!r}")
 
 
-def _as_int(value, path):
+def _positive(value, path):
+    out = _number(value, path)
+    if out <= 0:
+        raise ValidationError(f"{path} must be positive")
+    return out
+
+
+def _integer(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{path} must be an integer, got {value!r}")
     return value
 
 
-def _as_bool(value, path):
+def _int_range(lo, hi):
+    def parse(value, path):
+        out = _integer(value, path)
+        if not lo <= out <= hi:
+            raise ValidationError(f"{path} must be between {lo} and {hi}")
+        return out
+    return parse
+
+
+def _flag(value, path):
     if not isinstance(value, bool):
         raise ValidationError(f"{path} must be true or false")
     return value
 
 
-def _as_float_list(value, path, length=None):
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{path} must be a list of numbers")
-    out = [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if length is not None and len(out) != length:
-        raise ValidationError(f"{path} must have length {length}")
+def _list_of(item):
+    def parse(value, path):
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"{path} must be a list")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return parse
+
+
+def _interval(floor):
+    def parse(value, path):
+        bounds = _list_of(_number)(value, path)
+        if len(bounds) != 2 or not floor <= bounds[0] < bounds[1]:
+            raise ValidationError(f"{path} must be [lower, upper] with {floor:g} <= lower < upper")
+        return tuple(bounds)
+    return parse
+
+
+def _file_name(value, path):
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"{path} must be a file name")
+    return value
+
+
+_numbers = _list_of(_number)
+_integers = _list_of(_integer)
+
+
+def _parse_fields(spec, fields, path, extra=()):
+    """Parse a mapping against {name: (parser, default or REQUIRED)}.
+
+    Keys outside `fields` and `extra` are rejected by name; a missing
+    required field is reported by its full path; absent optional fields
+    take their defaults.
+    """
+    spec = _require_mapping(spec, path)
+    _reject_unknown(spec, set(fields) | set(extra), path)
+    out = {}
+    for name, (parse, default) in fields.items():
+        if name in spec:
+            out[name] = parse(spec[name], f"{path}.{name}")
+        elif default is REQUIRED:
+            raise ValidationError(f"{path}.{name} required")
+        else:
+            out[name] = default
     return out
 
 
-@dataclass(frozen=True)
-class Numerics:
-    t_end: float
-    domain: tuple | None = None
-    quadrature_level: int = 12
-    ode_dt: float = 1e-3
-    pde_nx: int = 2001
-    pde_dt: float = 1e-3
-    sample_stride: int = 10
-    fit_window: tuple | None = None
-    record_residual: bool = False
-    attach_reference: bool = False
+# -- the typed sections ------------------------------------------------
+
+
+# one type of a typed section: {field: (parser, default or REQUIRED)}, the
+# factory called with the parsed fields, a note for `presets list`, and
+# for families the methods that accept them
+Preset = namedtuple("Preset", "fields build note methods", defaults=("", ()))
+
+
+MODELS = {
+    "ou": Preset(
+        {"kappa": (_number, 1.0), "sigma": (_number, math.sqrt(2.0))},
+        ornstein_uhlenbeck, "drift -kappa x, diffusion sigma^2"),
+    "circle-diffusion": Preset(
+        {"diffusion": (_number, 2.0)},
+        lambda diffusion, domain: circle_diffusion(diffusion), "domain fixed to [0, 2*pi]"),
+    "polynomial-drift": Preset(
+        {"coefficients": (_numbers, REQUIRED), "diffusion": (_number, 2.0)},
+        lambda coefficients, diffusion, domain: polynomial_drift(
+            coefficients, diffusion, domain=domain),
+        "drift coefficients in ascending order"),
+}
+
+FAMILIES = {
+    "ep": Preset({"n": (_integer, 2)}, ep_family,
+                 "statistics x, x^2, ..., x^n, n even", EF_METHODS),
+    "hermite": Preset({"indices": (_integers, REQUIRED)}, hermite_family,
+                      "probabilists' Hermite statistics He_k, largest index even", EF_METHODS),
+    "custom-poly": Preset({"exponents": (_integers, REQUIRED)}, custom_poly_family,
+                          "monomial statistics, largest exponent even", EF_METHODS),
+    "gaussian-mixture": Preset(
+        {"means": (_numbers, REQUIRED), "variances": (_numbers, REQUIRED)},
+        gaussian_mixture_family, "last component carries the rest", MIX_METHODS),
+    "cosine-circle": Preset(
+        {"harmonics": (_integers, REQUIRED)}, cosine_circle_family,
+        "components (1 + cos(kx))/(2*pi) plus uniform, circle-diffusion model only",
+        MIX_METHODS),
+}
+
+DENSITIES = {
+    "gaussian": Preset({"mean": (_number, 0.0), "var": (_number, 1.0)}, gaussian_pdf_fn),
+    "gaussian-mixture": Preset(
+        {"weights": (_numbers, REQUIRED), "means": (_numbers, REQUIRED),
+         "variances": (_numbers, REQUIRED)},
+        gaussian_mixture_pdf_fn, "weights nonnegative, summing to 1"),
+    "cosine": Preset({"coefficients": (_numbers, REQUIRED)}, cosine_series_pdf_fn,
+                     "a_k in (1 + sum a_k cos(kx))/(2*pi)"),
+}
+
+
+def _parse_typed(spec, table, path):
+    kind = _require_mapping(spec, path).get("type")
+    if not isinstance(kind, str) or kind not in table:
+        raise ValidationError(f"{path}.type must be one of {sorted(table)}, got {kind!r}")
+    return {"type": kind, **_parse_fields(spec, table[kind].fields, path, extra=("type",))}
+
+
+def _build(table, spec, **context):
+    params = {key: value for key, value in spec.items() if key != "type"}
+    return table[spec["type"]].build(**params, **context)
+
+
+# -- the untyped sections ----------------------------------------------
+
+
+_NUMERICS = {
+    "t_end": (_positive, REQUIRED),
+    "domain": (_interval(-math.inf), None),
+    "quadrature_level": (_int_range(3, 20), 12),
+    "ode_dt": (_positive, 1e-3),
+    "pde_nx": (_int_range(3, 10 ** 6), 2001),
+    "pde_dt": (_positive, 1e-3),
+    "sample_stride": (_int_range(1, math.inf), 10),
+    "fit_window": (_interval(0.0), None),
+    "record_residual": (_flag, False),
+    "attach_reference": (_flag, False),
+}
+Numerics = namedtuple("Numerics", _NUMERICS)
+
+_INITIAL = {
+    "theta": (_numbers, None),
+    "eta": (_numbers, None),
+    "m": (_numbers, None),
+    "density": (lambda spec, path: _parse_typed(spec, DENSITIES, path), None),
+}
+
+_OUTPUTS = {
+    "trajectory": (_file_name, "trajectory.csv"),
+    "decay": (_file_name, "decay.json"),
+    "density_times": (_numbers, ()),
+}
 
 
 @dataclass(frozen=True)
@@ -122,185 +252,35 @@ class Scenario:
     outputs: dict = field(default_factory=dict)
 
 
-def _validate_model(spec):
-    spec = _require_mapping(spec, "model")
-    mtype = spec.get("type")
-    if mtype not in _MODEL_KEYS:
-        raise ValidationError(
-            f"model.type must be one of {sorted(_MODEL_KEYS)}, got {mtype!r}")
-    _reject_unknown(spec, _MODEL_KEYS[mtype], "model")
-    out = {"type": mtype}
-    if mtype == "ou":
-        out["kappa"] = _as_float(spec.get("kappa", 1.0), "model.kappa")
-        out["sigma"] = _as_float(spec.get("sigma", np.sqrt(2.0)), "model.sigma")
-        if out["kappa"] <= 0 or out["sigma"] <= 0:
-            raise ValidationError("model.kappa and model.sigma must be positive")
-    elif mtype == "circle-diffusion":
-        out["diffusion"] = _as_float(spec.get("diffusion", 2.0), "model.diffusion")
-        if out["diffusion"] <= 0:
-            raise ValidationError("model.diffusion must be positive")
-    else:
-        if "coefficients" not in spec:
-            raise ValidationError("model.coefficients required")
-        out["coefficients"] = _as_float_list(spec["coefficients"], "model.coefficients")
-        out["diffusion"] = _as_float(spec.get("diffusion", 2.0), "model.diffusion")
-        if out["diffusion"] <= 0:
-            raise ValidationError("model.diffusion must be positive")
-    return out
+def _built(path, build, *args):
+    """build(*args), with any construction failure reported against `path`."""
+    try:
+        return build(*args)
+    except (ValueError, FpkprojError) as err:
+        raise ValidationError(f"{path}: {err}") from err
 
 
-def _validate_family(spec):
-    spec = _require_mapping(spec, "family")
-    ftype = spec.get("type")
-    if ftype not in _FAMILY_KEYS:
-        raise ValidationError(
-            f"family.type must be one of {sorted(_FAMILY_KEYS)}, got {ftype!r}")
-    _reject_unknown(spec, _FAMILY_KEYS[ftype], "family")
-    out = {"type": ftype}
-    if ftype == "ep":
-        n = _as_int(spec.get("n", 2), "family.n")
-        if n < 2 or n % 2 != 0:
-            raise ValidationError("family.n must be an even integer >= 2")
-        out["n"] = n
-    elif ftype == "hermite":
-        if "indices" not in spec:
-            raise ValidationError("family.indices required")
-        out["indices"] = [_as_int(i, "family.indices[]") for i in spec["indices"]]
-    elif ftype == "custom-poly":
-        if "exponents" not in spec:
-            raise ValidationError("family.exponents required")
-        out["exponents"] = [_as_int(i, "family.exponents[]") for i in spec["exponents"]]
-    elif ftype == "gaussian-mixture":
-        if "means" not in spec or "variances" not in spec:
-            raise ValidationError("family.means and family.variances required")
-        out["means"] = _as_float_list(spec["means"], "family.means")
-        out["variances"] = _as_float_list(spec["variances"], "family.variances",
-                                          length=len(out["means"]))
-    else:
-        if "harmonics" not in spec:
-            raise ValidationError("family.harmonics required")
-        out["harmonics"] = [_as_int(i, "family.harmonics[]") for i in spec["harmonics"]]
-    return out
-
-
-def _validate_numerics(spec):
-    spec = _require_mapping(spec, "numerics")
-    _reject_unknown(spec, _NUMERICS_KEYS, "numerics")
-    if "t_end" not in spec:
-        raise ValidationError("numerics.t_end required")
-    kwargs = {"t_end": _as_float(spec["t_end"], "numerics.t_end")}
-    if kwargs["t_end"] <= 0:
-        raise ValidationError("numerics.t_end must be positive")
-    if "domain" in spec:
-        lo, hi = _as_float_list(spec["domain"], "numerics.domain", length=2)
-        if not lo < hi:
-            raise ValidationError("numerics.domain must satisfy lower < upper")
-        kwargs["domain"] = (lo, hi)
-    if "quadrature_level" in spec:
-        level = _as_int(spec["quadrature_level"], "numerics.quadrature_level")
-        if not 3 <= level <= 20:
-            raise ValidationError("numerics.quadrature_level must be between 3 and 20")
-        kwargs["quadrature_level"] = level
-    for key in ("ode_dt", "pde_dt"):
-        if key in spec:
-            val = _as_float(spec[key], f"numerics.{key}")
-            if val <= 0:
-                raise ValidationError(f"numerics.{key} must be positive")
-            kwargs[key] = val
-    if "pde_nx" in spec:
-        nx = _as_int(spec["pde_nx"], "numerics.pde_nx")
-        if nx < 3:
-            raise ValidationError("numerics.pde_nx must be at least 3")
-        kwargs["pde_nx"] = nx
-    if "sample_stride" in spec:
-        stride = _as_int(spec["sample_stride"], "numerics.sample_stride")
-        if stride < 1:
-            raise ValidationError("numerics.sample_stride must be at least 1")
-        kwargs["sample_stride"] = stride
-    if "fit_window" in spec:
-        lo, hi = _as_float_list(spec["fit_window"], "numerics.fit_window", length=2)
-        if not 0 <= lo < hi:
-            raise ValidationError("numerics.fit_window must satisfy 0 <= lower < upper")
-        kwargs["fit_window"] = (lo, hi)
-    for key in ("record_residual", "attach_reference"):
-        if key in spec:
-            kwargs[key] = _as_bool(spec[key], f"numerics.{key}")
-    return Numerics(**kwargs)
-
-
-def _validate_density(spec, path):
-    spec = _require_mapping(spec, path)
-    dtype = spec.get("type")
-    if dtype not in _DENSITY_KEYS:
-        raise ValidationError(
-            f"{path}.type must be one of {sorted(_DENSITY_KEYS)}, got {dtype!r}")
-    _reject_unknown(spec, _DENSITY_KEYS[dtype], path)
-    out = {"type": dtype}
-    if dtype == "gaussian":
-        out["mean"] = _as_float(spec.get("mean", 0.0), f"{path}.mean")
-        out["var"] = _as_float(spec.get("var", 1.0), f"{path}.var")
-        if out["var"] <= 0:
-            raise ValidationError(f"{path}.var must be positive")
-    elif dtype == "gaussian-mixture":
-        for key in ("weights", "means", "variances"):
-            if key not in spec:
-                raise ValidationError(f"{path}.{key} required")
-        out["weights"] = _as_float_list(spec["weights"], f"{path}.weights")
-        k = len(out["weights"])
-        out["means"] = _as_float_list(spec["means"], f"{path}.means", length=k)
-        out["variances"] = _as_float_list(spec["variances"], f"{path}.variances", length=k)
-        if any(w < 0 for w in out["weights"]) or abs(sum(out["weights"]) - 1.0) > 1e-9:
-            raise ValidationError(f"{path}.weights must be nonnegative and sum to 1")
-        if any(v <= 0 for v in out["variances"]):
-            raise ValidationError(f"{path}.variances must be positive")
-    else:
-        if "coefficients" not in spec:
-            raise ValidationError(f"{path}.coefficients required")
-        out["coefficients"] = _as_float_list(spec["coefficients"], f"{path}.coefficients")
-    return out
-
-
-def _validate_initial(spec, method):
-    if spec is None:
-        spec = {}
-    spec = _require_mapping(spec, "initial")
-    _reject_unknown(spec, _INITIAL_KEYS, "initial")
-    out = {}
+def _check_runnable(scenario: Scenario):
+    """Build what a run builds and check the step grids it will walk."""
+    num = scenario.numerics
+    method = scenario.method
+    domain = _built("numerics.domain", scenario_domain, scenario)
+    model = _built("model", build_model, scenario, domain)
+    family = _built("family", build_family, scenario, domain)
     for key in ("theta", "eta", "m"):
-        if key in spec:
-            out[key] = _as_float_list(spec[key], f"initial.{key}")
-    if "density" in spec:
-        out["density"] = _validate_density(spec["density"], "initial.density")
-    if method == "tangent-ef" and "theta" not in out:
-        raise ValidationError("initial.theta required for tangent-ef")
-    if method == "ada-ef" and "eta" not in out and "theta" not in out:
-        raise ValidationError("initial.eta or initial.theta required for ada-ef")
-    if method in ("tangent-mix", "galerkin") and "theta" not in out:
-        raise ValidationError(f"initial.theta required for {method}")
-    if method == "ada-mix" and "m" not in out and "theta" not in out:
-        raise ValidationError("initial.m or initial.theta required for ada-mix")
-    if method in ("metric-projection", "decay-experiment") and "density" not in out:
-        raise ValidationError(f"initial.density required for {method}")
-    return out
-
-
-def _validate_outputs(spec):
-    if spec is None:
-        spec = {}
-    spec = _require_mapping(spec, "outputs")
-    _reject_unknown(spec, _OUTPUT_KEYS, "outputs")
-    out = {
-        "trajectory": spec.get("trajectory", "trajectory.csv"),
-        "decay": spec.get("decay", "decay.json"),
-    }
-    for key in ("trajectory", "decay"):
-        if not isinstance(out[key], str) or not out[key]:
-            raise ValidationError(f"outputs.{key} must be a file name")
-    if "density_times" in spec:
-        out["density_times"] = _as_float_list(spec["density_times"], "outputs.density_times")
-    else:
-        out["density_times"] = []
-    return out
+        if key in scenario.initial and len(scenario.initial[key]) != family.n:
+            raise ValidationError(f"initial.{key} must have length {family.n} (family dimension)")
+    if method != "metric-projection":
+        whole_steps(num.t_end, num.ode_dt, "numerics.t_end")
+    if method == "decay-experiment":
+        whole_steps(num.sample_stride * num.pde_dt, num.ode_dt,
+                    "numerics.sample_stride * numerics.pde_dt")
+    if method in REFERENCE_METHODS or num.attach_reference:
+        _built("initial.density", build_reference_start, scenario, model)
+        nsteps = whole_steps(num.t_end, num.pde_dt, "numerics.t_end")
+        times = [k * num.pde_dt for k in sample_steps(nsteps, reference_stride(scenario))]
+        for t in scenario.outputs["density_times"]:
+            _built("outputs.density_times", snapshot_index, times, t)
 
 
 def validate_scenario(raw: dict, name: str = "scenario") -> Scenario:
@@ -312,26 +292,34 @@ def validate_scenario(raw: dict, name: str = "scenario") -> Scenario:
     method = raw["method"]
     if method not in METHODS:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
-    model = _validate_model(raw["model"])
-    family = _validate_family(raw["family"])
-    if method in EF_METHODS and family["type"] not in EF_FAMILIES:
-        raise ValidationError("method/family mismatch: "
-                              f"{method} needs an exponential family, got {family['type']}")
-    if method in MIX_METHODS and family["type"] not in MIX_FAMILIES:
-        raise ValidationError("method/family mismatch: "
-                              f"{method} needs a mixture family, got {family['type']}")
-    numerics = _validate_numerics(raw["numerics"])
-    initial = _validate_initial(raw.get("initial"), method)
-    outputs = _validate_outputs(raw.get("outputs"))
+    model = _parse_typed(raw["model"], MODELS, "model")
+    family = _parse_typed(raw["family"], FAMILIES, "family")
+    takes = FAMILIES[family["type"]].methods
+    if method in ODE_METHODS and method not in takes:
+        raise ValidationError(f"method/family mismatch: {family['type']} families take "
+                              f"{', '.join(takes)}, got {method}")
+    numerics = Numerics(**_parse_fields(raw["numerics"], _NUMERICS, "numerics"))
+    initial = {key: value for key, value
+               in _parse_fields(raw.get("initial") or {}, _INITIAL, "initial").items()
+               if value is not None}
+    outputs = _parse_fields(raw.get("outputs") or {}, _OUTPUTS, "outputs")
+    starts = _START_KEYS[method]
+    if not any(key in initial for key in starts):
+        raise ValidationError(" or ".join(f"initial.{key}" for key in starts)
+                              + f" required for {method}")
     if numerics.attach_reference and "density" not in initial:
         raise ValidationError("initial.density required when numerics.attach_reference is set")
+    if numerics.record_residual and method in MIX_METHODS:
+        raise ValidationError("numerics.record_residual applies to exponential-family methods")
     if family["type"] == "cosine-circle" and model["type"] != "circle-diffusion":
         raise ValidationError("cosine-circle families require the circle-diffusion model")
     scenario_name = raw.get("name", name)
     if not isinstance(scenario_name, str) or not scenario_name:
         raise ValidationError("scenario.name must be a nonempty string")
-    return Scenario(name=scenario_name, model=model, family=family, method=method,
-                    numerics=numerics, initial=initial, outputs=outputs)
+    scenario = Scenario(name=scenario_name, model=model, family=family, method=method,
+                        numerics=numerics, initial=initial, outputs=outputs)
+    _check_runnable(scenario)
+    return scenario
 
 
 def apply_overrides(raw: dict, overrides) -> dict:
@@ -390,63 +378,49 @@ def scenario_domain(scenario: Scenario) -> Domain:
 
 
 def build_model(scenario: Scenario, domain: Domain):
-    spec = scenario.model
-    if spec["type"] == "ou":
-        return ornstein_uhlenbeck(spec["kappa"], spec["sigma"], domain=domain)
-    if spec["type"] == "circle-diffusion":
-        return circle_diffusion(spec["diffusion"])
-    return polynomial_drift(spec["coefficients"], spec["diffusion"], domain=domain)
+    return _build(MODELS, scenario.model, domain=domain)
 
 
 def build_family(scenario: Scenario, domain: Domain):
-    spec = scenario.family
-    rule = simpson_rule(domain, scenario.numerics.quadrature_level)
-    if spec["type"] == "ep":
-        return ep_family(spec["n"], rule=rule)
-    if spec["type"] == "hermite":
-        return hermite_family(spec["indices"], rule=rule)
-    if spec["type"] == "custom-poly":
-        return custom_poly_family(spec["exponents"], rule=rule)
-    if spec["type"] == "gaussian-mixture":
-        return gaussian_mixture_family(spec["means"], spec["variances"], rule=rule)
-    return cosine_circle_family(spec["harmonics"], rule=rule)
+    return _build(FAMILIES, scenario.family,
+                  rule=simpson_rule(domain, scenario.numerics.quadrature_level))
 
 
 def build_initial_density(spec: dict) -> DifferentiableFn:
-    if spec["type"] == "gaussian":
-        return gaussian_pdf_fn(spec["mean"], spec["var"])
-    if spec["type"] == "gaussian-mixture":
-        acc = None
-        for w, mu, v in zip(spec["weights"], spec["means"], spec["variances"]):
-            term = w * gaussian_pdf_fn(mu, v)
-            acc = term if acc is None else acc + term
-        return acc
-    scale = 1.0 / (2.0 * np.pi)
-    acc = constant_fn(scale)
-    for k, coeff in enumerate(spec["coefficients"], start=1):
-        if coeff != 0.0:
-            acc = acc + cosine_fn(k, amplitude=coeff * scale)
-    return acc
+    return _build(DENSITIES, spec)
+
+
+def build_reference_start(scenario: Scenario, model) -> GridDensity:
+    """The initial density sampled on the reference grid."""
+    density = build_initial_density(scenario.initial["density"])
+    return grid_density(model.domain, scenario.numerics.pde_nx, density)
+
+
+def reference_stride(scenario: Scenario) -> int:
+    """Crank-Nicolson steps between reference snapshots.
+
+    Trajectory methods count sample_stride in ODE steps, so their
+    snapshots fall on the trajectory rows; metric projection and decay
+    experiments count it in PDE steps.
+    """
+    num = scenario.numerics
+    if scenario.method not in ODE_METHODS:
+        return num.sample_stride
+    return whole_steps(num.sample_stride * num.ode_dt, num.pde_dt,
+                       "numerics.sample_stride * numerics.ode_dt")
 
 
 def presets_text() -> str:
-    """Stable human-readable list of built-in models, families, and densities."""
-    lines = [
-        "models:",
-        "  ou: kappa (default 1.0), sigma (default sqrt(2))",
-        "  circle-diffusion: diffusion (default 2.0), domain fixed to [0, 2*pi]",
-        "  polynomial-drift: coefficients (ascending), diffusion (default 2.0)",
-        "families:",
-        "  ep: n (even); statistics x, x^2, ..., x^n",
-        "  hermite: indices; probabilists' Hermite statistics He_k",
-        "  custom-poly: exponents; monomial statistics, largest even",
-        "  gaussian-mixture: means, variances; last component carries the rest",
-        "  cosine-circle: harmonics; components (1 + cos(kx))/(2*pi) plus uniform",
-        "initial densities:",
-        "  gaussian: mean, var",
-        "  gaussian-mixture: weights, means, variances",
-        "  cosine: coefficients a_k for (1 + sum a_k cos(kx))/(2*pi)",
-        "methods:",
-        "  " + ", ".join(METHODS),
-    ]
+    """Stable human-readable list of built-in models, families, densities and methods."""
+    lines = []
+    for title, table in (("models", MODELS), ("families", FAMILIES),
+                         ("initial densities", DENSITIES)):
+        lines.append(f"{title}:")
+        for kind, preset in table.items():
+            parts = [", ".join(name if default is REQUIRED else f"{name} (default {default!r})"
+                               for name, (_, default) in preset.fields.items())]
+            parts += [preset.note] if preset.note else []
+            parts += [f"methods {', '.join(preset.methods)}"] if preset.methods else []
+            lines.append(f"  {kind}: " + "; ".join(parts))
+    lines += ["methods:", "  " + ", ".join(METHODS)]
     return "\n".join(lines)

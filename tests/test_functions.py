@@ -106,12 +106,14 @@ def test_spline_tracks_samples_and_slope():
 
 
 def test_package_import_leaves_interpolation_unloaded():
-    # spline_fn imports scipy.interpolate on first use; importing the
-    # package must not pay for it
-    code = "import sys, fpkproj; print('scipy.interpolate' in sys.modules)"
+    # spline_fn imports scipy.interpolate on first use, and the reference
+    # solver needs only LAPACK's tridiagonal routines; importing the
+    # package must pay for neither scipy.interpolate nor scipy.sparse
+    code = ("import sys, fpkproj; "
+            "print([m for m in ('scipy.interpolate', 'scipy.sparse') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_check_derivatives_accepts_smooth_function():

@@ -10,10 +10,29 @@ import numpy as np
 import pytest
 import yaml
 
-from fpkproj import load_scenario, run_scenario, validate_scenario
+from fpkproj import (
+    divergence_kl,
+    ep_family,
+    gaussian_pdf_fn,
+    grid_density,
+    load_scenario,
+    ornstein_uhlenbeck,
+    run_scenario,
+    solve_fpk,
+    validate_scenario,
+)
+from fpkproj.cli import main as cli_main
 from fpkproj.errors import ValidationError
 from fpkproj.runner import format_value, trajectory_header
-from fpkproj.scenario import apply_overrides, build_initial_density, scenario_domain
+from fpkproj.scenario import (
+    DENSITIES,
+    FAMILIES,
+    METHODS,
+    MODELS,
+    apply_overrides,
+    build_initial_density,
+    scenario_domain,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -79,6 +98,10 @@ def test_numeric_strings_are_coerced():
     raw["numerics"]["ode_dt"] = "1e-2"
     sc = validate_scenario(raw)
     assert sc.numerics.ode_dt == 0.01
+    for bad in (float("inf"), float("nan"), "inf"):
+        raw["numerics"]["t_end"] = bad
+        with pytest.raises(ValidationError, match="numerics.t_end must be a finite number"):
+            validate_scenario(raw)
 
 
 def test_apply_overrides_nested_and_typed():
@@ -94,6 +117,56 @@ def test_all_shipped_scenarios_validate():
     for path in paths:
         sc = load_scenario(path)
         assert sc.name == path.stem
+
+
+# each of these passed `fpkproj validate` and then failed `fpkproj run`
+@pytest.mark.parametrize("name, override", [
+    ("ou_hermite_decay.yaml", "family.indices=[1,3]"),
+    ("gauss_mix_tangent.yaml", "family.variances=[0.5,0.0,0.5]"),
+    ("circle_ada.yaml", "family.harmonics=[0,1]"),
+    ("ou_hermite_decay.yaml", "numerics.pde_dt=0.3"),
+    ("ou_metric_projection.yaml", "initial.density.means=[100,101]"),
+    ("ou_ep2_tangent.yaml", "numerics.ode_dt=0.003"),
+    ("circle_ada.yaml", "family.harmonics=[1,1]"),
+])
+def test_validate_rejects_what_run_cannot_build(name, override, capsys):
+    assert cli_main(["validate", str(SCENARIO_DIR / name), "--override", override]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_density_times_must_be_snapshot_times():
+    raw = yaml.safe_load((SCENARIO_DIR / "ou_metric_projection.yaml").read_text())
+    raw["outputs"]["density_times"] = [0.0, 0.25]
+    with pytest.raises(ValidationError, match="outputs.density_times"):
+        validate_scenario(raw)
+    raw["outputs"]["density_times"] = [0.0, 0.3, 1.0]
+    validate_scenario(raw)
+
+
+def attached_ou_ep2(pde_dt):
+    raw = yaml.safe_load((SCENARIO_DIR / "ou_ep2_ada.yaml").read_text())
+    raw["numerics"].update(t_end=0.1, ode_dt=0.001, pde_dt=pde_dt, sample_stride=50,
+                           attach_reference=True)
+    raw["initial"]["density"] = {"type": "gaussian", "mean": 0.5, "var": 0.25}
+    return raw
+
+
+def test_reference_snapshots_must_fall_on_trajectory_rows():
+    # 50 ODE steps of 0.001 are 12.5 PDE steps of 0.004: no snapshot at t = 0.05
+    with pytest.raises(ValidationError, match="sample_stride"):
+        validate_scenario(attached_ou_ep2(0.004))
+
+
+def test_divergence_rows_use_the_snapshot_at_their_own_time(tmp_path):
+    table = run_scenario(validate_scenario(attached_ou_ep2(0.005)), tmp_path, quiet=True)
+    row = table.rows[1]
+    assert row[0] == pytest.approx(0.05)
+    p0 = grid_density(ornstein_uhlenbeck().domain, 2001, gaussian_pdf_fn(0.5, 0.25))
+    snaps = solve_fpk(ornstein_uhlenbeck(), p0, t_end=0.05, dt=0.005, sample_stride=10)
+    assert snaps[-1].time == pytest.approx(0.05)
+    member = ep_family(2).density(np.array(row[1:3]))
+    assert row[6] == pytest.approx(divergence_kl(snaps[-1], member), rel=1e-12)
+    assert row[6] != pytest.approx(divergence_kl(snaps[0], member), rel=1e-3)
 
 
 def test_initial_density_builders_are_normalized():
@@ -204,7 +277,7 @@ def test_cli_validate_and_exit_codes(tmp_path):
 def test_cli_presets_listing():
     res = cli("presets", "list")
     assert res.returncode == 0
-    for token in ("tangent-ef", "cosine-circle", "gaussian-mixture"):
+    for token in (*METHODS, *MODELS, *FAMILIES, *DENSITIES):
         assert token in res.stdout
 
 

@@ -12,8 +12,10 @@ divides by 4: R^2 = (32 - 8)/4 = 6.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fpkproj import (
+    circle_diffusion,
     cosine_circle_family,
     ef_eta_rhs,
     ef_theta_rhs,
@@ -141,6 +143,30 @@ def test_mixture_methods_clamp_at_the_simplex_boundary():
         assert np.max(np.abs(thetas[method] - thetas["tangent-mix"])) <= 1e-9
 
 
+@pytest.mark.parametrize("family, model, theta0", [
+    (cosine_circle_family([1, 2]), circle_diffusion(2.0), np.array([0.2, 0.1])),
+    (gaussian_mixture_family([-1.0, 0.0, 1.0], [0.5, 0.5, 0.5]), OU, np.array([0.3, 0.3])),
+])
+def test_linear_mixture_flows_match_matrix_exponential(family, model, theta0):
+    # every mixture method is state_dot = A state + c; recover (A, c) from
+    # the field and compare RK4 with the exact flow expm(t [[A, c], [0, 0]]).
+    # The rates here are at most 4, so RK4's global error at dt = 1e-3 is
+    # below 1e-13; 1e-12 leaves room for round-off.
+    n = family.n
+    for method in ("tangent-mix", "ada-mix", "galerkin"):
+        ode = make_ode(family, model, method)
+        c = ode.rhs(np.zeros(n))
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n] = np.column_stack([ode.rhs(e) - c for e in np.eye(n)])
+        aug[:n, n] = c
+        y0 = family.weights_to_expectations(theta0) if method == "ada-mix" else theta0
+        traj = integrate_ode(ode, y0, t_end=0.5, dt=1e-3)
+        assert not traj.clamped.any()
+        for t, state in zip(traj.times[::50], traj.states[::50]):
+            exact = (expm(aug * t) @ np.append(y0, 1.0))[:n]
+            assert np.max(np.abs(state - exact)) <= 1e-12
+
+
 def test_trajectory_carries_canonical_coordinates():
     fam = ep_family(2)
     traj = integrate_ode(make_ode(fam, OU, "ada-ef"), np.array([0.5, 1.25]),
@@ -199,6 +225,8 @@ def test_integration_grid_is_validated():
         integrate_ode(ode, np.array([0.5, 1.25]), t_end=1.0, dt=0.3)
     with pytest.raises(ValidationError):
         integrate_ode(ode, np.array([0.5, 1.25]), t_end=-1.0, dt=0.1)
+    with pytest.raises(ValidationError):
+        integrate_ode(ode, np.array([0.5]), t_end=1.0, dt=0.1)
 
 
 def test_recorded_residuals_are_nonnegative():

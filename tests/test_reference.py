@@ -224,6 +224,9 @@ def test_stride_mismatch_is_rejected():
     with pytest.raises(ValidationError):
         decay_experiment(OU, fam, p0, t_end=0.1, pde_dt=1e-3, ode_dt=3e-4,
                          sample_stride=10)
+    for t_end, dt, stride in ((1.0, 0.3, 1), (0.1, -1e-3, 1), (0.1, 1e-3, 0)):
+        with pytest.raises(ValidationError):
+            solve_fpk(OU, p0, t_end=t_end, dt=dt, sample_stride=stride)
 
 
 def test_fit_recovers_synthetic_rates():
