@@ -39,11 +39,28 @@ CONDITION_GUARD = 1e12
 RECURSION_DEGENERACY_FLOOR = 1e-8
 
 
+class _Moments:
+    """One moment pass: log-partition, density values, w * p, eta; Fisher on demand."""
+
+    __slots__ = ("key", "psi", "pvals", "wp", "eta", "fisher")
+
+    def __init__(self, key, psi, pvals, wp, eta):
+        self.key = key
+        self.psi = psi
+        self.pvals = pvals
+        self.wp = wp
+        self.eta = eta
+        self.fisher = None
+
+
 class ExpFamily:
     """An exponential family over a fixed quadrature rule.
 
     Node values of the statistics are cached at construction; derivative
-    values are cached on first use.  Instances are immutable apart from
+    values are cached on first use.  The moment pass of the last theta
+    evaluated is memoized, so density values, moments, Fisher matrix and
+    log-partition at one theta cost one pass over the nodes; every public
+    method returns a fresh array.  Instances are immutable apart from
     those caches.
     """
 
@@ -62,6 +79,7 @@ class ExpFamily:
         self._C1 = None
         self._C2 = None
         self._hermite_indices = None
+        self._memo = None
         gram = (self._C * rule.weights) @ self._C.T
         gram = 0.5 * (gram + gram.T)
         if np.linalg.eigvalsh(gram).min() <= GRAM_EIGENVALUE_FLOOR:
@@ -124,32 +142,47 @@ class ExpFamily:
 
     # -- densities and moments ----------------------------------------
 
-    def _internals(self, theta):
+    def _moments(self, theta) -> _Moments:
+        """The moment pass at theta, memoized for the last theta evaluated.
+
+        One pass over the nodes with a single exp gives psi, the density
+        values, wp = w * p and eta = C wp; the Fisher matrix is built from
+        the same wp on first request.  Admissibility is checked on every
+        call, and a failed evaluation is never stored, so every error is
+        raised again on every call.
+        """
         theta = self.require_admissible(theta)
+        key = theta.tobytes()
+        memo = self._memo
+        if memo is not None and memo.key == key:
+            return memo
         s = theta @ self._C
         if not np.all(np.isfinite(s)):
             raise NonIntegrable("log-density is not finite at the quadrature nodes")
         shift = s.max()
-        z = float(self.rule.weights @ np.exp(s - shift))
+        e = np.exp(s - shift)
+        z = float(self.rule.weights @ e)
         if not np.isfinite(z) or z <= 0.0:
             raise NonIntegrable("normalization integral overflowed or vanished")
-        psi = shift + np.log(z)
-        pvals = np.exp(s - psi)
-        return theta, psi, pvals
+        pvals = e / z
+        wp = self.rule.weights * pvals
+        memo = _Moments(key, shift + np.log(z), pvals, wp, self._C @ wp)
+        self._memo = memo
+        return memo
 
     def log_partition(self, theta) -> float:
         """psi(theta) = log integral exp(theta . c) over the domain."""
-        return float(self._internals(theta)[1])
+        return float(self._moments(theta).psi)
 
     def density_values(self, theta) -> np.ndarray:
         """Normalized density at the quadrature nodes."""
-        return self._internals(theta)[2]
+        return self._moments(theta).pvals.copy()
 
     def density(self, theta) -> DifferentiableFn:
         """The density as a differentiable function of x."""
-        theta, psi, _ = self._internals(theta)
+        coeffs = np.array(theta, dtype=float)
+        psi = self._moments(coeffs).psi
         stats = self.stats
-        coeffs = theta.copy()
 
         def log_linear(x, deriv):
             acc = None
@@ -181,28 +214,27 @@ class ExpFamily:
         For the polynomial family, count may exceed n; indices beyond n are
         expectations of higher monomials x^i.
         """
-        theta, _, pvals = self._internals(theta)
-        wp = self.rule.weights * pvals
+        mom = self._moments(theta)
         if count is None or count == self.n:
-            return self._C @ wp
+            return mom.eta.copy()
         if count < self.n:
             raise ValueError("count must be at least n")
         if self.kind != "ep":
             raise ValueError("extended moments are defined only for the polynomial family")
-        return self._monomial_rows(count) @ wp
+        return self._monomial_rows(count) @ mom.wp
 
     def fisher_matrix(self, theta) -> np.ndarray:
         """Covariance matrix of the statistics at theta."""
-        theta, _, pvals = self._internals(theta)
-        wp = self.rule.weights * pvals
-        eta = self._C @ wp
-        g = (self._C * wp) @ self._C.T - np.outer(eta, eta)
-        g = 0.5 * (g + g.T)
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError as err:
-            raise DegenerateFisher("Fisher matrix is not positive definite") from err
-        return g
+        mom = self._moments(theta)
+        if mom.fisher is None:
+            g = (self._C * mom.wp) @ self._C.T - np.outer(mom.eta, mom.eta)
+            g = 0.5 * (g + g.T)
+            try:
+                np.linalg.cholesky(g)
+            except np.linalg.LinAlgError as err:
+                raise DegenerateFisher("Fisher matrix is not positive definite") from err
+            mom.fisher = g
+        return mom.fisher.copy()
 
     # -- polynomial-family algebra ------------------------------------
 
@@ -223,8 +255,7 @@ class ExpFamily:
         # by n * theta_n and amplifies that contamination
         if abs(theta[-1]) < RECURSION_DEGENERACY_FLOOR:
             raise BoundaryDegeneracy("theta_n is too close to zero for the recursion")
-        _, _, pvals = self._internals(theta)
-        wp = self.rule.weights * pvals
+        wp = self._moments(theta).wp
         eta = np.empty(upto + 1)
         eta[0] = 1.0
         if n > 1:

@@ -279,6 +279,25 @@ class ProjectedOde:
             return state, self.family.expectations_to_weights(state)
         return state, self.family.require_admissible(state)
 
+    def newton_seeds(self, state, theta):
+        """Seeds for the inversions at states near `state`, whose coordinates are `theta`.
+
+        ada-ef linearizes the moment map, d eta = g d theta: a nearby state
+        s is seeded with theta + g(theta)^{-1} (s - state), or with theta
+        itself when that point is not admissible.  The other methods invert
+        nothing and are handed theta.
+        """
+        if self.method != "ada-ef":
+            return lambda _: theta
+        fam = self.family
+        g_inv = np.linalg.inv(fam.fisher_matrix(theta))
+
+        def seed(near):
+            guess = theta + g_inv @ (near - state)
+            return guess if fam.is_admissible(guess) else theta
+
+        return seed
+
     def constrain(self, state, theta_guess=None):
         """Post-step repair: (state, its canonical/weight coordinates, clamped?).
 
@@ -333,12 +352,16 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
     sixth = dt / 6.0
     for k in range(1, nsteps + 1):
         try:
+            seed = ode.newton_seeds(y, theta)
             k1 = ode.rhs(y, theta)
-            k2 = ode.rhs(y + half * k1, theta)
-            k3 = ode.rhs(y + half * k2, theta)
-            k4 = ode.rhs(y + dt * k3, theta)
+            y2 = y + half * k1
+            k2 = ode.rhs(y2, seed(y2))
+            y3 = y + half * k2
+            k3 = ode.rhs(y3, seed(y3))
+            y4 = y + dt * k3
+            k4 = ode.rhs(y4, seed(y4))
             raw = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            y, theta, was_clamped = ode.constrain(raw, theta)
+            y, theta, was_clamped = ode.constrain(raw, seed(raw))
             if record_residual:
                 residuals[k] = residual(ode.family, ode.model, theta)
         except TrajectoryExit as err:

@@ -35,6 +35,7 @@ from .sde import SdeModel
 import warnings
 
 NEGATIVITY_TOL = 1e-10
+NEGATIVE_SAMPLE_TOL = 1e-12
 MASS_DRIFT_GUARD = 1e-8
 MOMENT_MATCH_TOL = 1e-7
 EIGEN_RESIDUAL_TOL = 1e-8
@@ -91,11 +92,21 @@ class GridDensity:
 
 def grid_density(domain: Domain, nx: int, fn, time: float = 0.0,
                  normalize: bool = True) -> GridDensity:
-    """Sample a callable onto a grid and normalize it into a GridDensity."""
+    """Sample a callable onto a grid and normalize it into a GridDensity.
+
+    Negative samples within round-off of zero (NEGATIVE_SAMPLE_TOL times
+    the largest sample) are set to zero; anything lower means fn is not a
+    density and raises ValidationError rather than being clipped away.
+    """
     if nx < 3:
         raise ValidationError("nx must be at least 3")
     x = np.linspace(domain.lower, domain.upper, nx)
-    values = np.maximum(np.asarray(fn(x), dtype=float), 0.0)
+    values = np.asarray(fn(x), dtype=float)
+    low = values.min()
+    if low < -NEGATIVE_SAMPLE_TOL * values.max():
+        raise ValidationError(
+            f"sampled density is negative down to {low:.6g} at x = {x[values.argmin()]:.6g}")
+    values = np.maximum(values, 0.0)
     if normalize:
         h = domain.width / (nx - 1)
         w = np.full(nx, h)

@@ -309,6 +309,11 @@ def validate_scenario(raw: dict, name: str = "scenario") -> Scenario:
                               + f" required for {method}")
     if numerics.attach_reference and "density" not in initial:
         raise ValidationError("initial.density required when numerics.attach_reference is set")
+    writes_slices = method == "metric-projection" or (
+        method in ODE_METHODS and numerics.attach_reference)
+    if outputs["density_times"] and not writes_slices:
+        raise ValidationError("outputs.density_times needs reference snapshots: method "
+                              "metric-projection, or numerics.attach_reference on a trajectory method")
     if numerics.record_residual and method in MIX_METHODS:
         raise ValidationError("numerics.record_residual applies to exponential-family methods")
     if family["type"] == "cosine-circle" and model["type"] != "circle-diffusion":

@@ -8,6 +8,8 @@ Closed forms used as oracles (theta2 < 0, m = -t1/(2 t2), v = -1/(2 t2)):
     E x^5 = m^5 + 10 m^3 v + 15 m v^2, E x^6 = m^6 + 15 m^4 v + 45 m^2 v^2 + 15 v^3
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from fpkproj.errors import (
     IllConditionedMoments,
     InadmissibleParameter,
     InadmissibleRecovery,
+    NonIntegrable,
 )
 from fpkproj.expfamily import ExpFamily
 
@@ -256,3 +259,61 @@ def test_dependent_statistics_rejected():
 def test_ep_family_requires_even_order():
     with pytest.raises(ValueError):
         ep_family(3)
+
+
+# -- the moment memo -------------------------------------------------------
+
+MEMO_THETAS = (np.array([0.3, -0.6]), np.array([-0.2, -0.9]))
+MEMO_KERNELS = ("expectation_params", "fisher_matrix", "density_values")
+
+
+def test_memoized_results_are_bitwise_fresh_and_private():
+    # each (kernel, theta) result as a family that has evaluated nothing
+    # else computes it
+    calls = [(kernel, i) for kernel in MEMO_KERNELS for i in range(len(MEMO_THETAS))]
+    fresh = {(kernel, i): getattr(ep_family(2), kernel)(MEMO_THETAS[i].copy())
+             for kernel, i in calls}
+    fam = ep_family(2)
+    for order in itertools.permutations(calls):
+        # every call twice in a row, so each order also exercises memo hits
+        for kernel, i in (call for call in order for _ in range(2)):
+            out = getattr(fam, kernel)(MEMO_THETAS[i].copy())
+            assert out.tobytes() == fresh[kernel, i].tobytes(), (order, kernel, i)
+            out[...] = np.nan
+    psi = fam.log_partition(MEMO_THETAS[0])
+    assert psi == ep_family(2).log_partition(MEMO_THETAS[0])
+
+
+def test_mutating_the_argument_does_not_reach_the_memo():
+    fam = ep_family(2)
+    theta = MEMO_THETAS[0].copy()
+    fam.expectation_params(theta)
+    theta[:] = MEMO_THETAS[1]
+    assert fam.expectation_params(theta).tobytes() == \
+        ep_family(2).expectation_params(MEMO_THETAS[1]).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("theta, error", [
+    (np.array([0.0, -1e8]), DegenerateFisher),     # collapsed on one node
+    (np.array([1e308, -1.0]), NonIntegrable),     # theta . c overflows
+    (np.array([0.0, 0.5]), InadmissibleParameter),
+])
+def test_errors_are_raised_on_every_call(theta, error):
+    fam = ep_family(2)
+    good = MEMO_THETAS[0]
+    want = ep_family(2).fisher_matrix(good)
+    for _ in range(3):
+        for _ in range(2):
+            with pytest.raises(error):
+                fam.fisher_matrix(theta)
+        if error is DegenerateFisher:
+            # the moment pass itself succeeds and stays memoized
+            fam.density_values(theta)
+            with pytest.raises(error):
+                fam.fisher_matrix(theta)
+        else:
+            for kernel in ("expectation_params", "density_values", "log_partition"):
+                with pytest.raises(error):
+                    getattr(fam, kernel)(theta)
+        assert fam.fisher_matrix(good).tobytes() == want.tobytes()

@@ -11,6 +11,8 @@ import pytest
 import yaml
 
 from fpkproj import (
+    circle_diffusion,
+    default_domain,
     divergence_kl,
     ep_family,
     gaussian_pdf_fn,
@@ -23,6 +25,7 @@ from fpkproj import (
 )
 from fpkproj.cli import main as cli_main
 from fpkproj.errors import ValidationError
+from fpkproj.functions import cosine_series_pdf_fn
 from fpkproj.runner import format_value, trajectory_header
 from fpkproj.scenario import (
     DENSITIES,
@@ -143,6 +146,36 @@ def test_density_times_must_be_snapshot_times():
     validate_scenario(raw)
 
 
+def test_negative_initial_density_is_rejected(capsys):
+    # 1 + 2 cos x is negative on a third of the circle; sampling used to
+    # clip that part to zero and renormalize, so the reference started
+    # from a density other than the stated one and validate exited 0
+    assert cli_main(["validate", str(SCENARIO_DIR / "circle_decay.yaml"), "--override",
+                     "initial.density.coefficients=[2.0]"]) == 2
+    assert "negative" in capsys.readouterr().err
+    with pytest.raises(ValidationError, match="negative"):
+        grid_density(circle_diffusion(2.0).domain, 1201, cosine_series_pdf_fn([2.0]))
+    # negative round-off below a positive density is still zeroed
+    gauss = gaussian_pdf_fn(0.0, 1.0)
+    p = grid_density(default_domain(), 801, lambda x: gauss(x) - 1e-14)
+    assert p.values.min() == 0.0
+    with pytest.raises(ValidationError, match="negative"):
+        grid_density(default_domain(), 801, lambda x: gauss(x) - 1e-11)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("ou_ep2_ada.yaml", ["outputs.density_times=[0.5]", "numerics.t_end=0.1"]),
+    ("ou_hermite_decay.yaml", ["outputs.density_times=[0.0]"]),
+])
+def test_density_times_need_reference_snapshots(tmp_path, capsys, name, overrides):
+    # both runs used to exit 0 without writing a single density slice
+    args = [arg for item in overrides for arg in ("--override", item)]
+    out = tmp_path / "run"
+    assert cli_main(["run", str(SCENARIO_DIR / name), *args, "--output-dir", str(out)]) == 2
+    assert "outputs.density_times" in capsys.readouterr().err
+    assert not list(out.glob("density_t*.csv"))
+
+
 def attached_ou_ep2(pde_dt):
     raw = yaml.safe_load((SCENARIO_DIR / "ou_ep2_ada.yaml").read_text())
     raw["numerics"].update(t_end=0.1, ode_dt=0.001, pde_dt=pde_dt, sample_stride=50,
@@ -167,6 +200,13 @@ def test_divergence_rows_use_the_snapshot_at_their_own_time(tmp_path):
     member = ep_family(2).density(np.array(row[1:3]))
     assert row[6] == pytest.approx(divergence_kl(snaps[-1], member), rel=1e-12)
     assert row[6] != pytest.approx(divergence_kl(snaps[0], member), rel=1e-3)
+
+
+def test_attached_reference_writes_density_slices(tmp_path):
+    raw = attached_ou_ep2(0.005)
+    raw["outputs"] = {"density_times": [0.05]}
+    run_scenario(validate_scenario(raw), tmp_path, quiet=True)
+    assert (tmp_path / "density_t0.05.csv").exists()
 
 
 def test_initial_density_builders_are_normalized():

@@ -1,0 +1,77 @@
+"""Paper identities as properties over random admissible inputs (hypothesis).
+
+* The moment map inverts: theta -> eta -> theta by Newton iteration.
+* `canonical_from_moments` recovers a polynomial-family member from its
+  moments eta_1..eta_2n.
+* ada-ef, which integrates eta and seeds each stage's inversion with
+  theta + g^{-1} d eta, follows the same flow as tangent-ef, which
+  integrates theta: d eta = g d theta makes them one vector field.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fpkproj import (
+    canonical_from_moments,
+    ep_family,
+    hermite_family,
+    integrate_ode,
+    make_ode,
+    ornstein_uhlenbeck,
+)
+
+FAMILIES = {"ep2": ep_family(2), "ep4": ep_family(4), "hermite12": hermite_family([1, 2])}
+# boxes of admissible theta whose members sit well inside the default domain
+BOXES = {
+    "ep2": ((-0.7, 0.7), (-1.5, -0.35)),
+    "hermite12": ((-0.7, 0.7), (-1.5, -0.35)),
+    "ep4": ((-0.3, 0.3), (-0.6, -0.2), (-0.03, 0.03), (-0.3, -0.05)),
+}
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def members(draw, names=tuple(FAMILIES)):
+    name = draw(st.sampled_from(names))
+    theta = np.array([draw(st.floats(lo, hi)) for lo, hi in BOXES[name]])
+    return name, theta
+
+
+@PROPERTY
+@given(member=members())
+def test_moment_roundtrip_by_newton(member):
+    name, theta = member
+    fam = FAMILIES[name]
+    eta = fam.expectation_params(theta)
+    back = fam.expectation_to_canonical(eta)
+    assert np.max(np.abs(fam.expectation_params(back) - eta)) <= 1e-11 * (1.0 + np.max(np.abs(eta)))
+    assert np.max(np.abs(back - theta)) <= 1e-7
+
+
+@PROPERTY
+@given(member=members(names=("ep2", "ep4")))
+def test_canonical_from_moments_recovers_members(member):
+    name, theta = member
+    fam = FAMILIES[name]
+    moments = fam.expectation_params(theta, count=2 * fam.n)
+    assert np.max(np.abs(canonical_from_moments(moments) - theta)) <= 1e-7
+
+
+# On EP(2) and Hermite(1,2) the OU flow stays exact in the family.  On
+# EP(4) the two coordinate systems carry different RK4 truncation errors,
+# about 3e-9 in theta at this step, with or without the seeded stages.
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(member=members(names=("ep2", "hermite12")), kappa=st.floats(0.5, 1.5),
+       stationary_var=st.floats(0.4, 1.6))
+def test_seeded_ada_ef_follows_tangent_ef(member, kappa, stationary_var):
+    name, theta0 = member
+    fam = FAMILIES[name]
+    model = ornstein_uhlenbeck(kappa=kappa, sigma=np.sqrt(2.0 * kappa * stationary_var))
+    tangent = integrate_ode(make_ode(fam, model, "tangent-ef"), theta0, t_end=0.05, dt=1e-3)
+    ada = integrate_ode(make_ode(fam, model, "ada-ef"), fam.expectation_params(theta0),
+                        t_end=0.05, dt=1e-3)
+    eta_tangent = np.array([fam.expectation_params(theta) for theta in tangent.thetas])
+    assert np.max(np.abs(ada.states - eta_tangent)) <= 1e-9
+    assert np.max(np.abs(ada.thetas - tangent.thetas)) <= 1e-9
