@@ -37,6 +37,7 @@ ADMISSIBILITY_MARGIN = 1e-12
 GRAM_EIGENVALUE_FLOOR = 1e-10
 CONDITION_GUARD = 1e12
 RECURSION_DEGENERACY_FLOOR = 1e-8
+CLOSURE_TOL = 1e-10
 
 
 class _Moments:
@@ -93,6 +94,21 @@ class ExpFamily:
     def stat_values(self) -> np.ndarray:
         """(n, m) statistics at the quadrature nodes."""
         return self._C
+
+    def affine_in_stats(self, rows):
+        """(A, b) with rows = A c + b at every node, or None when rows leave span{c, 1}.
+
+        One least-squares solve on the node values; the fit counts as exact
+        when its worst pointwise residual is within CLOSURE_TOL times
+        max(1, max |rows|).
+        """
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        basis = np.vstack([self._C, np.ones(self._C.shape[1])]).T
+        coef = np.linalg.lstsq(basis, rows.T, rcond=None)[0]
+        worst = float(np.max(np.abs(basis @ coef - rows.T)))
+        if not worst <= CLOSURE_TOL * max(1.0, float(np.max(np.abs(rows)))):
+            return None
+        return coef[:-1].T, coef[-1]
 
     def stat_derivative_values(self):
         """First and second derivatives of the statistics at the nodes."""
@@ -156,7 +172,8 @@ class ExpFamily:
         memo = self._memo
         if memo is not None and memo.key == key:
             return memo
-        s = theta @ self._C
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = theta @ self._C
         if not np.all(np.isfinite(s)):
             raise NonIntegrable("log-density is not finite at the quadrature nodes")
         shift = s.max()

@@ -16,6 +16,14 @@ The expectation form m_dot = v(theta(m)) and a Galerkin discretization on
 the basis (q_1 - q_{n+1}, ..., q_n - q_{n+1}, q_{n+1}) with the last
 coefficient frozen at 1 reproduce the identical vector field.
 
+When the generator closes on the statistics, L c_i in span{1, c} with
+L c = A c + b pointwise, the expectation field E_eta[L c] = A eta + b does
+not depend on theta: ada-ef is the constant affine field eta_dot = A eta + b
+and needs one Newton inversion per step (for `Trajectory.thetas`) instead
+of one per RK4 stage.  Eigenfunction statistics, L c_i = -lambda_i c_i,
+are its diagonal case, where the projected moments obey eta_dot = -Lambda
+eta exactly.
+
 `ProjectedOde` holds the one implementation of each of the five fields;
 the free `*_rhs` functions check their inputs and evaluate it.
 
@@ -74,10 +82,13 @@ def ef_theta_rhs(fam: ExpFamily, model: SdeModel, theta) -> np.ndarray:
 def ef_eta_rhs(fam: ExpFamily, model: SdeModel, eta, initial=None) -> np.ndarray:
     """Expectation-coordinate projected drift E_eta[L c].
 
-    The canonical point is recovered by Newton inversion; `initial` seeds
-    the iteration when a good guess is available.
+    Raises unless eta is a moment vector of the family: the canonical point
+    is recovered by Newton inversion, seeded by `initial` when a good guess
+    is available.
     """
-    return ProjectedOde(fam, model, "ada-ef").rhs(np.asarray(eta, dtype=float), initial)
+    eta = np.asarray(eta, dtype=float)
+    theta = fam.expectation_to_canonical(eta, initial=initial)
+    return ProjectedOde(fam, model, "ada-ef").rhs(eta, theta)
 
 
 def mixture_theta_rhs(fam: MixtureFamily, model: SdeModel, theta) -> np.ndarray:
@@ -235,6 +246,9 @@ class ProjectedOde:
     mixture methods are the constant affine field state_dot = A state + c:
     tangent-mix and ada-mix take (A, c) from the projection formulas, in
     weight and expectation coordinates, and galerkin from the weak form.
+    ada-ef is that field too when L c = A c + b on span{c, 1} at the nodes:
+    then E_eta[L c] = A eta + b and no stage inverts the moment map.
+    `affine` holds (A, c) of a constant affine field, else None.
     """
 
     def __init__(self, family, model: SdeModel, method: str):
@@ -249,18 +263,22 @@ class ProjectedOde:
         self.method = method
         self.coordinates = "expectation" if method in ("ada-ef", "ada-mix") else "canonical"
         self.dim = family.n
+        self.affine = None
         if method in EF_METHODS:
             self._lc = model.generator_values(family.rule.nodes,
                                               *family.stat_derivative_values())
+            if method == "ada-ef":
+                self.affine = family.affine_in_stats(self._lc)
         elif method == "galerkin":
-            self._a, self._c = _galerkin_affine(family, model)
+            self.affine = _galerkin_affine(family, model)
         else:
-            self._a, self._c = _projection_affine(family, model, method)
+            self.affine = _projection_affine(family, model, method)
 
     def rhs(self, state, theta_guess=None) -> np.ndarray:
         """Time derivative of the state; `theta_guess` seeds ada-ef's inversion."""
-        if self.method in MIX_METHODS:
-            return self._a @ state + self._c
+        if self.affine is not None:
+            a, c = self.affine
+            return a @ state + c
         fam = self.family
         if self.method == "tangent-ef":
             v = self._lc @ (fam.rule.weights * fam.density_values(state))

@@ -271,17 +271,37 @@ def divergence_l2(p: GridDensity, q) -> float:
 # -- metric (global) projections --------------------------------------
 
 
+def _gaussian_seed(p: GridDensity, fam: ExpFamily):
+    """theta of the Gaussian with p's mean and variance, when span{c, 1} = span{x, x^2, 1}.
+
+    Such a family is the Gaussians, whose KL optimum matches mean and
+    variance; None for any other family.
+    """
+    if fam.n != 2:
+        return None
+    x = fam.rule.nodes
+    fit = fam.affine_in_stats(np.vstack([x, x * x]))
+    if fit is None:
+        return None
+    mean = p.expect(p.x)
+    var = p.expect((p.x - mean) ** 2)
+    # theta' . (x, x^2) = theta' . (A c + b) = (A' theta') . c + const
+    return fit[0].T @ np.array([mean / var, -0.5 / var])
+
+
 def metric_project_ef(p: GridDensity, fam: ExpFamily, tol: float = 1e-12) -> np.ndarray:
     """KL-optimal family member: theta with moment match E_theta[c] = E_p[c].
 
-    For the polynomial family the algebraic inversion of the first 2n
-    grid moments seeds the Newton solve; the moment-matching condition is
-    what certifies optimality, so it is always polished to tolerance.
+    The Newton solve is seeded with the moment-matched Gaussian when the
+    family is the Gaussians, and otherwise, for the polynomial family, with
+    the algebraic inversion of the first 2n grid moments; the
+    moment-matching condition is what certifies optimality, so it is always
+    polished to tolerance.
     """
     x = p.x
     eta_target = np.array([p.expect(c(x)) for c in fam.stats])
-    initial = None
-    if fam.kind == "ep":
+    initial = _gaussian_seed(p, fam)
+    if initial is None and fam.kind == "ep":
         ext = np.array([p.expect(x ** i) for i in range(1, 2 * fam.n + 1)])
         try:
             initial = canonical_from_moments(ext)

@@ -293,7 +293,7 @@ def test_mutating_the_argument_does_not_reach_the_memo():
         ep_family(2).expectation_params(MEMO_THETAS[1]).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("theta, error", [
     (np.array([0.0, -1e8]), DegenerateFisher),     # collapsed on one node
     (np.array([1e308, -1.0]), NonIntegrable),     # theta . c overflows

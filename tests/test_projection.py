@@ -10,13 +10,17 @@ statistics removes b' g^{-1} b = 8, and the square-root-density scaling
 divides by 4: R^2 = (32 - 8)/4 = 6.
 """
 
+from math import comb
+
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import herme2poly
 from scipy.linalg import expm
 
 from fpkproj import (
     circle_diffusion,
     cosine_circle_family,
+    custom_poly_family,
     ef_eta_rhs,
     ef_theta_rhs,
     ep_family,
@@ -32,7 +36,7 @@ from fpkproj import (
     residual,
     residual_terms,
 )
-from fpkproj.errors import TrajectoryExit, ValidationError
+from fpkproj.errors import InadmissibleRecovery, TrajectoryExit, ValidationError
 
 
 OU = ornstein_uhlenbeck(kappa=1.0, sigma=np.sqrt(2.0))
@@ -259,3 +263,116 @@ def test_trajectory_shapes_and_final_state():
     assert traj.states.shape == (21, 2)
     assert np.array_equal(traj.final_state, traj.states[-1])
     assert traj.coordinates == "canonical"
+
+
+# OU with L c_i in span{1, c} for every statistic: ada-ef's field is affine
+CLOSED_OU = ornstein_uhlenbeck(kappa=1.3, sigma=0.9)
+CLOSED = [
+    (ep_family(2), np.array([0.4, -0.7])),
+    (ep_family(4), np.array([0.2, -0.4, 0.02, -0.1])),
+    (hermite_family([1, 2]), np.array([0.4, -0.7])),
+    (hermite_family([1, 2, 3, 4]), np.array([0.2, -0.4, 0.02, -0.1])),
+]
+OPEN = [
+    (ep_family(2), polynomial_drift([0.0, 0.0, 0.0, -1.0], diffusion=2.0)),
+    (custom_poly_family([2, 4]), polynomial_drift([0.3, -1.0], diffusion=2.0)),
+]
+
+
+def _stat_polynomials(fam):
+    """(n, n+1) ascending monomial coefficients of the polynomial statistics."""
+    if fam.kind == "hermite":
+        polys = [herme2poly([0.0] * k + [1.0]) for k in fam._hermite_indices]
+    else:
+        polys = [np.eye(i + 1)[i] for i in range(1, fam.n + 1)]
+    out = np.zeros((fam.n, fam.n + 1))
+    for row, poly in zip(out, polys):
+        row[:poly.size] = poly
+    return out
+
+
+def _ou_moments(mu0, kappa, sigma, t):
+    """E[x(t)^k], k = 0..len(mu0)-1, of OU started with moments mu0.
+
+    x(t) = e^{-kappa t} x(0) + Z with Z ~ N(0, s) independent of x(0).
+    """
+    s = sigma * sigma / (2.0 * kappa) * (1.0 - np.exp(-2.0 * kappa * t))
+    z = [1.0, 0.0, s, 0.0, 3.0 * s * s]
+    decay = np.exp(-kappa * t)
+    return np.array([sum(comb(k, j) * decay ** j * mu0[j] * z[k - j] for j in range(k + 1))
+                     for k in range(len(mu0))])
+
+
+@pytest.mark.parametrize("fam, model", [(f, CLOSED_OU) for f, _ in CLOSED] + OPEN)
+def test_ada_ef_is_affine_exactly_when_the_generator_closes(fam, model):
+    closed = model is CLOSED_OU
+    ode = make_ode(fam, model, "ada-ef")
+    assert (ode.affine is not None) == closed
+    assert make_ode(fam, model, "tangent-ef").affine is None
+    if closed:
+        a, b = ode.affine
+        lc = model.generator_values(fam.rule.nodes, *fam.stat_derivative_values())
+        assert np.max(np.abs(a @ fam.stat_values() + b[:, None] - lc)) <= 1e-9
+
+
+@pytest.mark.parametrize("fam, theta0", CLOSED)
+def test_closed_pairs_follow_the_ou_moment_law(fam, theta0):
+    # the projected moments obey the exact OU moment equations; RK4's global
+    # error at dt = 2.5e-4 with rates up to 4 kappa is about 1e-13
+    x = fam.rule.nodes
+    wp = fam.rule.weights * fam.density_values(theta0)
+    mu0 = np.array([wp @ x ** k for k in range(fam.n + 1)])
+    to_stats = _stat_polynomials(fam)
+    ada = integrate_ode(make_ode(fam, CLOSED_OU, "ada-ef"), to_stats @ mu0,
+                        t_end=0.1, dt=2.5e-4)
+    tangent = integrate_ode(make_ode(fam, CLOSED_OU, "tangent-ef"), theta0,
+                            t_end=0.1, dt=2.5e-4)
+    for k in range(0, ada.times.size, 40):
+        exact = to_stats @ _ou_moments(mu0, 1.3, 0.9, ada.times[k])
+        assert np.max(np.abs(ada.states[k] - exact)) <= 1e-12
+        assert np.max(np.abs(fam.expectation_params(ada.thetas[k]) - exact)) <= 1e-10
+        assert np.max(np.abs(fam.expectation_params(tangent.states[k]) - exact)) <= 1e-9
+
+
+def _count_inversions(monkeypatch, fam):
+    calls = []
+    invert = fam.expectation_to_canonical
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return invert(*args, **kwargs)
+
+    monkeypatch.setattr(fam, "expectation_to_canonical", counted)
+    return calls
+
+
+def test_closed_ada_ef_inverts_once_per_step(monkeypatch):
+    fam = hermite_family([1, 2])
+    calls = _count_inversions(monkeypatch, fam)
+    traj = integrate_ode(make_ode(fam, CLOSED_OU, "ada-ef"), np.array([0.3, 0.4]),
+                         t_end=0.05, dt=1e-3)
+    assert len(calls) == 1 + (traj.times.size - 1)
+
+
+def test_open_ada_ef_inverts_every_stage_and_follows_tangent_ef(monkeypatch):
+    fam, model = OPEN[0]
+    theta0 = np.array([0.2, -0.6])
+    tangent = integrate_ode(make_ode(fam, model, "tangent-ef"), theta0, t_end=0.05, dt=1e-3)
+    calls = _count_inversions(monkeypatch, fam)
+    ada = integrate_ode(make_ode(fam, model, "ada-ef"), fam.expectation_params(theta0),
+                        t_end=0.05, dt=1e-3)
+    assert len(calls) == 1 + 5 * (ada.times.size - 1)
+    assert np.max(np.abs(ada.thetas - tangent.states)) <= 1e-9
+
+
+def test_closed_flow_leaving_the_moment_space_exits_at_the_step_end():
+    # drift +x spreads the density until its second moment exceeds that of
+    # the flat density on the truncated domain, which no member reaches;
+    # the stages no longer invert, so the post-step inversion ends the run
+    fam = ep_family(2)
+    ode = make_ode(fam, polynomial_drift([0.0, 1.0], diffusion=2.0), "ada-ef")
+    assert ode.affine is not None
+    with pytest.raises(TrajectoryExit) as info:
+        integrate_ode(ode, np.array([0.0, 1.0]), t_end=3.0, dt=1e-2)
+    assert info.value.step is not None and info.value.step > 0
+    assert isinstance(info.value.__cause__, InadmissibleRecovery)

@@ -3,9 +3,10 @@
 * The moment map inverts: theta -> eta -> theta by Newton iteration.
 * `canonical_from_moments` recovers a polynomial-family member from its
   moments eta_1..eta_2n.
-* ada-ef, which integrates eta and seeds each stage's inversion with
-  theta + g^{-1} d eta, follows the same flow as tangent-ef, which
-  integrates theta: d eta = g d theta makes them one vector field.
+* ada-ef, which integrates eta (under OU the affine field A eta + b,
+  inverted once per step from the seed theta + g^{-1} d eta), follows the
+  same flow as tangent-ef, which integrates theta: d eta = g d theta makes
+  them one vector field.
 """
 
 import numpy as np

@@ -147,6 +147,26 @@ def test_ef_projection_matches_grid_moments():
     assert np.max(np.abs(fam.expectation_params(theta) - target)) <= 1e-7
 
 
+@pytest.mark.parametrize("fam", [ep_family(2), hermite_family([1, 2])])
+def test_gaussian_families_start_newton_at_the_optimum(fam, monkeypatch):
+    # EP(2) and Hermite(1,2) are the Gaussians, so the KL optimum is the
+    # Gaussian with the target's mean and variance and Newton builds no
+    # Fisher matrix
+    mix = lambda x: (0.3 * gaussian_pdf_fn(-1.0, 0.25)(x)
+                     + 0.7 * gaussian_pdf_fn(1.5, 0.5)(x))
+    p = grid_density(DOM, 2001, mix)
+    builds = []
+    fisher = fam.fisher_matrix
+    monkeypatch.setattr(fam, "fisher_matrix", lambda theta: builds.append(1) or fisher(theta))
+    theta = metric_project_ef(p, fam)
+    mean = p.expect(p.x)
+    var = p.expect((p.x - mean) ** 2)
+    assert not builds
+    assert np.max(np.abs(theta - np.array([mean / var, -0.5 / var]))) <= 1e-12
+    target = np.array([p.expect(c(p.x)) for c in fam.stats])
+    assert np.max(np.abs(fam.expectation_params(theta) - target)) <= 1e-11
+
+
 def test_mix_projection_recovers_family_members():
     fam = gaussian_mixture_family([-1.0, 0.0, 1.0], [0.5, 0.5, 0.5])
     theta = np.array([0.35, 0.25])
