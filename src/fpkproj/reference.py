@@ -15,7 +15,6 @@ distance for simple mixtures (a constant linear solve).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     FpkprojError,
@@ -167,6 +166,9 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
     that matrix is singular, on negative densities beyond round-off or on
     loss of mass conservation.
     """
+    # imported here so that importing the package does not load scipy.linalg
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     nsteps = whole_steps(t_end, dt, "t_end")
     if sample_stride < 1:
         raise ValidationError("sample_stride must be at least 1")
@@ -441,9 +443,8 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
     else:
         y0 = np.asarray(start, dtype=float)
     ode = ProjectedOde(family, model, method)
-    traj = integrate_ode(ode, y0, t_end, ode_dt)
-    idx = [int(round(snap.time / ode_dt)) for snap in snapshots]
-    ode_moments = traj.states[idx]
+    record = [int(round(snap.time / ode_dt)) for snap in snapshots]
+    ode_moments = integrate_ode(ode, y0, t_end, ode_dt, record=record).states
     times = np.array([snap.time for snap in snapshots])
     epsilon = ref_moments - ode_moments
     rates = fit_decay_rates(times, epsilon, window=fit_window)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InadmissibleRecovery, ValidationError
 from .expfamily import ExpFamily
-from .projection import ProjectedOde, integrate_ode, sample_steps
+from .projection import ProjectedOde, integrate_ode, sample_steps, whole_steps
 from .reference import (
     DecayReport,
     GridDensity,
@@ -120,29 +120,27 @@ def _run_trajectory_method(scenario: Scenario, model, family, output_dir: Path,
     num = scenario.numerics
     ode = ProjectedOde(family, model, scenario.method)
     y0 = _start_state(scenario.initial, family, ode.coordinates)
+    record = sample_steps(whole_steps(num.t_end, num.ode_dt, "t_end"), num.sample_stride)
     traj = integrate_ode(ode, y0, num.t_end, num.ode_dt,
-                         record_residual=num.record_residual)
-    sample_idx = sample_steps(traj.times.size - 1, num.sample_stride)
-    snapshots = [None] * len(sample_idx)
+                         record_residual=num.record_residual, record=record)
+    snapshots = [None] * len(record)
     if num.attach_reference:
         snapshots = _reference_snapshots(model, scenario)
+    residuals = [None] * len(record) if traj.residuals is None else traj.residuals
 
     rows = []
-    for idx, snap in zip(sample_idx, snapshots, strict=True):
-        theta = traj.thetas[idx]
-        if ode.coordinates == "expectation":
-            coords = traj.states[idx]
-        else:
-            coords = _expectations(family, theta)
+    for t, theta, state, res, clamped, snap in zip(traj.times, traj.thetas, traj.states,
+                                                   residuals, traj.clamped, snapshots,
+                                                   strict=True):
+        coords = state if ode.coordinates == "expectation" else _expectations(family, theta)
         kl = hell = l2 = None
         if snap is not None:
             fam_density = family.density(theta)
             kl = divergence_kl(snap, fam_density)
             hell = divergence_hellinger(snap, fam_density)
             l2 = divergence_l2(snap, fam_density)
-        res = None if traj.residuals is None else float(traj.residuals[idx])
-        rows.append((float(traj.times[idx]), *map(float, theta), *map(float, coords),
-                     res, kl, hell, l2, bool(traj.clamped[idx])))
+        rows.append((float(t), *map(float, theta), *map(float, coords),
+                     res, kl, hell, l2, bool(clamped)))
     table = ResultTable(header=trajectory_header(family.n), rows=rows)
     write_csv(output_dir / scenario.outputs["trajectory"], table)
     if num.attach_reference:

@@ -107,10 +107,12 @@ def test_spline_tracks_samples_and_slope():
 
 def test_package_import_leaves_interpolation_unloaded():
     # spline_fn imports scipy.interpolate on first use, and the reference
-    # solver needs only LAPACK's tridiagonal routines; importing the
-    # package must pay for neither scipy.interpolate nor scipy.sparse
+    # solver imports LAPACK's tridiagonal routines when it runs; importing
+    # the package must pay for none of scipy.interpolate, scipy.sparse and
+    # scipy.linalg
     code = ("import sys, fpkproj; "
-            "print([m for m in ('scipy.interpolate', 'scipy.sparse') if m in sys.modules])")
+            "print([m for m in ('scipy.interpolate', 'scipy.sparse', 'scipy.linalg')"
+            " if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -21,11 +21,15 @@ from fpkproj import (
     circle_diffusion,
     cosine_circle_family,
     custom_poly_family,
+    decay_experiment,
+    default_domain,
     ef_eta_rhs,
     ef_theta_rhs,
     ep_family,
     galerkin_rhs,
     gaussian_mixture_family,
+    gaussian_pdf_fn,
+    grid_density,
     hermite_family,
     integrate_ode,
     make_ode,
@@ -37,6 +41,8 @@ from fpkproj import (
     residual_terms,
 )
 from fpkproj.errors import InadmissibleRecovery, TrajectoryExit, ValidationError
+import fpkproj.projection
+from fpkproj.projection import sample_steps
 
 
 OU = ornstein_uhlenbeck(kappa=1.0, sigma=np.sqrt(2.0))
@@ -231,6 +237,13 @@ def test_integration_grid_is_validated():
         integrate_ode(ode, np.array([0.5, 1.25]), t_end=-1.0, dt=0.1)
     with pytest.raises(ValidationError):
         integrate_ode(ode, np.array([0.5]), t_end=1.0, dt=0.1)
+    # recorded steps start at 0, increase and stay on the grid; the run
+    # stops at the last one
+    for record in ([1, 5], [0, 5, 5], [0, 7, 3], [0, 11], [], [0, 2.5]):
+        with pytest.raises(ValidationError):
+            integrate_ode(ode, np.array([0.5, 1.25]), t_end=1.0, dt=0.1, record=record)
+    traj = integrate_ode(ode, np.array([0.5, 1.25]), t_end=1.0, dt=0.1, record=[0, 4])
+    assert np.array_equal(traj.times, [0.0, 0.4])
 
 
 def test_recorded_residuals_are_nonnegative():
@@ -376,3 +389,110 @@ def test_closed_flow_leaving_the_moment_space_exits_at_the_step_end():
         integrate_ode(ode, np.array([0.0, 1.0]), t_end=3.0, dt=1e-2)
     assert info.value.step is not None and info.value.step > 0
     assert isinstance(info.value.__cause__, InadmissibleRecovery)
+
+
+def test_sparse_rows_report_leaving_the_moment_space_at_the_next_row():
+    # the twin of the test above with rows every 25 steps: the flow leaves
+    # the moment space in step 160, which the dense run reports, and the
+    # sparse run, inverting at recorded rows only, reports it at row 175
+    fam = ep_family(2)
+    ode = make_ode(fam, polynomial_drift([0.0, 1.0], diffusion=2.0), "ada-ef")
+    y0 = np.array([0.0, 1.0])
+    with pytest.raises(TrajectoryExit) as dense:
+        integrate_ode(ode, y0, t_end=3.0, dt=1e-2)
+    assert dense.value.step == 160
+    with pytest.raises(TrajectoryExit) as sparse:
+        integrate_ode(ode, y0, t_end=3.0, dt=1e-2, record=sample_steps(300, 25))
+    assert sparse.value.step == 175
+    assert isinstance(sparse.value.__cause__, InadmissibleRecovery)
+
+
+GAUSS_MIX = gaussian_mixture_family([-1.0, 0.0, 1.0], [0.5, 0.5, 0.5])
+AFFINE = [
+    (cosine_circle_family([1, 2]), circle_diffusion(2.0), np.array([0.2, 0.1]), method)
+    for method in ("tangent-mix", "ada-mix", "galerkin")
+] + [
+    (GAUSS_MIX, OU, np.array([0.3, 0.3]), method)
+    for method in ("tangent-mix", "ada-mix", "galerkin")
+] + [
+    (ep_family(2), CLOSED_OU, np.array([0.4, -0.7]), "ada-ef"),
+    (hermite_family([1, 2]), CLOSED_OU, np.array([0.4, -0.7]), "ada-ef"),
+]
+AFFINE_IDS = [f"{fam.name}-{method}" for fam, _, _, method in AFFINE]
+
+
+def _start(fam, method, theta0):
+    if method == "ada-mix":
+        return fam.weights_to_expectations(theta0)
+    if method == "ada-ef":
+        return fam.expectation_params(theta0)
+    return theta0
+
+
+@pytest.mark.parametrize("fam, model, theta0, method", AFFINE, ids=AFFINE_IDS)
+def test_affine_propagator_is_rk4(fam, model, theta0, method):
+    # the propagator is RK4's own matrix, not the exact flow: a hand-written
+    # RK4 loop over the field agrees to round-off.  At dt = 0.05 RK4's
+    # truncation error is far above 1e-12, so the exact flow would not
+    dt = 0.05
+    ode = make_ode(fam, model, method)
+    assert ode.affine is not None
+    y = _start(fam, method, theta0)
+    traj = integrate_ode(ode, y, t_end=1.0, dt=dt)
+    assert not traj.clamped.any()
+    for k in range(1, traj.times.size):
+        k1 = ode.rhs(y)
+        k2 = ode.rhs(y + 0.5 * dt * k1)
+        k3 = ode.rhs(y + 0.5 * dt * k2)
+        k4 = ode.rhs(y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.max(np.abs(traj.states[k] - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("fam, model, theta0, method", AFFINE + [
+    (ep_family(2), OU, np.array([0.3, -0.6]), "tangent-ef"),
+    (OPEN[0][0], OPEN[0][1], np.array([0.2, -0.6]), "ada-ef"),
+], ids=AFFINE_IDS + ["EP(2)-tangent-ef", "EP(2)-open-ada-ef"])
+def test_recorded_rows_are_the_same_steps_of_a_dense_run(fam, model, theta0, method):
+    ode = make_ode(fam, model, method)
+    y0 = _start(fam, method, theta0)
+    residual_too = method == "tangent-ef"
+    dense = integrate_ode(ode, y0, t_end=0.2, dt=1e-3, record_residual=residual_too)
+    record = sample_steps(200, 30)
+    sparse = integrate_ode(ode, y0, t_end=0.2, dt=1e-3, record_residual=residual_too,
+                           record=record)
+    assert np.array_equal(sparse.times, dense.times[record])
+    assert np.array_equal(sparse.states, dense.states[record])
+    assert np.array_equal(sparse.clamped, dense.clamped[record])
+    # closed ada-ef seeds a sparse row's inversion from the previous row
+    assert np.max(np.abs(sparse.thetas - dense.thetas[record])) <= 1e-10
+    if residual_too:
+        assert np.array_equal(sparse.residuals, dense.residuals[record])
+
+
+def test_sparse_rows_invert_and_compute_residuals_at_rows_only(monkeypatch):
+    fam = hermite_family([1, 2])
+    calls = _count_inversions(monkeypatch, fam)
+    record = sample_steps(1000, 100)
+    integrate_ode(make_ode(fam, CLOSED_OU, "ada-ef"), np.array([0.3, 0.4]),
+                  t_end=1.0, dt=1e-3, record=record)
+    assert len(calls) <= 1 + len(record)
+
+    calls.clear()
+    p0 = grid_density(default_domain(1.0), 801, gaussian_pdf_fn(0.5, 1.5))
+    report = decay_experiment(OU, fam, p0, t_end=0.5, pde_dt=1e-3, ode_dt=1e-3,
+                              sample_stride=50)
+    assert len(calls) <= 1 + report.times.size
+
+    terms = []
+    original = fpkproj.projection.residual_terms
+
+    def counted(*args, **kwargs):
+        terms.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fpkproj.projection, "residual_terms", counted)
+    cubic = polynomial_drift([0.0, 0.0, 0.0, -1.0], diffusion=2.0)
+    traj = integrate_ode(make_ode(ep_family(2), cubic, "tangent-ef"), np.array([0.0, -0.5]),
+                         t_end=0.2, dt=1e-3, record_residual=True, record=sample_steps(200, 30))
+    assert len(terms) == traj.times.size == len(sample_steps(200, 30))
