@@ -18,14 +18,12 @@ coefficient frozen at 1 reproduce the identical vector field.
 
 When the generator closes on the statistics, L c_i in span{1, c} with
 L c = A c + b pointwise, the expectation field E_eta[L c] = A eta + b does
-not depend on theta: ada-ef is the constant affine field eta_dot = A eta + b.
+not depend on theta: ada-ef is the constant affine field eta_dot = A eta + b,
+and `integrate_ode` inverts the moment map only at the sampled steps.
 Eigenfunction statistics, L c_i = -lambda_i c_i, are its diagonal case,
-where the projected moments obey eta_dot = -Lambda eta exactly.
-
-`integrate_ode` steps every constant affine field (closed ada-ef and the
-mixture methods) by its RK4 propagator y -> Phi y + phi, evaluating no
-stage, and computes theta (closed ada-ef inverts the moment map) and
-residuals only at the rows listed in `record=`.
+where the projected moments obey eta_dot = -Lambda eta exactly.  Every
+constant affine field, the mixture methods included, is stepped by its RK4
+propagator y -> Phi y + phi and evaluates no stage.
 
 `ProjectedOde` holds the one implementation of each of the five fields;
 the free `*_rhs` functions check their inputs and evaluate it.
@@ -141,16 +139,15 @@ def _projection_affine(fam: MixtureFamily, model: SdeModel, method: str):
 def rk4_propagator(a, c, dt: float):
     """(Phi, phi): one classic RK4 step of y_dot = A y + c is y -> Phi y + phi.
 
-    [[Phi, phi], [0, 1]] = R(dt M) for M = [[A, c], [0, 0]] and RK4's stability
-    function R(z) = sum_{j<=4} z^j / j!: RK4 itself, not the exact expm(dt M).
+    [[Phi, phi], [0, 1]] = sum_{j<=4} (dt M)^j / j! for M = [[A, c], [0, 0]]:
+    RK4's stability function, not the exact expm(dt M).
     """
-    n = c.size
-    m = np.zeros((n + 1, n + 1))
-    m[:n] = dt * np.column_stack([a, c])
-    prop = eye = np.eye(n + 1)
+    m = np.zeros((c.size + 1, c.size + 1))
+    m[:-1] = dt * np.column_stack([a, c])
+    prop = eye = np.eye(c.size + 1)
     for j in (4, 3, 2, 1):
         prop = eye + m @ prop / j
-    return prop[:n, :n], prop[:n, n]
+    return prop[:-1, :-1], prop[:-1, -1]
 
 
 def _galerkin_affine(fam: MixtureFamily, model: SdeModel):
@@ -235,16 +232,17 @@ class ClampEvent:
 
 @dataclass
 class Trajectory:
-    """The recorded rows of an integrated projected flow.
+    """Record of an integrated projected flow.
 
-    `states` are in the method's own coordinates; `thetas` holds the
-    canonical/weight coordinates of the same rows; `clamp_events` lists
-    every clamped step, recorded or not.
+    `times`, `states` (in the method's own coordinates) and `clamped` cover
+    every step; `thetas` (canonical/weight coordinates) and `residuals`
+    cover the sampled steps `rows` only.
     """
 
     times: np.ndarray
     states: np.ndarray
     thetas: np.ndarray
+    rows: np.ndarray
     coordinates: str
     residuals: np.ndarray | None = None
     clamped: np.ndarray | None = None
@@ -266,9 +264,8 @@ class ProjectedOde:
     tangent-mix and ada-mix take (A, c) from the projection formulas, in
     weight and expectation coordinates, and galerkin from the weak form.
     ada-ef is that field too when L c = A c + b on span{c, 1} at the nodes:
-    then E_eta[L c] = A eta + b and nothing inverts the moment map between
-    recorded rows.  `affine` holds (A, c) of a constant affine field, else
-    None; such a field is stepped by its RK4 propagator.
+    then E_eta[L c] = A eta + b and no stage inverts the moment map.
+    `affine` holds (A, c) of a constant affine field, else None.
     """
 
     def __init__(self, family, model: SdeModel, method: str):
@@ -338,40 +335,14 @@ class ProjectedOde:
 
         return seed
 
-    def stepper(self, dt: float):
-        """One RK4 step, (state, theta) -> (raw next state, theta guess for it or None).
-
-        A constant affine field takes its propagator and evaluates no stage.
-        """
-        if self.affine is not None:
-            phi, phi_c = rk4_propagator(*self.affine, dt)
-            return lambda y, _: (phi @ y + phi_c, None)
-
-        def step(y, theta):
-            seed = self.newton_seeds(y, theta)
-            k1 = self.rhs(y, theta)
-            y2 = y + 0.5 * dt * k1
-            k2 = self.rhs(y2, seed(y2))
-            y3 = y + 0.5 * dt * k2
-            k3 = self.rhs(y3, seed(y3))
-            y4 = y + dt * k3
-            k4 = self.rhs(y4, seed(y4))
-            raw = y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-            return raw, seed(raw)
-
-        return step
-
     def constrain(self, state, theta_guess=None):
         """Post-step repair: (state, its canonical/weight coordinates, clamped?).
 
         Mixture weights are clamped to the margin-shrunk simplex; a
         canonical state outside the admissible set ends the trajectory.
-        Closed ada-ef returns None for theta: it inverts at recorded rows only.
         """
         fam = self.family
         if self.method == "ada-ef":
-            if self.affine is not None:
-                return state, None, False
             return state, fam.expectation_to_canonical(state, initial=theta_guess), False
         if self.method == "tangent-ef":
             if not fam.is_admissible(state):
@@ -391,56 +362,66 @@ def make_ode(family, model: SdeModel, method: str) -> ProjectedOde:
 
 
 def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
-                  record_residual: bool = False, record=None) -> Trajectory:
+                  record_residual: bool = False, sample_stride: int = 1) -> Trajectory:
     """Classic fixed-step fourth-order Runge-Kutta integration.
 
-    `record` lists the recorded steps, increasing from 0 (default: all) and
-    ending the run; closed ada-ef reports leaving the moment space at the
-    first recorded row after it leaves.  Residual recording is available for
+    Thetas and residuals are computed at `sample_steps(nsteps, sample_stride)`
+    only, so closed ada-ef reports leaving the moment space at the first of
+    those steps after it leaves.  Residual recording is available for
     exponential-family methods only.  Mixture weights are clamped to the
     margin-shrunk simplex after each step and every clamp is recorded.
     """
     nsteps = whole_steps(t_end, dt, "t_end")
+    if sample_stride < 1:
+        raise ValidationError("sample_stride must be at least 1")
     if record_residual and not isinstance(ode.family, ExpFamily):
         raise ValidationError("residual recording applies to exponential families only")
-    steps = np.arange(nsteps + 1) if record is None else np.asarray(record)
-    if not (steps.ndim == 1 and steps.size and steps.dtype.kind in "iu" and steps[0] == 0
-            and steps[-1] <= nsteps and np.all(np.diff(steps) > 0)):
-        raise ValidationError(f"record must be increasing steps from 0 to at most {nsteps}")
 
+    rows = sample_steps(nsteps, sample_stride)
     y, theta = ode.prepare_initial(initial_state)
-    states = np.empty((steps.size, ode.dim))
-    thetas = np.empty((steps.size, ode.dim))
-    clamped = np.zeros(steps.size, dtype=bool)
-    residuals = np.empty(steps.size) if record_residual else None
+    times = dt * np.arange(nsteps + 1)
+    states = np.empty((nsteps + 1, ode.dim))
+    clamped = np.zeros(nsteps + 1, dtype=bool)
     events = []
     states[0] = y
-    thetas[0] = theta
-    if record_residual:
-        residuals[0] = residual(ode.family, ode.model, theta)
+    thetas = [theta]
+    residuals = [residual(ode.family, ode.model, theta)] if record_residual else None
 
-    advance = ode.stepper(dt)
-    k = 0
-    try:
-        for row in range(1, steps.size):
-            while k < steps[row]:
-                k += 1
-                raw, guess = advance(y, theta)
-                y, theta, was_clamped = ode.constrain(raw, guess)
-                if was_clamped:
-                    events.append(ClampEvent(step=k, time=k * dt, raw_state=tuple(raw)))
-            if theta is None:
-                seed = ode.newton_seeds(states[row - 1], thetas[row - 1])
-                theta = ode.family.expectation_to_canonical(y, initial=seed(y))
-            if record_residual:
-                residuals[row] = residual(ode.family, ode.model, theta)
-            states[row] = y
-            thetas[row] = theta
-            clamped[row] = was_clamped
-    except TrajectoryExit as err:
-        raise TrajectoryExit(f"step {k}: {err}", step=k) from err
-    except FpkprojError as err:
-        raise TrajectoryExit(f"rhs failed at step {k}: {err}", step=k) from err
-    return Trajectory(times=dt * steps, states=states, thetas=thetas,
-                      coordinates=ode.coordinates, residuals=residuals, clamped=clamped,
-                      clamp_events=events)
+    if ode.affine is not None:
+        phi, phi_c = rk4_propagator(*ode.affine, dt)
+    # closed ada-ef's field needs no theta: it inverts at sampled steps only
+    closed = ode.method == "ada-ef" and ode.affine is not None
+    for k in range(1, nsteps + 1):
+        try:
+            if ode.affine is not None:
+                raw = phi @ y + phi_c
+                y, theta, was_clamped = (raw, theta, False) if closed else ode.constrain(raw)
+            else:
+                seed = ode.newton_seeds(y, theta)
+                k1 = ode.rhs(y, theta)
+                y2 = y + 0.5 * dt * k1
+                k2 = ode.rhs(y2, seed(y2))
+                y3 = y + 0.5 * dt * k2
+                k3 = ode.rhs(y3, seed(y3))
+                y4 = y + dt * k3
+                k4 = ode.rhs(y4, seed(y4))
+                raw = y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+                y, theta, was_clamped = ode.constrain(raw, seed(raw))
+            if k == rows[len(thetas)]:
+                if closed:
+                    seed = ode.newton_seeds(states[rows[len(thetas) - 1]], thetas[-1])
+                    theta = ode.family.expectation_to_canonical(y, initial=seed(y))
+                thetas.append(theta)
+                if record_residual:
+                    residuals.append(residual(ode.family, ode.model, theta))
+        except TrajectoryExit as err:
+            raise TrajectoryExit(f"step {k}: {err}", step=k) from err
+        except FpkprojError as err:
+            raise TrajectoryExit(f"rhs failed at step {k}: {err}", step=k) from err
+        if was_clamped:
+            events.append(ClampEvent(step=k, time=float(times[k]), raw_state=tuple(raw)))
+            clamped[k] = True
+        states[k] = y
+    return Trajectory(times=times, states=states, thetas=np.array(thetas), rows=np.array(rows),
+                      coordinates=ode.coordinates, clamped=clamped, clamp_events=events,
+                      residuals=None if residuals is None else np.array(residuals))

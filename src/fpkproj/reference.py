@@ -435,7 +435,7 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
         raise ValidationError("decay experiments need an exponential or mixture family")
 
     # every snapshot must fall on an ODE step
-    whole_steps(sample_stride * pde_dt, ode_dt, "sample_stride * pde_dt")
+    ode_stride = whole_steps(sample_stride * pde_dt, ode_dt, "sample_stride * pde_dt")
     snapshots = solve_fpk(model, p0, t_end, pde_dt, sample_stride=sample_stride)
     ref_moments = np.vstack([[snap.expect(row) for row in obs] for snap in snapshots])
     if start is None:
@@ -443,8 +443,8 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
     else:
         y0 = np.asarray(start, dtype=float)
     ode = ProjectedOde(family, model, method)
-    record = [int(round(snap.time / ode_dt)) for snap in snapshots]
-    ode_moments = integrate_ode(ode, y0, t_end, ode_dt, record=record).states
+    traj = integrate_ode(ode, y0, t_end, ode_dt, sample_stride=ode_stride)
+    ode_moments = traj.states[traj.rows]
     times = np.array([snap.time for snap in snapshots])
     epsilon = ref_moments - ode_moments
     rates = fit_decay_rates(times, epsilon, window=fit_window)

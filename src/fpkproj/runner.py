@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InadmissibleRecovery, ValidationError
+from .errors import InadmissibleRecovery
 from .expfamily import ExpFamily
-from .projection import ProjectedOde, integrate_ode, sample_steps, whole_steps
+from .projection import ProjectedOde, integrate_ode
 from .reference import (
     DecayReport,
     GridDensity,
@@ -96,6 +96,14 @@ def _expectations(family, theta) -> np.ndarray:
     return family.weights_to_expectations(theta)
 
 
+def _divergences(snap, family, theta):
+    """KL, Hellinger and L2 distances from a snapshot to the member at theta."""
+    if snap is None:
+        return None, None, None
+    q = family.density(theta)
+    return divergence_kl(snap, q), divergence_hellinger(snap, q), divergence_l2(snap, q)
+
+
 def _start_state(initial: dict, family, coordinates: str):
     """Start of a flow in canonical or expectation coordinates; None if unset."""
     if coordinates == "canonical":
@@ -120,27 +128,22 @@ def _run_trajectory_method(scenario: Scenario, model, family, output_dir: Path,
     num = scenario.numerics
     ode = ProjectedOde(family, model, scenario.method)
     y0 = _start_state(scenario.initial, family, ode.coordinates)
-    record = sample_steps(whole_steps(num.t_end, num.ode_dt, "t_end"), num.sample_stride)
     traj = integrate_ode(ode, y0, num.t_end, num.ode_dt,
-                         record_residual=num.record_residual, record=record)
-    snapshots = [None] * len(record)
+                         record_residual=num.record_residual, sample_stride=num.sample_stride)
+    snapshots = [None] * len(traj.rows)
     if num.attach_reference:
         snapshots = _reference_snapshots(model, scenario)
-    residuals = [None] * len(record) if traj.residuals is None else traj.residuals
 
     rows = []
-    for t, theta, state, res, clamped, snap in zip(traj.times, traj.thetas, traj.states,
-                                                   residuals, traj.clamped, snapshots,
-                                                   strict=True):
-        coords = state if ode.coordinates == "expectation" else _expectations(family, theta)
-        kl = hell = l2 = None
-        if snap is not None:
-            fam_density = family.density(theta)
-            kl = divergence_kl(snap, fam_density)
-            hell = divergence_hellinger(snap, fam_density)
-            l2 = divergence_l2(snap, fam_density)
-        rows.append((float(t), *map(float, theta), *map(float, coords),
-                     res, kl, hell, l2, bool(clamped)))
+    for i, (k, snap) in enumerate(zip(traj.rows, snapshots, strict=True)):
+        theta = traj.thetas[i]
+        if ode.coordinates == "expectation":
+            coords = traj.states[k]
+        else:
+            coords = _expectations(family, theta)
+        res = None if traj.residuals is None else float(traj.residuals[i])
+        rows.append((float(traj.times[k]), *map(float, theta), *map(float, coords),
+                     res, *_divergences(snap, family, theta), bool(traj.clamped[k])))
     table = ResultTable(header=trajectory_header(family.n), rows=rows)
     write_csv(output_dir / scenario.outputs["trajectory"], table)
     if num.attach_reference:
@@ -170,13 +173,8 @@ def _run_metric_projection(scenario: Scenario, model, family, output_dir: Path,
                 clamped_flag = True
                 clamp_count += 1
         coords = _expectations(family, theta)
-        fam_density = family.density(theta)
         rows.append((float(snap.time), *map(float, theta), *map(float, coords),
-                     None,
-                     divergence_kl(snap, fam_density),
-                     divergence_hellinger(snap, fam_density),
-                     divergence_l2(snap, fam_density),
-                     clamped_flag))
+                     None, *_divergences(snap, family, theta), clamped_flag))
     table = ResultTable(header=trajectory_header(family.n), rows=rows)
     write_csv(output_dir / scenario.outputs["trajectory"], table)
     _write_density_slices(scenario, snapshots, output_dir)

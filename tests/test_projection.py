@@ -237,13 +237,11 @@ def test_integration_grid_is_validated():
         integrate_ode(ode, np.array([0.5, 1.25]), t_end=-1.0, dt=0.1)
     with pytest.raises(ValidationError):
         integrate_ode(ode, np.array([0.5]), t_end=1.0, dt=0.1)
-    # recorded steps start at 0, increase and stay on the grid; the run
-    # stops at the last one
-    for record in ([1, 5], [0, 5, 5], [0, 7, 3], [0, 11], [], [0, 2.5]):
-        with pytest.raises(ValidationError):
-            integrate_ode(ode, np.array([0.5, 1.25]), t_end=1.0, dt=0.1, record=record)
-    traj = integrate_ode(ode, np.array([0.5, 1.25]), t_end=1.0, dt=0.1, record=[0, 4])
-    assert np.array_equal(traj.times, [0.0, 0.4])
+    with pytest.raises(ValidationError):
+        integrate_ode(ode, np.array([0.5, 1.25]), t_end=1.0, dt=0.1, sample_stride=0)
+    traj = integrate_ode(ode, np.array([0.5, 1.25]), t_end=1.0, dt=0.1, sample_stride=4)
+    assert np.array_equal(traj.rows, [0, 4, 8, 10])
+    assert traj.thetas.shape == (4, 2)
 
 
 def test_recorded_residuals_are_nonnegative():
@@ -392,9 +390,9 @@ def test_closed_flow_leaving_the_moment_space_exits_at_the_step_end():
 
 
 def test_sparse_rows_report_leaving_the_moment_space_at_the_next_row():
-    # the twin of the test above with rows every 25 steps: the flow leaves
+    # the twin of the test above sampling every 25th step: the flow leaves
     # the moment space in step 160, which the dense run reports, and the
-    # sparse run, inverting at recorded rows only, reports it at row 175
+    # sparse run, inverting at sampled steps only, reports it at step 175
     fam = ep_family(2)
     ode = make_ode(fam, polynomial_drift([0.0, 1.0], diffusion=2.0), "ada-ef")
     y0 = np.array([0.0, 1.0])
@@ -402,7 +400,7 @@ def test_sparse_rows_report_leaving_the_moment_space_at_the_next_row():
         integrate_ode(ode, y0, t_end=3.0, dt=1e-2)
     assert dense.value.step == 160
     with pytest.raises(TrajectoryExit) as sparse:
-        integrate_ode(ode, y0, t_end=3.0, dt=1e-2, record=sample_steps(300, 25))
+        integrate_ode(ode, y0, t_end=3.0, dt=1e-2, sample_stride=25)
     assert sparse.value.step == 175
     assert isinstance(sparse.value.__cause__, InadmissibleRecovery)
 
@@ -453,30 +451,32 @@ def test_affine_propagator_is_rk4(fam, model, theta0, method):
     (ep_family(2), OU, np.array([0.3, -0.6]), "tangent-ef"),
     (OPEN[0][0], OPEN[0][1], np.array([0.2, -0.6]), "ada-ef"),
 ], ids=AFFINE_IDS + ["EP(2)-tangent-ef", "EP(2)-open-ada-ef"])
-def test_recorded_rows_are_the_same_steps_of_a_dense_run(fam, model, theta0, method):
+def test_sampled_rows_are_the_same_steps_of_a_dense_run(fam, model, theta0, method):
     ode = make_ode(fam, model, method)
     y0 = _start(fam, method, theta0)
     residual_too = method == "tangent-ef"
     dense = integrate_ode(ode, y0, t_end=0.2, dt=1e-3, record_residual=residual_too)
-    record = sample_steps(200, 30)
     sparse = integrate_ode(ode, y0, t_end=0.2, dt=1e-3, record_residual=residual_too,
-                           record=record)
-    assert np.array_equal(sparse.times, dense.times[record])
-    assert np.array_equal(sparse.states, dense.states[record])
-    assert np.array_equal(sparse.clamped, dense.clamped[record])
-    # closed ada-ef seeds a sparse row's inversion from the previous row
-    assert np.max(np.abs(sparse.thetas - dense.thetas[record])) <= 1e-10
+                           sample_stride=30)
+    rows = sample_steps(200, 30)
+    assert np.array_equal(dense.rows, np.arange(201))
+    assert np.array_equal(sparse.rows, rows)
+    assert np.array_equal(sparse.times, dense.times)
+    assert np.array_equal(sparse.states, dense.states)
+    assert np.array_equal(sparse.clamped, dense.clamped)
+    # closed ada-ef seeds a sampled step's inversion from the previous one
+    assert np.max(np.abs(sparse.thetas - dense.thetas[rows])) <= 1e-10
     if residual_too:
-        assert np.array_equal(sparse.residuals, dense.residuals[record])
+        assert np.array_equal(sparse.residuals, dense.residuals[rows])
 
 
-def test_sparse_rows_invert_and_compute_residuals_at_rows_only(monkeypatch):
+def test_sampling_inverts_and_computes_residuals_at_sampled_steps_only(monkeypatch):
     fam = hermite_family([1, 2])
     calls = _count_inversions(monkeypatch, fam)
-    record = sample_steps(1000, 100)
-    integrate_ode(make_ode(fam, CLOSED_OU, "ada-ef"), np.array([0.3, 0.4]),
-                  t_end=1.0, dt=1e-3, record=record)
-    assert len(calls) <= 1 + len(record)
+    traj = integrate_ode(make_ode(fam, CLOSED_OU, "ada-ef"), np.array([0.3, 0.4]),
+                         t_end=1.0, dt=1e-3, sample_stride=100)
+    assert traj.rows.size == 11
+    assert len(calls) <= 1 + traj.rows.size
 
     calls.clear()
     p0 = grid_density(default_domain(1.0), 801, gaussian_pdf_fn(0.5, 1.5))
@@ -494,5 +494,5 @@ def test_sparse_rows_invert_and_compute_residuals_at_rows_only(monkeypatch):
     monkeypatch.setattr(fpkproj.projection, "residual_terms", counted)
     cubic = polynomial_drift([0.0, 0.0, 0.0, -1.0], diffusion=2.0)
     traj = integrate_ode(make_ode(ep_family(2), cubic, "tangent-ef"), np.array([0.0, -0.5]),
-                         t_end=0.2, dt=1e-3, record_residual=True, record=sample_steps(200, 30))
-    assert len(terms) == traj.times.size == len(sample_steps(200, 30))
+                         t_end=0.2, dt=1e-3, record_residual=True, sample_stride=30)
+    assert len(terms) == traj.residuals.size == len(sample_steps(200, 30))
