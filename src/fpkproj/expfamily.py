@@ -19,6 +19,8 @@ theta_n < 0) two algebraic facts are used heavily:
   vector (eta_1, ..., eta_2n) through an n x n Hankel solve.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import (
@@ -58,11 +60,11 @@ class ExpFamily:
     """An exponential family over a fixed quadrature rule.
 
     Node values of the statistics are cached at construction; derivative
-    values are cached on first use.  The moment pass of the last theta
-    evaluated is memoized, so density values, moments, Fisher matrix and
-    log-partition at one theta cost one pass over the nodes; every public
-    method returns a fresh array.  Instances are immutable apart from
-    those caches.
+    values and the Gaussian fit are cached on first use.  The moment pass
+    of the last theta evaluated is memoized, so density values, moments,
+    Fisher matrix and log-partition at one theta cost one pass over the
+    nodes; every public method returns a fresh array.  Instances are
+    immutable apart from those caches.
     """
 
     def __init__(self, stats, rule: QuadratureRule, kind: str = "custom", name: str = "custom"):
@@ -79,7 +81,6 @@ class ExpFamily:
             raise ValueError("statistics must be finite at the quadrature nodes")
         self._C1 = None
         self._C2 = None
-        self._hermite_indices = None
         self._memo = None
         gram = (self._C * rule.weights) @ self._C.T
         gram = 0.5 * (gram + gram.T)
@@ -118,6 +119,22 @@ class ExpFamily:
             self._C2 = np.vstack([c.d2(x) for c in self.stats])
         return self._C1, self._C2
 
+    @cached_property
+    def gaussian_fit(self):
+        """(A, b) with (x, x^2) = A c + b at the nodes, computed on first use.
+
+        None unless n = 2 and span{c, 1} = span{x, x^2, 1}, that is, unless
+        the family is the Gaussians.  The arrays are read-only.
+        """
+        if self.n != 2:
+            return None
+        x = self.rule.nodes
+        fit = self.affine_in_stats(np.vstack([x, x * x]))
+        if fit is not None:
+            for part in fit:
+                part.setflags(write=False)
+        return fit
+
     # -- admissibility ------------------------------------------------
 
     def is_admissible(self, theta) -> bool:
@@ -145,14 +162,6 @@ class ExpFamily:
     def default_initial_theta(self) -> np.ndarray:
         """Generic admissible starting point for Newton inversions."""
         theta = np.zeros(self.n)
-        if self.kind in ("ep", "custom-poly"):
-            theta[-1] = -0.5
-            return theta
-        if self.kind == "hermite" and self._hermite_indices is not None:
-            even = [i for i, idx in enumerate(self._hermite_indices) if idx % 2 == 0]
-            if even:
-                theta[even[-1]] = -0.5
-            return theta
         theta[-1] = -0.5
         return theta
 
@@ -389,10 +398,8 @@ def hermite_family(indices, domain=None, rule: QuadratureRule | None = None) -> 
         raise ValueError("the largest index must be even for integrability")
     if rule is None:
         rule = simpson_rule(domain if domain is not None else default_domain())
-    fam = ExpFamily([hermite_fn(i) for i in idx], rule, kind="hermite",
-                    name=f"hermite({','.join(map(str, idx))})")
-    fam._hermite_indices = tuple(idx)
-    return fam
+    return ExpFamily([hermite_fn(i) for i in idx], rule, kind="hermite",
+                     name=f"hermite({','.join(map(str, idx))})")
 
 
 def custom_poly_family(exponents, domain=None, rule: QuadratureRule | None = None) -> ExpFamily:

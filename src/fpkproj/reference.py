@@ -161,10 +161,12 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
     """Crank-Nicolson evolution of the grid density; returns sampled snapshots.
 
     Snapshots are taken every sample_stride steps and at the final step
-    (see `sample_steps`).  The implicit half-step is one LAPACK tridiagonal
-    factorization, reused by every step.  Raises SchemeInstability when
-    that matrix is singular, on negative densities beyond round-off or on
-    loss of mass conservation.
+    (see `sample_steps`).  With M = I - (dt/2) L, the step
+    p <- M^-1 (I + (dt/2) L) p equals p <- 2 M^-1 p - p, since
+    I + (dt/2) L = 2I - M: one LAPACK tridiagonal solve on a factorization
+    of M made once.  Raises SchemeInstability when M is singular or a solve
+    fails, on negative densities beyond round-off or on loss of mass
+    conservation, checked at every step.
     """
     # imported here so that importing the package does not load scipy.linalg
     from scipy.linalg.lapack import dgttrf, dgttrs
@@ -179,22 +181,18 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
         raise SchemeInstability(f"Crank-Nicolson matrix is singular (LAPACK info {factors[-1]})")
     factors = factors[:-1]
     recorded = set(sample_steps(nsteps, sample_stride))
-
-    def explicit_apply(p):
-        out = (1.0 + half * diag) * p
-        out[1:] += half * lower * p[:-1]
-        out[:-1] += half * upper * p[1:]
-        return out
-
     weights = p0.trapezoid_weights
     p = p0.values.copy()
     mass0 = float(weights @ p)
     snapshots = [GridDensity(domain=p0.domain, values=p.copy(), time=0.0)]
     prev_mass = mass0
     for k in range(1, nsteps + 1):
-        p, info = dgttrs(*factors, explicit_apply(p))
+        y, info = dgttrs(*factors, p)
         if info != 0:
             raise SchemeInstability(f"tridiagonal solve failed at step {k} (LAPACK info {info})")
+        y *= 2.0
+        y -= p
+        p = y
         if p.min() < -NEGATIVITY_TOL:
             raise SchemeInstability(
                 f"density dropped to {p.min()} at step {k}")
@@ -279,10 +277,7 @@ def _gaussian_seed(p: GridDensity, fam: ExpFamily):
     Such a family is the Gaussians, whose KL optimum matches mean and
     variance; None for any other family.
     """
-    if fam.n != 2:
-        return None
-    x = fam.rule.nodes
-    fit = fam.affine_in_stats(np.vstack([x, x * x]))
+    fit = fam.gaussian_fit
     if fit is None:
         return None
     mean = p.expect(p.x)

@@ -35,9 +35,6 @@ from .scenario import (
     scenario_domain,
 )
 
-TRAJECTORY_BASE_COLUMNS = ("t", "residual", "kl", "hellinger", "l2", "clamped")
-
-
 @dataclass
 class ResultTable:
     """Column-ordered rows ready for CSV serialization."""
@@ -76,10 +73,9 @@ def write_decay_json(path, report: DecayReport):
 
 
 def write_density_csv(path, snap: GridDensity):
-    lines = ["x,p"]
-    for x, p in zip(snap.x, snap.values):
-        lines.append(f"{format_value(x)},{format_value(p)}")
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    # "%.17g" renders a float exactly as format_value does
+    pairs = np.column_stack([snap.x, snap.values]).ravel().tolist()
+    Path(path).write_text("x,p\n" + "%.17g,%.17g\n" * snap.nx % tuple(pairs), newline="\n")
 
 
 def _write_density_slices(scenario: Scenario, snapshots, output_dir: Path):

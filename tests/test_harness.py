@@ -26,7 +26,8 @@ from fpkproj import (
 from fpkproj.cli import main as cli_main
 from fpkproj.errors import ValidationError
 from fpkproj.functions import cosine_series_pdf_fn
-from fpkproj.runner import format_value, trajectory_header
+from fpkproj.reference import GridDensity
+from fpkproj.runner import format_value, trajectory_header, write_density_csv
 from fpkproj.scenario import (
     DENSITIES,
     FAMILIES,
@@ -242,6 +243,18 @@ def test_format_value_conventions():
     assert format_value(False) == "0"
     assert format_value(0.1) == "0.10000000000000001"
     assert format_value(3) == "3"
+
+
+def test_density_csv_renders_each_value_as_format_value(tmp_path):
+    dom = default_domain()
+    values = grid_density(dom, 101, gaussian_pdf_fn(0.3, 2.0)).values.copy()
+    values[:4] = [0.0, 1e-300, 2.5e-308, 5e-324]
+    values[-3:] = [0.0, 7.3e-301, 0.0]
+    snap = GridDensity(domain=dom, values=values, time=0.5)
+    write_density_csv(tmp_path / "d.csv", snap)
+    expected = "x,p\n" + "".join(f"{format_value(x)},{format_value(p)}\n"
+                                 for x, p in zip(snap.x, snap.values))
+    assert (tmp_path / "d.csv").read_bytes() == expected.encode()
 
 
 def test_trajectory_header_layout():

@@ -14,7 +14,6 @@ from math import comb
 
 import numpy as np
 import pytest
-from numpy.polynomial.hermite_e import herme2poly
 from scipy.linalg import expm
 
 from fpkproj import (
@@ -291,15 +290,14 @@ OPEN = [
 
 
 def _stat_polynomials(fam):
-    """(n, n+1) ascending monomial coefficients of the polynomial statistics."""
-    if fam.kind == "hermite":
-        polys = [herme2poly([0.0] * k + [1.0]) for k in fam._hermite_indices]
-    else:
-        polys = [np.eye(i + 1)[i] for i in range(1, fam.n + 1)]
-    out = np.zeros((fam.n, fam.n + 1))
-    for row, poly in zip(out, polys):
-        row[:poly.size] = poly
-    return out
+    """(n, n+1) ascending monomial coefficients of the polynomial statistics.
+
+    The statistics of the closed pairs have degree at most n, so their
+    values at n + 1 points determine them.
+    """
+    pts = np.arange(fam.n + 1) - 0.5 * fam.n
+    vander = np.vander(pts, fam.n + 1, increasing=True)
+    return np.linalg.solve(vander, np.vstack([c(pts) for c in fam.stats]).T).T
 
 
 def _ou_moments(mu0, kappa, sigma, t):

@@ -30,14 +30,17 @@ from fpkproj import (
     ornstein_uhlenbeck,
     circle_diffusion,
     cosine_circle_family,
+    polynomial_drift,
     solve_fpk,
 )
 from fpkproj.errors import (
     InadmissibleRecovery,
     NotAnEigenfunction,
+    SchemeInstability,
     SupportViolation,
     ValidationError,
 )
+from fpkproj.reference import fpk_operator
 
 DOM = default_domain(1.0)
 OU = ornstein_uhlenbeck(kappa=1.0, sigma=np.sqrt(2.0))
@@ -82,6 +85,35 @@ def test_mass_is_conserved_along_the_run():
     snaps = solve_fpk(OU, p0, t_end=0.2, dt=1e-3, sample_stride=20)
     for snap in snaps:
         assert abs(snap.mass() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("model", [OU, polynomial_drift([0.2, -0.5, 0.0, -0.3], diffusion=1.5)])
+def test_crank_nicolson_matches_the_dense_two_matrix_step(model):
+    # the scheme is (I - hL) p_{k+1} = (I + hL) p_k, h = dt/2, with L the
+    # tridiagonal adjoint generator; here both sides are dense matrices
+    nx, dt = 201, 2e-3
+    p0 = grid_density(DOM, nx, gaussian_pdf_fn(0.6, 0.4))
+    lower, diag, upper = fpk_operator(model, DOM, nx)
+    gen = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    implicit = np.eye(nx) - 0.5 * dt * gen
+    explicit = np.eye(nx) + 0.5 * dt * gen
+    snaps = solve_fpk(model, p0, t_end=0.2, dt=dt, sample_stride=7)
+    dense = [p0.values]
+    for _ in range(100):
+        dense.append(np.linalg.solve(implicit, explicit @ dense[-1]))
+    assert [round(s.time / dt) for s in snaps] == list(range(0, 101, 7)) + [100]
+    for snap in snaps:
+        ref = dense[round(snap.time / dt)]
+        assert np.max(np.abs(snap.values - ref)) <= 1e-12 * np.max(ref)
+        assert abs(snap.mass() - 1.0) <= 1e-13
+
+
+def test_negative_density_stops_the_run_at_the_step_it_appears():
+    # a spike of variance 1e-3 with dt = 0.5 sends Crank-Nicolson's stiff
+    # modes below zero in the first step
+    p0 = grid_density(DOM, 2001, gaussian_pdf_fn(0.0, 1e-3))
+    with pytest.raises(SchemeInstability, match=r"^density dropped to \S+ at step 1$"):
+        solve_fpk(ornstein_uhlenbeck(1.0, 1.0), p0, t_end=1.0, dt=0.5)
 
 
 def test_circle_modes_decay_at_quadratic_rates():
