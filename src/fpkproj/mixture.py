@@ -131,6 +131,13 @@ class MixtureFamily:
         changed = bool(np.max(np.abs(clamped - theta)) > 0.0)
         return clamped, changed
 
+    def needs_clamp(self, thetas) -> np.ndarray:
+        """Rows of weights that `clamp_weights` would move, or that are not finite."""
+        thetas = np.asarray(thetas, dtype=float)
+        total = thetas.sum(axis=-1)
+        return ((thetas < 0.0).any(axis=-1) | (total > 1.0 - WEIGHT_MARGIN)
+                | (total < WEIGHT_MARGIN) | ~np.isfinite(total))
+
     def theta_hat(self, theta) -> np.ndarray:
         """Full weight vector including the dependent last entry."""
         theta = np.asarray(theta, dtype=float)

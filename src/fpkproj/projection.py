@@ -22,8 +22,9 @@ not depend on theta: ada-ef is the constant affine field eta_dot = A eta + b,
 and `integrate_ode` inverts the moment map only at the sampled steps.
 Eigenfunction statistics, L c_i = -lambda_i c_i, are its diagonal case,
 where the projected moments obey eta_dot = -Lambda eta exactly.  Every
-constant affine field, the mixture methods included, is stepped by its RK4
-propagator y -> Phi y + phi and evaluates no stage.
+constant affine field, the mixture methods included, evaluates no stage:
+one RK4 step is the fixed map y -> Phi y + phi, and a block of steps is
+one product with precomputed powers of it.
 
 `ProjectedOde` holds the one implementation of each of the five fields;
 the free `*_rhs` functions check their inputs and evaluate it.
@@ -55,6 +56,8 @@ EF_METHODS = ("tangent-ef", "ada-ef")
 MIX_METHODS = ("tangent-mix", "ada-mix", "galerkin")
 
 STEP_TOL = 1e-8
+# longest block of steps taken as one product of propagator powers
+BLOCK_STEPS = 1024
 
 
 def whole_steps(span: float, dt: float, what: str) -> int:
@@ -335,6 +338,12 @@ class ProjectedOde:
 
         return seed
 
+    def weights(self, states):
+        """Mixture weights of a mixture state, or of one state per row."""
+        if self.method == "ada-mix":
+            return (states - self.family.beta) @ self._gamma_inv.T
+        return states
+
     def constrain(self, state, theta_guess=None):
         """Post-step repair: (state, its canonical/weight coordinates, clamped?).
 
@@ -348,7 +357,7 @@ class ProjectedOde:
             if not fam.is_admissible(state):
                 raise TrajectoryExit(f"canonical state left the admissible set: {state}")
             return state, state, False
-        theta = self._gamma_inv @ (state - fam.beta) if self.method == "ada-mix" else state
+        theta = self.weights(state)
         clamped, changed = fam.clamp_weights(theta)
         if not changed:
             return state, theta, False
@@ -361,13 +370,98 @@ def make_ode(family, model: SdeModel, method: str) -> ProjectedOde:
     return ProjectedOde(family, model, method)
 
 
+def _step_failure(err: FpkprojError, k: int) -> TrajectoryExit:
+    if isinstance(err, TrajectoryExit):
+        return TrajectoryExit(f"step {k}: {err}", step=k)
+    return TrajectoryExit(f"rhs failed at step {k}: {err}", step=k)
+
+
+def _step_stages(ode: ProjectedOde, states, dt: float, theta, rows) -> list:
+    """RK4 through the field's stages (tangent-ef, open ada-ef); thetas at `rows`."""
+    thetas = [theta]
+    y = states[0]
+    for k in range(1, states.shape[0]):
+        try:
+            seed = ode.newton_seeds(y, theta)
+            k1 = ode.rhs(y, theta)
+            y2 = y + 0.5 * dt * k1
+            k2 = ode.rhs(y2, seed(y2))
+            y3 = y + 0.5 * dt * k2
+            k3 = ode.rhs(y3, seed(y3))
+            y4 = y + dt * k3
+            k4 = ode.rhs(y4, seed(y4))
+            raw = y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+            y, theta, _ = ode.constrain(raw, seed(raw))
+        except FpkprojError as err:
+            raise _step_failure(err, k) from err
+        states[k] = y
+        if k == rows[len(thetas)]:
+            thetas.append(theta)
+    return thetas
+
+
+def _step_affine(ode: ProjectedOde, states, dt: float):
+    """Fill `states` by powers of the RK4 step matrix S = [[Phi, phi], [0, 1]].
+
+    A block of L steps from y is P[:L] @ [y; 1], with P the stacked powers
+    S^1..S^L, extended by doubling as the blocks grow (up to BLOCK_STEPS, or
+    while the powers stay finite).  Mixture blocks are accepted up to the
+    first row whose weights `clamp_weights` would move; that row is
+    constrained and the flow takes plain steps y <- Phi y + phi until a
+    step needs no clamp.  Returns the clamp events and the clamped weights
+    by step.
+    """
+    phi, phi_c = rk4_propagator(*ode.affine, dt)
+    powers = np.eye(ode.dim + 1)[None]
+    powers[0, :-1, :-1], powers[0, :-1, -1] = phi, phi_c
+    mixture = ode.method in MIX_METHODS
+    events, weights = [], {}
+    nsteps = states.shape[0] - 1
+    y = states[0]
+    k, length, longest, plain = 0, 1, BLOCK_STEPS, False
+    while k < nsteps:
+        if plain:
+            raw = phi @ y + phi_c
+        else:
+            length = min(length, longest, nsteps - k)
+            if length > powers.shape[0]:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    more = powers @ powers[-1]
+                if np.all(np.isfinite(more)):
+                    powers = np.concatenate([powers, more])
+                else:
+                    longest = length = powers.shape[0]
+            block = powers[:length, :-1] @ np.append(y, 1.0)
+            good = length
+            if mixture:
+                flags = np.flatnonzero(ode.family.needs_clamp(ode.weights(block)))
+                good = int(flags[0]) if flags.size else length
+            states[k + 1:k + 1 + good] = block[:good]
+            k += good
+            y = states[k]
+            if good == length:
+                length *= 2
+                continue
+            raw = block[good]
+        k += 1
+        y, theta, plain = ode.constrain(raw)
+        states[k] = y
+        length = 2
+        if plain:
+            events.append(ClampEvent(step=k, time=k * dt, raw_state=tuple(raw)))
+            weights[k] = theta
+    return events, weights
+
+
 def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
                   record_residual: bool = False, sample_stride: int = 1) -> Trajectory:
     """Classic fixed-step fourth-order Runge-Kutta integration.
 
-    Thetas and residuals are computed at `sample_steps(nsteps, sample_stride)`
-    only, so closed ada-ef reports leaving the moment space at the first of
-    those steps after it leaves.  Residual recording is available for
+    Constant affine fields are stepped in blocks by powers of their RK4
+    propagator (`_step_affine`), the others stage by stage.  Thetas and
+    residuals are computed at `sample_steps(nsteps, sample_stride)` only,
+    so closed ada-ef reports leaving the moment space at the first of those
+    steps after it leaves.  Residual recording is available for
     exponential-family methods only.  Mixture weights are clamped to the
     margin-shrunk simplex after each step and every clamp is recorded.
     """
@@ -382,46 +476,37 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
     times = dt * np.arange(nsteps + 1)
     states = np.empty((nsteps + 1, ode.dim))
     clamped = np.zeros(nsteps + 1, dtype=bool)
-    events = []
     states[0] = y
-    thetas = [theta]
     residuals = [residual(ode.family, ode.model, theta)] if record_residual else None
+    events = []
+    if ode.affine is None:
+        thetas = _step_stages(ode, states, dt, theta, rows)
+    elif ode.method == "ada-ef":
+        _step_affine(ode, states, dt)
+        # closed ada-ef's field needs no theta: invert at sampled steps only,
+        # each seeded from the previous one
+        thetas = [theta]
+        for prev, k in zip(rows, rows[1:]):
+            try:
+                seed = ode.newton_seeds(states[prev], thetas[-1])(states[k])
+                thetas.append(ode.family.expectation_to_canonical(states[k], initial=seed))
+            except FpkprojError as err:
+                raise _step_failure(err, k) from err
+    else:
+        events, weights = _step_affine(ode, states, dt)
+        clamped[list(weights)] = True
+        thetas = [theta, *ode.weights(states[rows[1:]])]
+        for i, k in enumerate(rows):
+            if k in weights:
+                thetas[i] = weights[k]
 
-    if ode.affine is not None:
-        phi, phi_c = rk4_propagator(*ode.affine, dt)
-    # closed ada-ef's field needs no theta: it inverts at sampled steps only
-    closed = ode.method == "ada-ef" and ode.affine is not None
-    for k in range(1, nsteps + 1):
-        try:
-            if ode.affine is not None:
-                raw = phi @ y + phi_c
-                y, theta, was_clamped = (raw, theta, False) if closed else ode.constrain(raw)
-            else:
-                seed = ode.newton_seeds(y, theta)
-                k1 = ode.rhs(y, theta)
-                y2 = y + 0.5 * dt * k1
-                k2 = ode.rhs(y2, seed(y2))
-                y3 = y + 0.5 * dt * k2
-                k3 = ode.rhs(y3, seed(y3))
-                y4 = y + dt * k3
-                k4 = ode.rhs(y4, seed(y4))
-                raw = y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-                y, theta, was_clamped = ode.constrain(raw, seed(raw))
-            if k == rows[len(thetas)]:
-                if closed:
-                    seed = ode.newton_seeds(states[rows[len(thetas) - 1]], thetas[-1])
-                    theta = ode.family.expectation_to_canonical(y, initial=seed(y))
-                thetas.append(theta)
-                if record_residual:
-                    residuals.append(residual(ode.family, ode.model, theta))
-        except TrajectoryExit as err:
-            raise TrajectoryExit(f"step {k}: {err}", step=k) from err
-        except FpkprojError as err:
-            raise TrajectoryExit(f"rhs failed at step {k}: {err}", step=k) from err
-        if was_clamped:
-            events.append(ClampEvent(step=k, time=float(times[k]), raw_state=tuple(raw)))
-            clamped[k] = True
-        states[k] = y
+    if record_residual:
+        for k, theta in zip(rows[1:], thetas[1:]):
+            try:
+                residuals.append(residual(ode.family, ode.model, theta))
+            except FpkprojError as err:
+                raise _step_failure(err, k) from err
+        residuals = np.array(residuals)
     return Trajectory(times=times, states=states, thetas=np.array(thetas), rows=np.array(rows),
                       coordinates=ode.coordinates, clamped=clamped, clamp_events=events,
-                      residuals=None if residuals is None else np.array(residuals))
+                      residuals=residuals)

@@ -13,6 +13,7 @@ distance for simple mixtures (a constant linear solve).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +39,18 @@ NEGATIVE_SAMPLE_TOL = 1e-12
 MASS_DRIFT_GUARD = 1e-8
 MOMENT_MATCH_TOL = 1e-7
 EIGEN_RESIDUAL_TOL = 1e-8
+
+
+@lru_cache(maxsize=16)
+def _grid(domain: Domain, nx: int):
+    """Nodes and trapezoid weights of the uniform nx-point grid, read-only and shared."""
+    x = np.linspace(domain.lower, domain.upper, nx)
+    h = domain.width / (nx - 1)
+    w = np.full(nx, h)
+    w[0] = w[-1] = 0.5 * h
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -69,14 +82,11 @@ class GridDensity:
 
     @property
     def x(self) -> np.ndarray:
-        return np.linspace(self.domain.lower, self.domain.upper, self.nx)
+        return _grid(self.domain, self.nx)[0]
 
     @property
     def trapezoid_weights(self) -> np.ndarray:
-        h = self.domain.width / (self.nx - 1)
-        w = np.full(self.nx, h)
-        w[0] = w[-1] = 0.5 * h
-        return w
+        return _grid(self.domain, self.nx)[1]
 
     def mass(self) -> float:
         return float(self.trapezoid_weights @ self.values)
@@ -99,7 +109,7 @@ def grid_density(domain: Domain, nx: int, fn, time: float = 0.0,
     """
     if nx < 3:
         raise ValidationError("nx must be at least 3")
-    x = np.linspace(domain.lower, domain.upper, nx)
+    x, w = _grid(domain, nx)
     values = np.asarray(fn(x), dtype=float)
     low = values.min()
     if low < -NEGATIVE_SAMPLE_TOL * values.max():
@@ -107,9 +117,6 @@ def grid_density(domain: Domain, nx: int, fn, time: float = 0.0,
             f"sampled density is negative down to {low:.6g} at x = {x[values.argmin()]:.6g}")
     values = np.maximum(values, 0.0)
     if normalize:
-        h = domain.width / (nx - 1)
-        w = np.full(nx, h)
-        w[0] = w[-1] = 0.5 * h
         mass = float(w @ values)
         if mass <= 0:
             raise ValueError("cannot normalize a density with nonpositive mass")
@@ -132,7 +139,7 @@ def fpk_operator(model: SdeModel, domain: Domain, nx: int):
     """Tridiagonal bands (lower, diag, upper) of the discrete adjoint generator."""
     if nx < 3:
         raise ValidationError("nx must be at least 3")
-    x = np.linspace(domain.lower, domain.upper, nx)
+    x, vol = _grid(domain, nx)
     h = domain.width / (nx - 1)
     xf = x[:-1] + 0.5 * h
     d_face = 0.5 * np.asarray(model.diffusion(xf), dtype=float)
@@ -145,8 +152,6 @@ def fpk_operator(model: SdeModel, domain: Domain, nx: int):
     # J_{j+1/2} = alpha_j p_j + beta_j p_{j+1}; zero flux through the boundary faces
     alpha = f_face * (1.0 - delta) + d_face / h
     beta = f_face * delta - d_face / h
-    vol = np.full(nx, h)
-    vol[0] = vol[-1] = 0.5 * h
     lower = alpha / vol[1:]
     upper = -beta / vol[:-1]
     diag = np.empty(nx)

@@ -96,7 +96,7 @@ def _divergences(snap, family, theta):
     """KL, Hellinger and L2 distances from a snapshot to the member at theta."""
     if snap is None:
         return None, None, None
-    q = family.density(theta)
+    q = family.density(theta)(snap.x)
     return divergence_kl(snap, q), divergence_hellinger(snap, q), divergence_l2(snap, q)
 
 

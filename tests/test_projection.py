@@ -41,7 +41,7 @@ from fpkproj import (
 )
 from fpkproj.errors import InadmissibleRecovery, TrajectoryExit, ValidationError
 import fpkproj.projection
-from fpkproj.projection import sample_steps
+from fpkproj.projection import rk4_propagator, sample_steps
 
 
 OU = ornstein_uhlenbeck(kappa=1.0, sigma=np.sqrt(2.0))
@@ -494,3 +494,102 @@ def test_sampling_inverts_and_computes_residuals_at_sampled_steps_only(monkeypat
     traj = integrate_ode(make_ode(ep_family(2), cubic, "tangent-ef"), np.array([0.0, -0.5]),
                          t_end=0.2, dt=1e-3, record_residual=True, sample_stride=30)
     assert len(terms) == traj.residuals.size == len(sample_steps(200, 30))
+
+
+@pytest.mark.parametrize("fam, theta0", CLOSED[:2], ids=["EP(2)", "EP(4)"])
+def test_closed_ada_ef_records_residuals_at_sampled_steps(fam, theta0):
+    ode = make_ode(fam, CLOSED_OU, "ada-ef")
+    assert ode.affine is not None
+    traj = integrate_ode(ode, fam.expectation_params(theta0), t_end=0.3, dt=1e-2,
+                         record_residual=True, sample_stride=7)
+    assert np.array_equal(traj.rows, sample_steps(30, 7))
+    assert traj.residuals.shape == traj.rows.shape
+    expected = [residual(fam, CLOSED_OU, theta) for theta in traj.thetas]
+    assert np.array_equal(traj.residuals, expected)
+
+
+def _plain_affine_loop(ode, y0, t_end, dt):
+    """States and clamp events of one y <- Phi y + phi step plus `constrain` at a time."""
+    phi, phi_c = rk4_propagator(*ode.affine, dt)
+    y, _ = ode.prepare_initial(y0)
+    states, events = [y], []
+    for k in range(1, round(t_end / dt) + 1):
+        raw = phi @ y + phi_c
+        y, _, was_clamped = ode.constrain(raw)
+        states.append(y)
+        if was_clamped:
+            events.append((k, raw))
+    return np.array(states), events
+
+
+def _assert_rows_close(got, want, rtol):
+    for a, b in zip(got, want, strict=True):
+        assert np.max(np.abs(np.asarray(a) - b)) <= rtol * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("fam, model, theta0, t_end, dt, clamps", [
+    # the inputs of test_mixture_methods_clamp_at_the_simplex_boundary: one
+    # stretch of clamps from step 368
+    (gaussian_mixture_family([-1.3514, -0.2091, 1.2055], [0.6652, 0.5867, 0.3426]),
+     ornstein_uhlenbeck(kappa=1.4602, sigma=1.3115317762067376), np.array([0.2189, 0.3573]),
+     0.5, 1e-3, 133),
+    # circle_galerkin at a larger diffusion: the weights decay onto the margin
+    # and every step from 417 on clamps
+    (cosine_circle_family([1, 2]), circle_diffusion(2.5), np.array([0.2, 0.1]), 200.0, 0.05,
+     3584),
+], ids=["gauss-mix-boundary", "circle-onto-margin"])
+@pytest.mark.parametrize("method", ["tangent-mix", "ada-mix", "galerkin"])
+def test_block_stepping_matches_a_per_step_loop(fam, model, theta0, t_end, dt, clamps, method,
+                                               monkeypatch):
+    ode = make_ode(fam, model, method)
+    y0 = _start(fam, method, theta0)
+    flags = []
+    needs_clamp = fam.needs_clamp
+    monkeypatch.setattr(fam, "needs_clamp", lambda w: flags.append(1) or needs_clamp(w))
+    traj = integrate_ode(ode, y0, t_end=t_end, dt=dt)
+    # doubling blocks up to the first clamp, then plain steps: every step
+    # after it clamps, so no block is checked again
+    assert len(flags) <= 1 + np.log2(traj.clamp_events[0].step)
+    states, events = _plain_affine_loop(ode, y0, t_end, dt)
+    assert [e.step for e in traj.clamp_events] == [k for k, _ in events]
+    assert len(events) == clamps
+    assert np.array_equal(np.flatnonzero(traj.clamped), [k for k, _ in events])
+    _assert_rows_close(traj.states, states, 1e-12)
+    _assert_rows_close([e.raw_state for e in traj.clamp_events], [raw for _, raw in events],
+                       1e-12)
+
+
+def test_block_stepping_stops_growing_where_the_powers_overflow():
+    # a decoupled field whose second mode RK4 amplifies 297-fold per step:
+    # its powers overflow after about 125 steps, but the mode starts at zero
+    # and stays there, so the flow itself is finite and never clamps
+    ode = make_ode(GAUSS_MIX, OU, "tangent-mix")
+    ode.affine = (np.diag([-1.0, 800.0]), np.zeros(2))
+    y0 = np.array([0.3, 0.0])
+    traj = integrate_ode(ode, y0, t_end=5.0, dt=1e-2)
+    states, events = _plain_affine_loop(ode, y0, 5.0, 1e-2)
+    assert not events and not traj.clamp_events
+    assert np.all(traj.states[:, 1] == 0.0)
+    _assert_rows_close(traj.states, states, 1e-12)
+
+
+@pytest.mark.parametrize("excess, period", [(1e-11, 2), (5e-12, 4)])
+@pytest.mark.parametrize("method", ["tangent-mix", "ada-mix", "galerkin"])
+def test_block_stepping_restarts_after_each_clamp(excess, period, method):
+    # weights pulled toward a point `excess` beyond the face sum = 1: once
+    # there, a clamp rescales the sum below 1 - WEIGHT_MARGIN and the flow
+    # crosses it again a fixed number of steps later, so clamps alternate
+    # with short clean stretches that end in the first row of a block
+    fam = GAUSS_MIX
+    ode = make_ode(fam, OU, method)
+    a, target = -5.0 * np.eye(2), np.array([0.4, 0.6 + excess])
+    if method == "ada-mix":
+        a = fam.gamma @ a @ np.linalg.inv(fam.gamma)
+        target = fam.gamma @ target + fam.beta
+    ode.affine = (a, -a @ target)
+    y0 = _start(fam, method, np.array([0.3, 0.3]))
+    traj = integrate_ode(ode, y0, t_end=10.0, dt=1e-2)
+    states, events = _plain_affine_loop(ode, y0, 10.0, 1e-2)
+    assert np.all(np.diff([e.step for e in traj.clamp_events][-20:]) == period)
+    assert [e.step for e in traj.clamp_events] == [k for k, _ in events]
+    _assert_rows_close(traj.states, states, 1e-12)
