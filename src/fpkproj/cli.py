@@ -9,7 +9,6 @@ from .runner import run_scenario
 from .scenario import load_scenario, presets_text
 
 EXIT_OK = 0
-EXIT_FAILURE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4

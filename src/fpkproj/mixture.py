@@ -1,8 +1,10 @@
 """Simple mixture families p(x, theta) = sum_k theta_hat_k q_k(x).
 
 The components q_1..q_{n+1} are fixed densities; the free weights are
-theta_1..theta_n and the last weight is 1 - sum theta.  Tangent vectors
-are the constant functions q_i - q_{n+1}, so the information metric
+theta_1..theta_n and the last weight is 1 - sum theta.  As for an
+exponential family, `stats` (at the nodes: `stat_values`,
+`stat_derivative_values`) are the tangent vectors, here the constant
+functions q_i - q_{n+1}, so the information metric
 
     gamma_ij = <q_i - q_{n+1}, q_j - q_{n+1}>
 
@@ -11,7 +13,8 @@ does not depend on theta, and the expectation-type coordinates
     m_i(theta) = <p(theta), q_i - q_{n+1}> = (gamma theta + beta)_i,
     beta_i = <q_{n+1}, q_i - q_{n+1}>,
 
-are an affine bijection with the weights.
+are an affine bijection with the weights.  The L2 projection of a density
+p is the member with m = E_p[stats].
 """
 
 import numpy as np
@@ -42,6 +45,7 @@ class MixtureFamily:
         if len(self.components) < 2:
             raise ValidationError("a mixture family needs at least two components")
         self.n = len(self.components) - 1
+        self.stats = tuple(c - self.components[-1] for c in self.components[:-1])
         x = rule.nodes
         q = np.vstack([np.asarray(c(x), dtype=float) for c in self.components])
         if not np.all(np.isfinite(q)):
@@ -77,18 +81,16 @@ class MixtureFamily:
         """(n+1, m) component densities at the quadrature nodes."""
         return self._Q
 
-    def tangent_values(self) -> np.ndarray:
-        """(n, m) values of q_i - q_{n+1} at the quadrature nodes."""
+    def stat_values(self) -> np.ndarray:
+        """(n, m) values of the statistics q_i - q_{n+1} at the quadrature nodes."""
         return self._D
 
-    def tangent_derivative_values(self):
-        """First and second derivatives of q_i - q_{n+1} at the nodes."""
+    def stat_derivative_values(self):
+        """First and second derivatives of the statistics at the nodes."""
         if self._D1 is None:
             x = self.rule.nodes
-            q1 = np.vstack([c.d1(x) for c in self.components])
-            q2 = np.vstack([c.d2(x) for c in self.components])
-            self._D1 = q1[:-1] - q1[-1]
-            self._D2 = q2[:-1] - q2[-1]
+            self._D1 = np.vstack([c.d1(x) for c in self.stats])
+            self._D2 = np.vstack([c.d2(x) for c in self.stats])
         return self._D1, self._D2
 
     def gamma_and_beta(self):
@@ -118,9 +120,12 @@ class MixtureFamily:
 
         An over-full vector is rescaled to sum 1 - 2 WEIGHT_MARGIN: rounding
         in the rescale can leave the sum a few ulps above its target, and
-        the extra margin keeps the result admissible.
+        the extra margin keeps the result admissible.  Non-finite weights
+        cannot be repaired and raise InadmissibleWeights.
         """
         theta = np.asarray(theta, dtype=float)
+        if not np.all(np.isfinite(theta)):
+            raise InadmissibleWeights(f"weights {theta} are not finite")
         clamped = np.where(theta < 0.0, 0.0, theta)
         total = float(clamped.sum())
         if total > 1.0 - WEIGHT_MARGIN:

@@ -121,16 +121,16 @@ def galerkin_rhs(fam: MixtureFamily, model: SdeModel, coeffs) -> np.ndarray:
     return ProjectedOde(fam, model, "galerkin").rhs(coeffs[:-1])
 
 
-def _projection_affine(fam: MixtureFamily, model: SdeModel, method: str):
+def _projection_affine(fam: MixtureFamily, lc, method: str):
     """(A, c) of the tangent-space projection in weight or expectation coordinates.
 
-    With B_jk = <L(q_j - q_{n+1}), q_k> and theta_hat = (theta, 1 - sum theta),
-    B theta_hat = E theta + b for E = B[:, :n] - B[:, n] and b = B[:, n], so
+    With B_jk = <lc_j, q_k>, lc_j = L(q_j - q_{n+1}) at the nodes, and
+    theta_hat = (theta, 1 - sum theta), B theta_hat = E theta + b for
+    E = B[:, :n] - B[:, n] and b = B[:, n], so
     theta_dot = gamma^{-1} (E theta + b) and, through m = gamma theta + beta,
     m_dot = E gamma^{-1} (m - beta) + b.
     """
-    ld = model.generator_values(fam.rule.nodes, *fam.tangent_derivative_values())
-    big_b = (ld * fam.rule.weights) @ fam.component_values().T
+    big_b = (lc * fam.rule.weights) @ fam.component_values().T
     e = big_b[:, :-1] - big_b[:, -1:]
     b = big_b[:, -1]
     if method == "tangent-mix":
@@ -153,18 +153,18 @@ def rk4_propagator(a, c, dt: float):
     return prop[:-1, :-1], prop[:-1, -1]
 
 
-def _galerkin_affine(fam: MixtureFamily, model: SdeModel):
+def _galerkin_affine(fam: MixtureFamily, lc):
     """(A, c) of the Galerkin coefficient dynamics, assembled from the weak form.
 
     Independent of gamma and B: full mass and stiffness matrices on the
-    basis first, then elimination of the pinned mass coefficient, which
+    basis first, the stiffness from `lc`, L of the first n basis functions
+    at the nodes, then elimination of the pinned mass coefficient, which
     moves the last stiffness column into the constant term.
     """
     w = fam.rule.weights
-    basis = np.vstack([fam.tangent_values(), fam.component_values()[-1]])
+    basis = np.vstack([fam.stat_values(), fam.component_values()[-1]])
     mass = (basis * w) @ basis.T
-    lphi = model.generator_values(fam.rule.nodes, *fam.tangent_derivative_values())
-    stiffness = (lphi * w) @ basis.T
+    stiffness = (lc * w) @ basis.T
     lhs = mass[:-1, :-1]
     try:
         np.linalg.cholesky(lhs)
@@ -183,7 +183,6 @@ def residual_terms(fam: ExpFamily, model: SdeModel, theta) -> dict:
     """
     theta = fam.require_admissible(theta)
     x = fam.rule.nodes
-    w = fam.rule.weights
     f = np.asarray(model.drift(x), dtype=float)
     a = np.asarray(model.diffusion(x), dtype=float)
     f1 = np.asarray(model.drift.d1(x), dtype=float)
@@ -193,12 +192,11 @@ def residual_terms(fam: ExpFamily, model: SdeModel, theta) -> dict:
     s1 = theta @ c1
     s2 = theta @ c2
     ratio = -(f1 + f * s1) + 0.5 * (a2 + 2.0 * a1 * s1 + a * (s2 + s1 * s1))
-    pvals = fam.density_values(theta)
+    mom = fam._moments(theta)
     if not np.all(np.isfinite(ratio)):
         bad = int(np.flatnonzero(~np.isfinite(ratio))[0])
         raise NonFiniteIntegrand("adjoint ratio is not finite", node=float(x[bad]), index=bad)
-    wp = w * pvals
-    eta = fam.stat_values() @ wp
+    wp, eta = mom.wp, mom.eta
     w_norm_sq = float(wp @ (ratio * ratio)) / 4.0
     centered = fam.stat_values() - eta[:, None]
     b = (centered * wp) @ ratio / 4.0
@@ -259,9 +257,9 @@ class Trajectory:
 class ProjectedOde:
     """Family + model + coordinate choice: the one implementation of each field.
 
-    Everything that does not depend on the state is assembled here.  The
-    exponential-family methods cache the generator applied to the
-    statistics, so a right-hand-side evaluation is one density evaluation
+    Everything that does not depend on the state is assembled here, from
+    L c, the generator applied to the family's statistics at the nodes.
+    An exponential-family right-hand side is then one density evaluation
     (after a Newton inversion for ada-ef) and a few small matvecs.  The
     mixture methods are the constant affine field state_dot = A state + c:
     tangent-mix and ada-mix take (A, c) from the projection formulas, in
@@ -274,9 +272,7 @@ class ProjectedOde:
     def __init__(self, family, model: SdeModel, method: str):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-        if method in EF_METHODS and not isinstance(family, ExpFamily):
-            raise ValueError("method/family mismatch")
-        if method in MIX_METHODS and not isinstance(family, MixtureFamily):
+        if not isinstance(family, ExpFamily if method in EF_METHODS else MixtureFamily):
             raise ValueError("method/family mismatch")
         self.family = family
         self.model = model
@@ -284,15 +280,13 @@ class ProjectedOde:
         self.coordinates = "expectation" if method in ("ada-ef", "ada-mix") else "canonical"
         self.dim = family.n
         self.affine = None
-        if method in EF_METHODS:
-            self._lc = model.generator_values(family.rule.nodes,
-                                              *family.stat_derivative_values())
-            if method == "ada-ef":
-                self.affine = family.affine_in_stats(self._lc)
+        self._lc = model.generator_values(family.rule.nodes, *family.stat_derivative_values())
+        if method == "ada-ef":
+            self.affine = family.affine_in_stats(self._lc)
         elif method == "galerkin":
-            self.affine = _galerkin_affine(family, model)
-        else:
-            self.affine = _projection_affine(family, model, method)
+            self.affine = _galerkin_affine(family, self._lc)
+        elif method in MIX_METHODS:
+            self.affine = _projection_affine(family, self._lc, method)
             if method == "ada-mix":
                 self._gamma_inv = np.linalg.inv(family.gamma)
 
@@ -444,7 +438,10 @@ def _step_affine(ode: ProjectedOde, states, dt: float):
                 continue
             raw = block[good]
         k += 1
-        y, theta, plain = ode.constrain(raw)
+        try:
+            y, theta, plain = ode.constrain(raw)
+        except FpkprojError as err:
+            raise _step_failure(err, k) from err
         states[k] = y
         length = 2
         if plain:

@@ -8,8 +8,11 @@ rule, is conserved to round-off because interior fluxes telescope.
 
 Global projections minimize a divergence over the family instead of
 projecting the instantaneous dynamics: Kullback-Leibler for exponential
-families (equivalent to matching the first n moments) and the direct L2
-distance for simple mixtures (a constant linear solve).
+families and the direct L2 distance for simple mixtures.  Both families
+expose statistics (`stats`, `stat_values`, `stat_derivative_values`), and
+both optima match their expectations E_p[stats]: KL gives E_theta[c] =
+E_p[c], solved by Newton, and L2 gives m = E_p[q_i - q_{n+1}], a constant
+linear solve.  `stat_expectations` computes E_p[stats] on the grid.
 """
 
 from dataclasses import dataclass
@@ -276,6 +279,20 @@ def divergence_l2(p: GridDensity, q) -> float:
 # -- metric (global) projections --------------------------------------
 
 
+def stat_expectations(p: GridDensity, family) -> np.ndarray:
+    """E_p[stats]: the expectation coordinates that a metric projection matches.
+
+    The statistics' values on the last grid asked about are kept on the
+    family, keyed on the identity of the shared read-only nodes `p.x`, so
+    the snapshots of one reference run evaluate each statistic once.
+    """
+    x = p.x
+    memo = getattr(family, "_grid_stats", None)
+    if memo is None or memo[0] is not x:
+        memo = family._grid_stats = (x, np.vstack([c(x) for c in family.stats]))
+    return np.array([p.expect(row) for row in memo[1]])
+
+
 def _gaussian_seed(p: GridDensity, fam: ExpFamily):
     """theta of the Gaussian with p's mean and variance, when span{c, 1} = span{x, x^2, 1}.
 
@@ -300,11 +317,10 @@ def metric_project_ef(p: GridDensity, fam: ExpFamily, tol: float = 1e-12) -> np.
     moment-matching condition is what certifies optimality, so it is always
     polished to tolerance.
     """
-    x = p.x
-    eta_target = np.array([p.expect(c(x)) for c in fam.stats])
+    eta_target = stat_expectations(p, fam)
     initial = _gaussian_seed(p, fam)
     if initial is None and fam.kind == "ep":
-        ext = np.array([p.expect(x ** i) for i in range(1, 2 * fam.n + 1)])
+        ext = np.array([p.expect(p.x ** i) for i in range(1, 2 * fam.n + 1)])
         try:
             initial = canonical_from_moments(ext)
         except FpkprojError:
@@ -320,12 +336,8 @@ def metric_project_ef(p: GridDensity, fam: ExpFamily, tol: float = 1e-12) -> np.
 
 
 def metric_project_mix(p: GridDensity, fam: MixtureFamily) -> np.ndarray:
-    """L2-optimal mixture weights theta = gamma^{-1} (m_tilde - beta)."""
-    x = p.x
-    tangents = np.vstack([c(x) for c in fam.components])
-    d = tangents[:-1] - tangents[-1]
-    m_tilde = np.array([p.expect(row) for row in d])
-    theta = np.linalg.solve(fam.gamma, m_tilde - fam.beta)
+    """L2-optimal mixture weights theta = gamma^{-1} (m_tilde - beta), m_tilde = E_p[stats]."""
+    theta = np.linalg.solve(fam.gamma, stat_expectations(p, fam) - fam.beta)
     if not fam.is_admissible(theta):
         raise InadmissibleRecovery(
             "metric projection leaves the weight simplex", value=theta)
@@ -338,13 +350,8 @@ def metric_project_mix(p: GridDensity, fam: MixtureFamily) -> np.ndarray:
 def _eigenvalues_for(family, model: SdeModel):
     """Rayleigh-quotient eigenvalues with a strict pointwise verification."""
     w = family.rule.weights
-    if isinstance(family, ExpFamily):
-        vals = family.stat_values()
-        derivs = family.stat_derivative_values()
-    else:
-        vals = family.tangent_values()
-        derivs = family.tangent_derivative_values()
-    lvals = model.generator_values(family.rule.nodes, *derivs)
+    vals = family.stat_values()
+    lvals = model.generator_values(family.rule.nodes, *family.stat_derivative_values())
     lambdas = np.empty(vals.shape[0])
     for i in range(vals.shape[0]):
         norm_sq = float(w @ (vals[i] * vals[i]))
@@ -414,30 +421,18 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
                      sample_stride: int = 10, start=None, fit_window=None) -> DecayReport:
     """Track epsilon(t) = reference moments minus projected moments.
 
-    Requires the family statistics (or mixture tangents) to be generator
+    Requires the family statistics (q_i - q_{n+1} for a mixture) to be generator
     eigenfunctions, in which case epsilon obeys d epsilon/dt = -Lambda
     epsilon exactly and the fitted rates should match the eigenvalues.
     `start` optionally sets the projection's initial expectation
     coordinates; by default they are matched to p0, making epsilon(0) = 0.
     """
     lambdas = _eigenvalues_for(family, model)
-    x = p0.x
-    if isinstance(family, ExpFamily):
-        obs = np.vstack([c(x) for c in family.stats])
-        method = "ada-ef"
-        coordinates = "eta"
-    elif isinstance(family, MixtureFamily):
-        comp = np.vstack([c(x) for c in family.components])
-        obs = comp[:-1] - comp[-1]
-        method = "ada-mix"
-        coordinates = "m"
-    else:
-        raise ValidationError("decay experiments need an exponential or mixture family")
-
+    method, coordinates = ("ada-ef", "eta") if isinstance(family, ExpFamily) else ("ada-mix", "m")
     # every snapshot must fall on an ODE step
     ode_stride = whole_steps(sample_stride * pde_dt, ode_dt, "sample_stride * pde_dt")
     snapshots = solve_fpk(model, p0, t_end, pde_dt, sample_stride=sample_stride)
-    ref_moments = np.vstack([[snap.expect(row) for row in obs] for snap in snapshots])
+    ref_moments = np.vstack([stat_expectations(snap, family) for snap in snapshots])
     if start is None:
         y0 = ref_moments[0].copy()
     else:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fpkproj import (
+    check_derivatives,
     cosine_circle_family,
     default_domain,
     gaussian_mixture_family,
@@ -62,6 +63,27 @@ def test_circle_metric_is_diagonal():
     fam = cosine_circle_family([1, 2])
     assert np.max(np.abs(fam.gamma - np.eye(2) / (4.0 * np.pi))) <= 1e-12
     assert np.max(np.abs(fam.beta)) <= 1e-12
+
+
+@pytest.mark.parametrize("fam", [gaussian_mixture_family(MEANS, VARS),
+                                 cosine_circle_family([1, 2])], ids=["gauss-mix", "circle"])
+def test_stats_are_the_component_differences(fam):
+    # a + (-1.0) * b is a - b exactly in IEEE arithmetic, so the statistics
+    # reproduce q_i - q_{n+1} bitwise, at the nodes and on any other grid
+    x = fam.rule.nodes
+    q0 = fam.component_values()
+    q1 = np.vstack([c.d1(x) for c in fam.components])
+    q2 = np.vstack([c.d2(x) for c in fam.components])
+    assert len(fam.stats) == fam.n
+    assert np.array_equal(fam.stat_values(), q0[:-1] - q0[-1])
+    assert np.array_equal(np.vstack([c(x) for c in fam.stats]), fam.stat_values())
+    d1, d2 = fam.stat_derivative_values()
+    assert np.array_equal(d1, q1[:-1] - q1[-1])
+    assert np.array_equal(d2, q2[:-1] - q2[-1])
+    # second differences at step 1e-5 round off by up to 4 eps max|q| / 1e-10,
+    # about 5e-6 for these components; a wrong derivative deviates by O(1)
+    for c in fam.stats:
+        assert check_derivatives(c, fam.domain, rng=np.random.default_rng(7)) <= 1e-5
 
 
 def test_recomputed_metric_agrees_with_cached():
@@ -125,6 +147,11 @@ def test_admissibility_and_clamping():
         clamped, changed = fam.clamp_weights(over_full)
         assert changed
         assert fam.is_admissible(clamped), over_full
+    # non-finite weights cannot be repaired; the check comes before any
+    # arithmetic, so inf raises no RuntimeWarning (an error under pytest)
+    for bad in ([np.nan, 0.1], [np.inf, 0.1], [0.2, -np.inf]):
+        with pytest.raises(InadmissibleWeights):
+            fam.clamp_weights(np.array(bad))
 
 
 def test_inadmissible_expectation_target_raises_with_value():

@@ -17,6 +17,7 @@ import pytest
 from scipy.linalg import expm
 
 from fpkproj import (
+    SdeModel,
     circle_diffusion,
     cosine_circle_family,
     custom_poly_family,
@@ -41,7 +42,7 @@ from fpkproj import (
 )
 from fpkproj.errors import InadmissibleRecovery, TrajectoryExit, ValidationError
 import fpkproj.projection
-from fpkproj.projection import rk4_propagator, sample_steps
+from fpkproj.projection import EF_METHODS, METHODS, ProjectedOde, rk4_propagator, sample_steps
 
 
 OU = ornstein_uhlenbeck(kappa=1.0, sigma=np.sqrt(2.0))
@@ -593,3 +594,27 @@ def test_block_stepping_restarts_after_each_clamp(excess, period, method):
     assert np.all(np.diff([e.step for e in traj.clamp_events][-20:]) == period)
     assert [e.step for e in traj.clamp_events] == [k for k, _ in events]
     _assert_rows_close(traj.states, states, 1e-12)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_building_an_ode_applies_the_generator_once(method, monkeypatch):
+    calls = []
+    original = SdeModel.generator_values
+    monkeypatch.setattr(SdeModel, "generator_values",
+                        lambda self, *args: calls.append(1) or original(self, *args))
+    if method in EF_METHODS:
+        ProjectedOde(hermite_family([1, 2]), OU, method)
+    else:
+        ProjectedOde(cosine_circle_family([1, 2]), circle_diffusion(2.0), method)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", ["tangent-mix", "ada-mix", "galerkin"])
+def test_non_finite_weights_end_an_affine_run_at_the_step(method):
+    fam = cosine_circle_family([1, 2])
+    ode = make_ode(fam, circle_diffusion(2.0), method)
+    ode.affine = (np.full((2, 2), np.nan), np.zeros(2))
+    y0 = fam.weights_to_expectations([0.2, 0.1]) if method == "ada-mix" else [0.2, 0.1]
+    with pytest.raises(TrajectoryExit) as info:
+        integrate_ode(ode, np.asarray(y0), t_end=0.1, dt=1e-2)
+    assert info.value.step == 1

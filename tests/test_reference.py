@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fpkproj import (
+    DifferentiableFn,
     GridDensity,
     decay_experiment,
     default_domain,
@@ -40,7 +41,7 @@ from fpkproj.errors import (
     SupportViolation,
     ValidationError,
 )
-from fpkproj.reference import fpk_operator
+from fpkproj.reference import fpk_operator, stat_expectations
 
 DOM = default_domain(1.0)
 OU = ornstein_uhlenbeck(kappa=1.0, sigma=np.sqrt(2.0))
@@ -234,6 +235,49 @@ def test_mix_projection_outside_simplex_raises():
     with pytest.raises(InadmissibleRecovery) as info:
         metric_project_mix(p, fam)
     assert info.value.value is not None
+
+
+MIX = ([-1.0, 0.2, 1.1], [0.5, 0.8, 0.6])
+
+
+def _counted(fns, calls):
+    """The functions fns, each adding 1 to calls[i] when evaluated."""
+    def wrap(i, c):
+        def value(x):
+            calls[i] += 1
+            return c(x)
+        return DifferentiableFn(value, c.d1, c.d2)
+    return tuple(wrap(i, c) for i, c in enumerate(fns))
+
+
+@pytest.mark.parametrize("fam, project", [
+    (hermite_family([1, 2]), metric_project_ef),
+    (gaussian_mixture_family(*MIX), metric_project_mix),
+], ids=["ef", "mix"])
+def test_metric_projections_evaluate_each_statistic_once_per_grid(fam, project, monkeypatch):
+    calls = [0] * fam.n
+    monkeypatch.setattr(fam, "stats", _counted(fam.stats, calls))
+    member = gaussian_mixture_family(*MIX).density(np.array([0.3, 0.3]))
+    snapshots = solve_fpk(OU, grid_density(DOM, 401, member), t_end=0.1, dt=1e-2)
+    for snap in snapshots:
+        project(snap, fam)
+    assert len(snapshots) == 11 and calls == [1] * fam.n
+    project(grid_density(DOM, 501, member), fam)
+    assert calls == [2] * fam.n
+
+
+@pytest.mark.parametrize("fam, density", [
+    (hermite_family([1, 2]), gaussian_pdf_fn(0.2, 0.8)),
+    (gaussian_mixture_family(*MIX), gaussian_pdf_fn(0.2, 0.8)),
+    (cosine_circle_family([1, 2]), lambda x: (1.0 + 0.3 * np.cos(x)) / (2.0 * np.pi)),
+], ids=["hermite", "gauss-mix", "circle"])
+def test_stat_expectations_are_the_expectations_of_the_stats(fam, density):
+    # the second grid checks that the values kept for the first are not reused
+    for nx in (601, 801, 601):
+        p = grid_density(fam.domain, nx, density)
+        want = np.array([p.expect(c(p.x)) for c in fam.stats])
+        got = stat_expectations(p, fam)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_matched_start_stays_near_zero():
