@@ -40,6 +40,8 @@ GRAM_EIGENVALUE_FLOOR = 1e-10
 CONDITION_GUARD = 1e12
 RECURSION_DEGENERACY_FLOOR = 1e-8
 CLOSURE_TOL = 1e-10
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 80
 
 
 class _Moments:
@@ -205,28 +207,22 @@ class ExpFamily:
         return self._moments(theta).pvals.copy()
 
     def density(self, theta) -> DifferentiableFn:
-        """The density as a differentiable function of x."""
-        coeffs = np.array(theta, dtype=float)
-        psi = self._moments(coeffs).psi
-        stats = self.stats
-
-        def log_linear(x, deriv):
-            acc = None
-            for t, c in zip(coeffs, stats):
-                term = t * deriv(c, x)
-                acc = term if acc is None else acc + term
-            return acc
+        """The density exp(log p), log p = theta . c - psi built by the function algebra;
+        p' = (log p)' p and p'' = ((log p)'' + (log p)'^2) p."""
+        theta = np.array(theta, dtype=float)
+        psi = self._moments(theta).psi
+        terms = [float(t) * c for t, c in zip(theta, self.stats)]
+        log_p = sum(terms[1:], terms[0]) - psi
 
         def value(x):
-            return np.exp(log_linear(x, lambda c, y: c(y)) - psi)
+            return np.exp(log_p(x))
 
         def d1(x):
-            return log_linear(x, lambda c, y: c.d1(y)) * value(x)
+            return log_p.d1(x) * value(x)
 
         def d2(x):
-            s1 = log_linear(x, lambda c, y: c.d1(y))
-            s2 = log_linear(x, lambda c, y: c.d2(y))
-            return (s2 + s1 * s1) * value(x)
+            s1 = log_p.d1(x)
+            return (log_p.d2(x) + s1 * s1) * value(x)
 
         return DifferentiableFn(value, d1, d2)
 
@@ -293,13 +289,13 @@ class ExpFamily:
             eta[n + i] = -acc / (n * theta[-1])
         return eta[1:]
 
-    def expectation_to_canonical(self, eta, initial=None, tol: float = 1e-12,
-                                 max_iter: int = 80) -> np.ndarray:
+    def expectation_to_canonical(self, eta, initial=None) -> np.ndarray:
         """Invert the moment map.
 
         A length-2n moment vector for the polynomial family is inverted
         algebraically; a length-n vector is inverted by damped Newton
-        iteration on grad psi(theta) = eta.
+        iteration on grad psi(theta) = eta to NEWTON_TOL, started from
+        `initial` when it is admissible and from `_newton_start(eta)` if not.
         """
         eta = np.asarray(eta, dtype=float)
         if self.kind == "ep" and eta.shape == (2 * self.n,):
@@ -307,20 +303,15 @@ class ExpFamily:
         if eta.shape != (self.n,):
             raise ValueError(
                 f"expected {self.n} (or {2 * self.n} for the polynomial family) moments")
-        return self._newton_inverse(eta, initial, tol, max_iter)
-
-    def _newton_inverse(self, eta, initial, tol, max_iter):
-        if initial is None:
-            theta = self.default_initial_theta()
+        if initial is None or not self.is_admissible(initial):
+            theta = self._newton_start(eta)
         else:
-            theta = np.asarray(initial, dtype=float).copy()
-            if not self.is_admissible(theta):
-                theta = self.default_initial_theta()
+            theta = np.array(initial, dtype=float)
         scale = 1.0 + float(np.max(np.abs(eta)))
         res = self.expectation_params(theta) - eta
         best = float(np.max(np.abs(res)))
-        for _ in range(max_iter):
-            if best <= tol * scale:
+        for _ in range(NEWTON_MAX_ITER):
+            if best <= NEWTON_TOL * scale:
                 return theta
             g = self.fisher_matrix(theta)
             step = -np.linalg.solve(g, res)
@@ -330,7 +321,7 @@ class ExpFamily:
                 if self.is_admissible(cand):
                     cand_res = self.expectation_params(cand) - eta
                     cand_norm = float(np.max(np.abs(cand_res)))
-                    if cand_norm < best * (1.0 - 0.25 * t) or cand_norm <= tol * scale:
+                    if cand_norm < best * (1.0 - 0.25 * t) or cand_norm <= NEWTON_TOL * scale:
                         theta, res, best = cand, cand_res, cand_norm
                         break
                 t *= 0.5
@@ -338,10 +329,24 @@ class ExpFamily:
                 raise InadmissibleRecovery(
                     "Newton inversion stalled outside the admissible set",
                     value=theta + step)
-        if best <= 10.0 * tol * scale:
+        if best <= 10.0 * NEWTON_TOL * scale:
             return theta
         raise InadmissibleRecovery(
             f"Newton inversion did not converge (residual {best:.3e})", value=theta)
+
+    def _newton_start(self, eta) -> np.ndarray:
+        """The seed of every inversion without an admissible guess: on the Gaussians
+        the one with eta's mean and variance, else `default_initial_theta()`."""
+        fit = self.gaussian_fit
+        if fit is not None:
+            mean, second = fit[0] @ eta + fit[1]  # (E x, E x^2) = A eta + b
+            var = second - mean * mean
+            if var > 0:
+                # theta' . (x, x^2) = theta' . (A c + b) = (A' theta') . c + const
+                theta = fit[0].T @ np.array([mean / var, -0.5 / var])
+                if self.is_admissible(theta):
+                    return theta
+        return self.default_initial_theta()
 
 
 def canonical_from_moments(eta) -> np.ndarray:

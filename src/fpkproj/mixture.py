@@ -156,11 +156,8 @@ class MixtureFamily:
 
     def density(self, theta) -> DifferentiableFn:
         theta = self.require_admissible(theta)
-        acc = None
-        for w, comp in zip(self.theta_hat(theta), self.components):
-            term = float(w) * comp
-            acc = term if acc is None else acc + term
-        return acc
+        terms = [float(w) * comp for w, comp in zip(self.theta_hat(theta), self.components)]
+        return sum(terms[1:], terms[0])
 
     def weights_to_expectations(self, theta) -> np.ndarray:
         theta = self.require_admissible(theta)
@@ -190,18 +187,15 @@ def gaussian_mixture_family(means, variances, domain: Domain | None = None,
     return MixtureFamily(comps, rule, kind="gaussian-mixture", name="gaussian-mixture")
 
 
-def cosine_circle_family(harmonics, rule: QuadratureRule | None = None,
-                         level: int = 12) -> MixtureFamily:
+def cosine_circle_family(harmonics, rule: QuadratureRule | None = None) -> MixtureFamily:
     """Components (1 + cos(kx)) / (2 pi) on [0, 2 pi] plus the uniform density."""
     ks = sorted(set(int(k) for k in harmonics))
     if not ks or ks[0] < 1:
         raise ValueError("harmonics must be positive integers")
     domain = Domain(0.0, 2.0 * np.pi, kind="bounded-reflecting")
     if rule is None:
-        rule = simpson_rule(domain, level)
+        rule = simpson_rule(domain)
     scale = 1.0 / (2.0 * np.pi)
     comps = [cosine_fn(k, amplitude=scale, offset=scale) for k in ks]
     comps.append(constant_fn(scale))
-    fam = MixtureFamily(comps, rule, kind="cosine-circle", name="cosine-circle")
-    fam.harmonics = tuple(ks)
-    return fam
+    return MixtureFamily(comps, rule, kind="cosine-circle", name="cosine-circle")

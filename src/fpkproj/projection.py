@@ -72,6 +72,8 @@ def whole_steps(span: float, dt: float, what: str) -> int:
 
 def sample_steps(nsteps: int, stride: int) -> list:
     """Indices of the recorded steps: every stride-th step and always the last."""
+    if stride < 1:
+        raise ValidationError("sample_stride must be at least 1")
     steps = list(range(0, nsteps + 1, stride))
     if steps[-1] != nsteps:
         steps.append(nsteps)
@@ -259,14 +261,15 @@ class ProjectedOde:
 
     Everything that does not depend on the state is assembled here, from
     L c, the generator applied to the family's statistics at the nodes.
-    An exponential-family right-hand side is then one density evaluation
-    (after a Newton inversion for ada-ef) and a few small matvecs.  The
+    An exponential-family right-hand side is then one moment pass (after a
+    Newton inversion for ada-ef) and a few small matvecs.  The
     mixture methods are the constant affine field state_dot = A state + c:
     tangent-mix and ada-mix take (A, c) from the projection formulas, in
     weight and expectation coordinates, and galerkin from the weak form.
     ada-ef is that field too when L c = A c + b on span{c, 1} at the nodes:
     then E_eta[L c] = A eta + b and no stage inverts the moment map.
-    `affine` holds (A, c) of a constant affine field, else None.
+    `lc` holds L c, one row per statistic; `affine` holds (A, c) of a
+    constant affine field, else None.
     """
 
     def __init__(self, family, model: SdeModel, method: str):
@@ -280,13 +283,13 @@ class ProjectedOde:
         self.coordinates = "expectation" if method in ("ada-ef", "ada-mix") else "canonical"
         self.dim = family.n
         self.affine = None
-        self._lc = model.generator_values(family.rule.nodes, *family.stat_derivative_values())
+        self.lc = model.generator_values(family.rule.nodes, *family.stat_derivative_values())
         if method == "ada-ef":
-            self.affine = family.affine_in_stats(self._lc)
+            self.affine = family.affine_in_stats(self.lc)
         elif method == "galerkin":
-            self.affine = _galerkin_affine(family, self._lc)
+            self.affine = _galerkin_affine(family, self.lc)
         elif method in MIX_METHODS:
-            self.affine = _projection_affine(family, self._lc, method)
+            self.affine = _projection_affine(family, self.lc, method)
             if method == "ada-mix":
                 self._gamma_inv = np.linalg.inv(family.gamma)
 
@@ -297,10 +300,10 @@ class ProjectedOde:
             return a @ state + c
         fam = self.family
         if self.method == "tangent-ef":
-            v = self._lc @ (fam.rule.weights * fam.density_values(state))
+            v = self.lc @ fam._moments(state).wp
             return np.linalg.solve(fam.fisher_matrix(state), v)
         theta = fam.expectation_to_canonical(state, initial=theta_guess)
-        return self._lc @ (fam.rule.weights * fam.density_values(theta))
+        return self.lc @ fam._moments(theta).wp
 
     def prepare_initial(self, state):
         """Validated start state and its canonical/weight coordinates."""
@@ -463,12 +466,10 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
     margin-shrunk simplex after each step and every clamp is recorded.
     """
     nsteps = whole_steps(t_end, dt, "t_end")
-    if sample_stride < 1:
-        raise ValidationError("sample_stride must be at least 1")
+    rows = sample_steps(nsteps, sample_stride)
     if record_residual and not isinstance(ode.family, ExpFamily):
         raise ValidationError("residual recording applies to exponential families only")
 
-    rows = sample_steps(nsteps, sample_stride)
     y, theta = ode.prepare_initial(initial_state)
     times = dt * np.arange(nsteps + 1)
     states = np.empty((nsteps + 1, ode.dim))

@@ -11,8 +11,10 @@ projecting the instantaneous dynamics: Kullback-Leibler for exponential
 families and the direct L2 distance for simple mixtures.  Both families
 expose statistics (`stats`, `stat_values`, `stat_derivative_values`), and
 both optima match their expectations E_p[stats]: KL gives E_theta[c] =
-E_p[c], solved by Newton, and L2 gives m = E_p[q_i - q_{n+1}], a constant
-linear solve.  `stat_expectations` computes E_p[stats] on the grid.
+E_p[c] and L2 gives m = E_p[q_i - q_{n+1}].  So a metric projection is the
+family's own inversion of E_p[stats], computed on the grid by
+`stat_expectations`: `ExpFamily.expectation_to_canonical` (Newton) or
+`MixtureFamily.expectations_to_weights` (a constant linear solve).
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,6 @@ import numpy as np
 
 from .errors import (
     FpkprojError,
-    InadmissibleRecovery,
     NotAnEigenfunction,
     ProjectionInconsistencyWarning,
     SchemeInstability,
@@ -42,6 +43,8 @@ NEGATIVE_SAMPLE_TOL = 1e-12
 MASS_DRIFT_GUARD = 1e-8
 MOMENT_MATCH_TOL = 1e-7
 EIGEN_RESIDUAL_TOL = 1e-8
+DECAY_FLOOR = 1e-8
+FLIP_SKIP = 2
 
 
 @lru_cache(maxsize=16)
@@ -102,9 +105,8 @@ class GridDensity:
         return float(self.trapezoid_weights @ (self.values * values))
 
 
-def grid_density(domain: Domain, nx: int, fn, time: float = 0.0,
-                 normalize: bool = True) -> GridDensity:
-    """Sample a callable onto a grid and normalize it into a GridDensity.
+def grid_density(domain: Domain, nx: int, fn) -> GridDensity:
+    """Sample a callable onto a grid and normalize it into a GridDensity at time 0.
 
     Negative samples within round-off of zero (NEGATIVE_SAMPLE_TOL times
     the largest sample) are set to zero; anything lower means fn is not a
@@ -119,12 +121,10 @@ def grid_density(domain: Domain, nx: int, fn, time: float = 0.0,
         raise ValidationError(
             f"sampled density is negative down to {low:.6g} at x = {x[values.argmin()]:.6g}")
     values = np.maximum(values, 0.0)
-    if normalize:
-        mass = float(w @ values)
-        if mass <= 0:
-            raise ValueError("cannot normalize a density with nonpositive mass")
-        values = values / mass
-    return GridDensity(domain=domain, values=values, time=time)
+    mass = float(w @ values)
+    if mass <= 0:
+        raise ValueError("cannot normalize a density with nonpositive mass")
+    return GridDensity(domain=domain, values=values / mass)
 
 
 def _face_weights(w: np.ndarray) -> np.ndarray:
@@ -180,15 +180,13 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
     from scipy.linalg.lapack import dgttrf, dgttrs
 
     nsteps = whole_steps(t_end, dt, "t_end")
-    if sample_stride < 1:
-        raise ValidationError("sample_stride must be at least 1")
+    recorded = set(sample_steps(nsteps, sample_stride))
     lower, diag, upper = fpk_operator(model, p0.domain, p0.nx)
     half = 0.5 * dt
     factors = dgttrf(-half * lower, 1.0 - half * diag, -half * upper)
     if factors[-1] != 0:
         raise SchemeInstability(f"Crank-Nicolson matrix is singular (LAPACK info {factors[-1]})")
     factors = factors[:-1]
-    recorded = set(sample_steps(nsteps, sample_stride))
     weights = p0.trapezoid_weights
     p = p0.values.copy()
     mass0 = float(weights @ p)
@@ -293,41 +291,22 @@ def stat_expectations(p: GridDensity, family) -> np.ndarray:
     return np.array([p.expect(row) for row in memo[1]])
 
 
-def _gaussian_seed(p: GridDensity, fam: ExpFamily):
-    """theta of the Gaussian with p's mean and variance, when span{c, 1} = span{x, x^2, 1}.
+def metric_project_ef(p: GridDensity, fam: ExpFamily) -> np.ndarray:
+    """KL-optimal member: the family's inversion of E_p[c], whose match certifies it.
 
-    Such a family is the Gaussians, whose KL optimum matches mean and
-    variance; None for any other family.
-    """
-    fit = fam.gaussian_fit
-    if fit is None:
-        return None
-    mean = p.expect(p.x)
-    var = p.expect((p.x - mean) ** 2)
-    # theta' . (x, x^2) = theta' . (A c + b) = (A' theta') . c + const
-    return fit[0].T @ np.array([mean / var, -0.5 / var])
-
-
-def metric_project_ef(p: GridDensity, fam: ExpFamily, tol: float = 1e-12) -> np.ndarray:
-    """KL-optimal family member: theta with moment match E_theta[c] = E_p[c].
-
-    The Newton solve is seeded with the moment-matched Gaussian when the
-    family is the Gaussians, and otherwise, for the polynomial family, with
-    the algebraic inversion of the first 2n grid moments; the
-    moment-matching condition is what certifies optimality, so it is always
-    polished to tolerance.
+    Newton starts from the family's own seed, except on EP(n >= 4), which is
+    seeded with the algebraic inversion of the first 2n grid moments.
     """
     eta_target = stat_expectations(p, fam)
-    initial = _gaussian_seed(p, fam)
-    if initial is None and fam.kind == "ep":
+    initial = None
+    if fam.kind == "ep" and fam.gaussian_fit is None:
         ext = np.array([p.expect(p.x ** i) for i in range(1, 2 * fam.n + 1)])
         try:
             initial = canonical_from_moments(ext)
         except FpkprojError:
-            initial = None
-    theta = fam.expectation_to_canonical(eta_target, initial=initial, tol=tol)
-    achieved = fam.expectation_params(theta)
-    gap = float(np.max(np.abs(achieved - eta_target)))
+            pass
+    theta = fam.expectation_to_canonical(eta_target, initial=initial)
+    gap = float(np.max(np.abs(fam.expectation_params(theta) - eta_target)))
     if gap > MOMENT_MATCH_TOL:
         warnings.warn(
             f"moment match residual {gap:.3e} exceeds {MOMENT_MATCH_TOL}",
@@ -336,22 +315,17 @@ def metric_project_ef(p: GridDensity, fam: ExpFamily, tol: float = 1e-12) -> np.
 
 
 def metric_project_mix(p: GridDensity, fam: MixtureFamily) -> np.ndarray:
-    """L2-optimal mixture weights theta = gamma^{-1} (m_tilde - beta), m_tilde = E_p[stats]."""
-    theta = np.linalg.solve(fam.gamma, stat_expectations(p, fam) - fam.beta)
-    if not fam.is_admissible(theta):
-        raise InadmissibleRecovery(
-            "metric projection leaves the weight simplex", value=theta)
-    return theta
+    """L2-optimal mixture weights: the family's inversion of m = E_p[stats]."""
+    return fam.expectations_to_weights(stat_expectations(p, fam))
 
 
 # -- eigenfunction decay experiment ------------------------------------
 
 
-def _eigenvalues_for(family, model: SdeModel):
-    """Rayleigh-quotient eigenvalues with a strict pointwise verification."""
+def _eigenvalues_for(family, lvals):
+    """Rayleigh-quotient eigenvalues from L c at the nodes, strictly verified pointwise."""
     w = family.rule.weights
     vals = family.stat_values()
-    lvals = model.generator_values(family.rule.nodes, *family.stat_derivative_values())
     lambdas = np.empty(vals.shape[0])
     for i in range(vals.shape[0]):
         norm_sq = float(w @ (vals[i] * vals[i]))
@@ -387,12 +361,12 @@ class DecayReport:
         }
 
 
-def fit_decay_rates(times: np.ndarray, epsilon: np.ndarray, window=None,
-                    floor: float = 1e-8, skip: int = 2) -> list:
+def fit_decay_rates(times: np.ndarray, epsilon: np.ndarray, window=None) -> list:
     """Least-squares slopes of log|epsilon_i(t)|, skipping sign flips.
 
-    Returns one rate per column of epsilon, or None where fewer than five
-    usable samples remain.
+    Samples with |epsilon_i| <= DECAY_FLOOR, and FLIP_SKIP samples on each
+    side of a sign flip, are left out.  Returns one rate per column of
+    epsilon, or None where fewer than five usable samples remain.
     """
     times = np.asarray(times, dtype=float)
     epsilon = np.asarray(epsilon, dtype=float)
@@ -400,11 +374,11 @@ def fit_decay_rates(times: np.ndarray, epsilon: np.ndarray, window=None,
     rates = []
     for i in range(epsilon.shape[1]):
         e = epsilon[:, i]
-        usable = (np.abs(e) > floor) & (times >= lo) & (times <= hi)
+        usable = (np.abs(e) > DECAY_FLOOR) & (times >= lo) & (times <= hi)
         signs = np.sign(e)
         flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
         for j in flips:
-            usable[max(0, j - skip + 1): j + skip + 1] = False
+            usable[max(0, j - FLIP_SKIP + 1): j + FLIP_SKIP + 1] = False
         if usable.sum() < 5:
             rates.append(None)
             continue
@@ -427,17 +401,14 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
     `start` optionally sets the projection's initial expectation
     coordinates; by default they are matched to p0, making epsilon(0) = 0.
     """
-    lambdas = _eigenvalues_for(family, model)
     method, coordinates = ("ada-ef", "eta") if isinstance(family, ExpFamily) else ("ada-mix", "m")
+    ode = ProjectedOde(family, model, method)
+    lambdas = _eigenvalues_for(family, ode.lc)
     # every snapshot must fall on an ODE step
     ode_stride = whole_steps(sample_stride * pde_dt, ode_dt, "sample_stride * pde_dt")
     snapshots = solve_fpk(model, p0, t_end, pde_dt, sample_stride=sample_stride)
     ref_moments = np.vstack([stat_expectations(snap, family) for snap in snapshots])
-    if start is None:
-        y0 = ref_moments[0].copy()
-    else:
-        y0 = np.asarray(start, dtype=float)
-    ode = ProjectedOde(family, model, method)
+    y0 = ref_moments[0] if start is None else np.asarray(start, dtype=float)
     traj = integrate_ode(ode, y0, t_end, ode_dt, sample_stride=ode_stride)
     ode_moments = traj.states[traj.rows]
     times = np.array([snap.time for snap in snapshots])

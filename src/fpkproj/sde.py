@@ -8,7 +8,7 @@ generator acts on observables,
 
 and its formal adjoint acts on densities,
 
-    L* p = -(f' p + f p') + (1/2)(a'' p + 2 a' p' + a p''),
+    L* p = -(f p)' + (1/2)(a p)'',
 
 so that <L* p, phi> = <p, L phi> for reflecting or rapidly decaying p.
 """
@@ -53,18 +53,13 @@ class SdeModel:
         return f * phi_d1 + 0.5 * a * phi_d2
 
     def apply_adjoint(self, p: DifferentiableFn):
-        """Return the density-side operator x -> (L* p)(x)."""
+        """Return the density-side operator x -> (L* p)(x) = -(f p)'(x) + (a p)''(x) / 2."""
         if not p.has_derivatives:
             raise DerivativeUnavailable("adjoint needs p with two derivatives")
         if not (self.drift.has_derivatives and self.diffusion.has_derivatives):
             raise DerivativeUnavailable("adjoint needs differentiable drift and diffusion")
-        f, a = self.drift, self.diffusion
-
-        def lstar_p(x):
-            return (-(f.d1(x) * p(x) + f(x) * p.d1(x))
-                    + 0.5 * (a.d2(x) * p(x) + 2.0 * a.d1(x) * p.d1(x) + a(x) * p.d2(x)))
-
-        return lstar_p
+        fp, ap = self.drift * p, self.diffusion * p
+        return lambda x: -fp.d1(x) + 0.5 * ap.d2(x)
 
 
 def ornstein_uhlenbeck(kappa: float = 1.0, sigma: float = np.sqrt(2.0),

@@ -15,6 +15,7 @@ import pytest
 
 from fpkproj import (
     canonical_from_moments,
+    check_derivatives,
     custom_poly_family,
     default_domain,
     ep_family,
@@ -317,3 +318,16 @@ def test_errors_are_raised_on_every_call(theta, error):
                 with pytest.raises(error):
                     getattr(fam, kernel)(theta)
         assert fam.fisher_matrix(good).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fam, theta", [
+    (ep_family(2), [0.4, -0.7]),
+    (hermite_family([1, 2]), [0.4, -0.7]),
+    (ep_family(4), [0.1, 0.3, -0.05, -0.2]),
+], ids=["EP(2)", "hermite(1,2)", "EP(4)"])
+def test_density_function_has_consistent_derivatives(fam, theta):
+    # the bound is the rounding of second differences at step 1e-5
+    p = fam.density(theta)
+    assert check_derivatives(p, fam.domain) <= 1e-5
+    values = fam.density_values(theta)
+    assert np.max(np.abs(p(fam.rule.nodes) - values)) <= 1e-13 * values.max()

@@ -596,6 +596,22 @@ def test_block_stepping_restarts_after_each_clamp(excess, period, method):
     _assert_rows_close(traj.states, states, 1e-12)
 
 
+@pytest.mark.parametrize("fam", [ep_family(2), hermite_family([1, 2])],
+                         ids=["EP(2)", "hermite(1,2)"])
+def test_ada_ef_start_on_the_gaussians_builds_no_fisher_matrix(fam, monkeypatch):
+    # an inversion without a guess starts at the Gaussian with eta's mean and
+    # variance, which on these families is the answer
+    theta = np.array([0.4, -0.7])
+    eta = fam.expectation_params(theta)
+    builds = []
+    fisher = fam.fisher_matrix
+    monkeypatch.setattr(fam, "fisher_matrix", lambda t: builds.append(1) or fisher(t))
+    state, got = ProjectedOde(fam, OU, "ada-ef").prepare_initial(eta)
+    assert not builds
+    assert np.array_equal(state, eta)
+    assert np.max(np.abs(got - theta)) <= 1e-12
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_building_an_ode_applies_the_generator_once(method, monkeypatch):
     calls = []

@@ -15,6 +15,7 @@ import pytest
 from fpkproj import (
     DifferentiableFn,
     GridDensity,
+    SdeModel,
     decay_experiment,
     default_domain,
     divergence_hellinger,
@@ -41,6 +42,7 @@ from fpkproj.errors import (
     SupportViolation,
     ValidationError,
 )
+from fpkproj.functions import gaussian_mixture_pdf_fn
 from fpkproj.reference import fpk_operator, stat_expectations
 
 DOM = default_domain(1.0)
@@ -229,6 +231,21 @@ def test_mix_projection_is_locally_optimal():
                 assert divergence_l2(p, fam.density(cand)) >= base - 1e-12
 
 
+def test_ep4_projection_is_seeded_by_the_grid_moments(monkeypatch):
+    # EP(4) has no Gaussian start; Newton starts from the algebraic inversion
+    # of the first eight grid moments and builds 5 Fisher matrices (9 from
+    # the default start)
+    fam = ep_family(4)
+    mix = gaussian_mixture_pdf_fn([0.3, 0.7], [-1.2, 0.8], [0.3, 0.5])
+    p = grid_density(default_domain(), 2001, mix)
+    builds = []
+    fisher = fam.fisher_matrix
+    monkeypatch.setattr(fam, "fisher_matrix", lambda theta: builds.append(1) or fisher(theta))
+    theta = metric_project_ef(p, fam)
+    assert len(builds) <= 5
+    assert np.max(np.abs(fam.expectation_params(theta) - stat_expectations(p, fam))) <= 1e-10
+
+
 def test_mix_projection_outside_simplex_raises():
     fam = gaussian_mixture_family([-1.0, 0.0, 1.0], [0.5, 0.5, 0.5])
     p = grid_density(DOM, 1001, gaussian_pdf_fn(-1.0, 0.5))
@@ -320,9 +337,20 @@ def test_stride_mismatch_is_rejected():
     with pytest.raises(ValidationError):
         decay_experiment(OU, fam, p0, t_end=0.1, pde_dt=1e-3, ode_dt=3e-4,
                          sample_stride=10)
-    for t_end, dt, stride in ((1.0, 0.3, 1), (0.1, -1e-3, 1), (0.1, 1e-3, 0)):
+    for t_end, dt, stride in ((1.0, 0.3, 1), (0.1, -1e-3, 1), (0.1, 1e-3, 0), (0.1, 1e-3, -3)):
         with pytest.raises(ValidationError):
             solve_fpk(OU, p0, t_end=t_end, dt=dt, sample_stride=stride)
+
+
+def test_decay_experiment_applies_the_generator_once(monkeypatch):
+    # the eigenvalue check reads the L c of the ODE the experiment integrates
+    calls = []
+    original = SdeModel.generator_values
+    monkeypatch.setattr(SdeModel, "generator_values",
+                        lambda self, *args: calls.append(1) or original(self, *args))
+    p0 = grid_density(DOM, 801, gaussian_pdf_fn(0.3, 0.5))
+    decay_experiment(OU, hermite_family([1, 2]), p0, t_end=0.1)
+    assert len(calls) == 1
 
 
 def test_fit_recovers_synthetic_rates():
