@@ -45,6 +45,7 @@ MOMENT_MATCH_TOL = 1e-7
 EIGEN_RESIDUAL_TOL = 1e-8
 DECAY_FLOOR = 1e-8
 FLIP_SKIP = 2
+MAX_LOG_SPAN = 600.0
 
 
 @lru_cache(maxsize=16)
@@ -134,7 +135,9 @@ def _face_weights(w: np.ndarray) -> np.ndarray:
     ws = w[small]
     out[small] = 0.5 - ws / 12.0 + ws ** 3 / 720.0
     wl = w[~small]
-    out[~small] = 1.0 / wl - 1.0 / np.expm1(wl)
+    # expm1 overflows to inf above 709, where 1/w - 0 is already the limit
+    with np.errstate(over="ignore"):
+        out[~small] = 1.0 / wl - 1.0 / np.expm1(wl)
     return out
 
 
@@ -164,6 +167,23 @@ def fpk_operator(model: SdeModel, domain: Domain, nx: int):
     return lower, diag, upper
 
 
+def _symmetrizer(lower: np.ndarray, upper: np.ndarray):
+    """Diagonal d with D L D^-1 symmetric, or None where it does not exist in floats.
+
+    (d_{i+1} / d_i)^2 = upper_i / lower_i, which needs both bands positive
+    and finite; a log d span above MAX_LOG_SPAN is refused as well, so
+    that d = exp(log d - centre) stays within e^(+-MAX_LOG_SPAN / 2).
+    """
+    bands = np.concatenate((lower, upper))
+    if not np.all(np.isfinite(bands) & (bands > 0.0)):
+        return None
+    log_d = np.concatenate(([0.0], np.cumsum(0.5 * (np.log(upper) - np.log(lower)))))
+    low, high = log_d.min(), log_d.max()
+    if high - low > MAX_LOG_SPAN:
+        return None
+    return np.exp(log_d - 0.5 * (low + high))
+
+
 def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
               sample_stride: int = 1) -> list[GridDensity]:
     """Crank-Nicolson evolution of the grid density; returns sampled snapshots.
@@ -171,45 +191,60 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
     Snapshots are taken every sample_stride steps and at the final step
     (see `sample_steps`).  With M = I - (dt/2) L, the step
     p <- M^-1 (I + (dt/2) L) p equals p <- 2 M^-1 p - p, since
-    I + (dt/2) L = 2I - M: one LAPACK tridiagonal solve on a factorization
-    of M made once.  Raises SchemeInstability when M is singular or a solve
-    fails, on negative densities beyond round-off or on loss of mass
-    conservation, checked at every step.
+    I + (dt/2) L = 2I - M: one LAPACK solve per step on a factorization of
+    M made once.  Both off-diagonal bands of L are positive (a birth-death
+    generator), so the diagonal similarity d of `_symmetrizer` turns L
+    into a symmetric S = D L D^-1, and the solver steps q = d p with the
+    symmetric positive definite M_S = I - (dt/2) S: `dpttrf` (LDL^T) once,
+    `dpttrs` per step, and snapshots p = q / d.  Where d does not exist in
+    double precision (a band rounds to zero or below, or is not finite, or
+    log d spans more than MAX_LOG_SPAN, as for strongly confining drifts
+    on wide domains) it steps p itself with `dgttrf`/`dgttrs`; the path is
+    chosen once per solve.  Either way every step checks the LAPACK status,
+    negativity (q < -NEGATIVITY_TOL d) and the mass (w / d) . q, and
+    raises SchemeInstability when M is singular or a solve fails, on
+    negative densities beyond round-off or on loss of mass conservation.
     """
     # imported here so that importing the package does not load scipy.linalg
-    from scipy.linalg.lapack import dgttrf, dgttrs
+    from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
     nsteps = whole_steps(t_end, dt, "t_end")
     recorded = set(sample_steps(nsteps, sample_stride))
     lower, diag, upper = fpk_operator(model, p0.domain, p0.nx)
     half = 0.5 * dt
-    factors = dgttrf(-half * lower, 1.0 - half * diag, -half * upper)
+    d = _symmetrizer(lower, upper)
+    if d is None:
+        d = np.ones(p0.nx)
+        factors, solve = dgttrf(-half * lower, 1.0 - half * diag, -half * upper), dgttrs
+    else:
+        off = -half * (np.sqrt(lower) * np.sqrt(upper))
+        factors, solve = dpttrf(1.0 - half * diag, off), dpttrs
     if factors[-1] != 0:
         raise SchemeInstability(f"Crank-Nicolson matrix is singular (LAPACK info {factors[-1]})")
     factors = factors[:-1]
-    weights = p0.trapezoid_weights
-    p = p0.values.copy()
-    mass0 = float(weights @ p)
-    snapshots = [GridDensity(domain=p0.domain, values=p.copy(), time=0.0)]
-    prev_mass = mass0
+    weights = p0.trapezoid_weights / d
+    floor = -NEGATIVITY_TOL * d
+    q = d * p0.values
+    snapshots = [GridDensity(domain=p0.domain, values=p0.values, time=0.0)]
+    prev_mass = float(weights @ q)
     for k in range(1, nsteps + 1):
-        y, info = dgttrs(*factors, p)
+        y, info = solve(*factors, q)
         if info != 0:
             raise SchemeInstability(f"tridiagonal solve failed at step {k} (LAPACK info {info})")
         y *= 2.0
-        y -= p
-        p = y
-        if p.min() < -NEGATIVITY_TOL:
+        y -= q
+        q = y
+        if q.min() < 0.0 and np.any(q < floor):
             raise SchemeInstability(
-                f"density dropped to {p.min()} at step {k}")
-        mass = float(weights @ p)
+                f"density dropped to {(q / d).min()} at step {k}")
+        mass = float(weights @ q)
         if abs(mass - prev_mass) > MASS_DRIFT_GUARD:
             raise SchemeInstability(
                 f"mass drifted by {mass - prev_mass} in step {k}")
         prev_mass = mass
         if k in recorded:
             snapshots.append(GridDensity(
-                domain=p0.domain, values=np.maximum(p, 0.0), time=float(k * dt)))
+                domain=p0.domain, values=np.maximum(q / d, 0.0), time=float(k * dt)))
     return snapshots
 
 

@@ -7,6 +7,7 @@ than filled with sentinels.
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from .projection import ProjectedOde, integrate_ode
 from .reference import (
     DecayReport,
     GridDensity,
+    _grid,
     decay_experiment,
     divergence_hellinger,
     divergence_kl,
@@ -72,10 +74,16 @@ def write_decay_json(path, report: DecayReport):
         json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n", newline="\n")
 
 
-def write_density_csv(path, snap: GridDensity):
+@lru_cache(maxsize=16)
+def _density_template(domain, nx: int) -> str:
+    """A density slice of the grid with its nodes rendered: one "%.17g" left per value."""
     # "%.17g" renders a float exactly as format_value does
-    pairs = np.column_stack([snap.x, snap.values]).ravel().tolist()
-    Path(path).write_text("x,p\n" + "%.17g,%.17g\n" * snap.nx % tuple(pairs), newline="\n")
+    return "x,p\n" + "%.17g,%%.17g\n" * nx % tuple(_grid(domain, nx)[0].tolist())
+
+
+def write_density_csv(path, snap: GridDensity):
+    text = _density_template(snap.domain, snap.nx) % tuple(snap.values.tolist())
+    Path(path).write_text(text, newline="\n")
 
 
 def _write_density_slices(scenario: Scenario, snapshots, output_dir: Path):

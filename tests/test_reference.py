@@ -11,6 +11,8 @@ Closed forms used as oracles:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpkproj import (
     DifferentiableFn,
@@ -43,10 +45,12 @@ from fpkproj.errors import (
     ValidationError,
 )
 from fpkproj.functions import gaussian_mixture_pdf_fn
-from fpkproj.reference import fpk_operator, stat_expectations
+from fpkproj.reference import _symmetrizer, fpk_operator, stat_expectations
 
 DOM = default_domain(1.0)
 OU = ornstein_uhlenbeck(kappa=1.0, sigma=np.sqrt(2.0))
+# its bands round to slightly below zero in the tails, so no symmetrizer exists
+CUBIC = polynomial_drift([0.2, -0.5, 0.0, -0.3], diffusion=1.5)
 
 
 def test_grid_density_mass_and_expectations():
@@ -90,17 +94,16 @@ def test_mass_is_conserved_along_the_run():
         assert abs(snap.mass() - 1.0) <= 1e-10
 
 
-@pytest.mark.parametrize("model", [OU, polynomial_drift([0.2, -0.5, 0.0, -0.3], diffusion=1.5)])
-def test_crank_nicolson_matches_the_dense_two_matrix_step(model):
+def _assert_matches_dense_step(model, nx, mean, var, dt):
+    """100 steps of `solve_fpk` against the dense two-matrix step; True on the symmetric path."""
     # the scheme is (I - hL) p_{k+1} = (I + hL) p_k, h = dt/2, with L the
     # tridiagonal adjoint generator; here both sides are dense matrices
-    nx, dt = 201, 2e-3
-    p0 = grid_density(DOM, nx, gaussian_pdf_fn(0.6, 0.4))
-    lower, diag, upper = fpk_operator(model, DOM, nx)
+    p0 = grid_density(model.domain, nx, gaussian_pdf_fn(mean, var))
+    lower, diag, upper = fpk_operator(model, model.domain, nx)
     gen = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
     implicit = np.eye(nx) - 0.5 * dt * gen
     explicit = np.eye(nx) + 0.5 * dt * gen
-    snaps = solve_fpk(model, p0, t_end=0.2, dt=dt, sample_stride=7)
+    snaps = solve_fpk(model, p0, t_end=100 * dt, dt=dt, sample_stride=7)
     dense = [p0.values]
     for _ in range(100):
         dense.append(np.linalg.solve(implicit, explicit @ dense[-1]))
@@ -109,6 +112,34 @@ def test_crank_nicolson_matches_the_dense_two_matrix_step(model):
         ref = dense[round(snap.time / dt)]
         assert np.max(np.abs(snap.values - ref)) <= 1e-12 * np.max(ref)
         assert abs(snap.mass() - 1.0) <= 1e-13
+    return _symmetrizer(lower, upper) is not None
+
+
+@pytest.mark.parametrize("model", [OU, CUBIC, circle_diffusion(2.0)])
+def test_crank_nicolson_matches_the_dense_two_matrix_step(model):
+    symmetric = _assert_matches_dense_step(model, 201, 0.6, 0.4, 2e-3)
+    assert symmetric == (model is not CUBIC)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(quartic=st.booleans(), kappa=st.floats(0.2, 3.0), a=st.floats(-1.0, 3.0),
+       b=st.floats(0.01, 1.0), diffusion=st.floats(0.5, 3.0), nx=st.integers(21, 201),
+       mean=st.floats(-1.0, 1.0), var=st.floats(0.2, 1.0))
+def test_either_step_path_matches_the_dense_step(quartic, kappa, a, b, diffusion, nx, mean, var):
+    # OU, or the gradient drift -V' of the quartic potential V = a x^2/2 + b x^4/4
+    model = (polynomial_drift([0.0, -a, 0.0, -b], diffusion=diffusion) if quartic
+             else ornstein_uhlenbeck(kappa, np.sqrt(diffusion)))
+    # dt <= 2 / max|L_ii| keeps I + (dt/2) L nonnegative, so the scheme keeps
+    # p >= 0 and the floor applied to snapshots never acts
+    dt = min(2e-3, 1.0 / np.max(-fpk_operator(model, model.domain, nx)[1]))
+    _assert_matches_dense_step(model, nx, mean, var, dt)
+
+
+def test_operator_of_a_stiff_drift_is_finite_without_overflow_warnings():
+    # |Peclet| reaches about 2e3 here, where expm1 overflows; warnings are errors
+    lower, diag, upper = fpk_operator(polynomial_drift([0.0, 0.0, 0.0, -50.0]), DOM, 2001)
+    assert all(np.all(np.isfinite(band)) for band in (lower, diag, upper))
+    assert _symmetrizer(lower, upper) is None
 
 
 def test_negative_density_stops_the_run_at_the_step_it_appears():
