@@ -33,7 +33,7 @@ from .errors import (
     NonIntegrable,
 )
 from .functions import DifferentiableFn, hermite_fn, monomial_fn
-from .quadrature import QuadratureRule, default_domain, simpson_rule
+from .quadrature import QuadratureRule, Statistics, default_domain, simpson_rule
 
 ADMISSIBILITY_MARGIN = 1e-12
 GRAM_EIGENVALUE_FLOOR = 1e-10
@@ -58,45 +58,27 @@ class _Moments:
         self.fisher = None
 
 
-class ExpFamily:
+class ExpFamily(Statistics):
     """An exponential family over a fixed quadrature rule.
 
-    Node values of the statistics are cached at construction; derivative
-    values and the Gaussian fit are cached on first use.  The moment pass
-    of the last theta evaluated is memoized, so density values, moments,
-    Fisher matrix and log-partition at one theta cost one pass over the
-    nodes; every public method returns a fresh array.  Instances are
-    immutable apart from those caches.
+    Statistics, their node and derivative values and the admissibility
+    checks come from `Statistics`; the Gaussian fit is cached on first use.
+    The moment pass of the last theta evaluated is memoized, so density
+    values, moments, Fisher matrix and log-partition at one theta cost one
+    pass over the nodes; every public method returns a fresh array.
+    Instances are immutable apart from those caches.
     """
 
+    error = InadmissibleParameter
+
     def __init__(self, stats, rule: QuadratureRule, kind: str = "custom", name: str = "custom"):
-        self.stats = tuple(stats)
-        self.rule = rule
-        self.kind = kind
-        self.name = name
-        self.n = len(self.stats)
-        if self.n == 0:
-            raise ValueError("at least one statistic is required")
-        x = rule.nodes
-        self._C = np.vstack([np.asarray(c(x), dtype=float) for c in self.stats])
+        super().__init__(stats, rule, kind, name)
         if not np.all(np.isfinite(self._C)):
             raise ValueError("statistics must be finite at the quadrature nodes")
-        self._C1 = None
-        self._C2 = None
         self._memo = None
-        gram = (self._C * rule.weights) @ self._C.T
-        gram = 0.5 * (gram + gram.T)
-        if np.linalg.eigvalsh(gram).min() <= GRAM_EIGENVALUE_FLOOR:
+        if np.linalg.eigvalsh(self.gram()).min() <= GRAM_EIGENVALUE_FLOOR:
             raise DependentStatistics(
                 "statistics are numerically dependent under the quadrature rule")
-
-    @property
-    def domain(self):
-        return self.rule.domain
-
-    def stat_values(self) -> np.ndarray:
-        """(n, m) statistics at the quadrature nodes."""
-        return self._C
 
     def affine_in_stats(self, rows):
         """(A, b) with rows = A c + b at every node, or None when rows leave span{c, 1}.
@@ -112,14 +94,6 @@ class ExpFamily:
         if not worst <= CLOSURE_TOL * max(1.0, float(np.max(np.abs(rows)))):
             return None
         return coef[:-1].T, coef[-1]
-
-    def stat_derivative_values(self):
-        """First and second derivatives of the statistics at the nodes."""
-        if self._C1 is None:
-            x = self.rule.nodes
-            self._C1 = np.vstack([c.d1(x) for c in self.stats])
-            self._C2 = np.vstack([c.d2(x) for c in self.stats])
-        return self._C1, self._C2
 
     @cached_property
     def gaussian_fit(self):
@@ -137,29 +111,12 @@ class ExpFamily:
                 part.setflags(write=False)
         return fit
 
-    # -- admissibility ------------------------------------------------
-
-    def is_admissible(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n,) or not np.all(np.isfinite(theta)):
-            return False
-        if self.kind in ("ep", "custom-poly", "hermite"):
-            # statistics are sorted by degree with monic leading terms, so
-            # the last coefficient controls the tail of theta . c
-            return theta[-1] < -ADMISSIBILITY_MARGIN
-        return True
-
-    def require_admissible(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n,):
-            raise InadmissibleParameter(
-                f"theta must have length {self.n}, got shape {theta.shape}")
-        if not np.all(np.isfinite(theta)):
-            raise InadmissibleParameter("theta must be finite")
+    def _violation(self, theta):
+        # statistics are sorted by degree with monic leading terms, so the
+        # last coefficient controls the tail of theta . c
         if self.kind in ("ep", "custom-poly", "hermite") and not theta[-1] < -ADMISSIBILITY_MARGIN:
-            raise InadmissibleParameter(
-                f"leading coefficient must be negative, got theta_n = {theta[-1]}")
-        return theta
+            return f"leading coefficient must be negative, got theta_n = {theta[-1]}"
+        return None
 
     def default_initial_theta(self) -> np.ndarray:
         """Generic admissible starting point for Newton inversions."""
@@ -384,38 +341,33 @@ def canonical_from_moments(eta) -> np.ndarray:
     return theta
 
 
-def ep_family(n: int, domain=None, rule: QuadratureRule | None = None) -> ExpFamily:
+def ep_family(n: int, rule: QuadratureRule | None = None) -> ExpFamily:
     """Polynomial family with statistics x, x^2, ..., x^n (n even)."""
     if n < 2 or n % 2 != 0:
         raise ValueError("n must be an even integer >= 2")
-    if rule is None:
-        rule = simpson_rule(domain if domain is not None else default_domain())
     stats = [monomial_fn(i) for i in range(1, n + 1)]
-    return ExpFamily(stats, rule, kind="ep", name=f"EP({n})")
+    return ExpFamily(stats, rule or simpson_rule(default_domain()), kind="ep", name=f"EP({n})")
 
 
-def hermite_family(indices, domain=None, rule: QuadratureRule | None = None) -> ExpFamily:
+def _degrees(values, plural: str, singular: str) -> list:
+    """Sorted distinct positive degrees whose largest is even, for integrability."""
+    degrees = sorted(set(int(v) for v in values))
+    if not degrees or degrees[0] < 1:
+        raise ValueError(f"{plural} must be positive integers")
+    if degrees[-1] % 2 != 0:
+        raise ValueError(f"the largest {singular} must be even for integrability")
+    return degrees
+
+
+def hermite_family(indices, rule: QuadratureRule | None = None) -> ExpFamily:
     """Family spanned by probabilists' Hermite polynomials He_k."""
-    idx = sorted(set(int(i) for i in indices))
-    if not idx or idx[0] < 1:
-        raise ValueError("indices must be positive integers")
-    if idx[-1] % 2 != 0:
-        raise ValueError("the largest index must be even for integrability")
-    if rule is None:
-        rule = simpson_rule(domain if domain is not None else default_domain())
-    return ExpFamily([hermite_fn(i) for i in idx], rule, kind="hermite",
-                     name=f"hermite({','.join(map(str, idx))})")
+    idx = _degrees(indices, "indices", "index")
+    return ExpFamily([hermite_fn(i) for i in idx], rule or simpson_rule(default_domain()),
+                     kind="hermite", name=f"hermite({','.join(map(str, idx))})")
 
 
-def custom_poly_family(exponents, domain=None, rule: QuadratureRule | None = None) -> ExpFamily:
+def custom_poly_family(exponents, rule: QuadratureRule | None = None) -> ExpFamily:
     """Monomial statistics with arbitrary exponents; the largest must be even."""
-    exps = sorted(set(int(e) for e in exponents))
-    if not exps or exps[0] < 1:
-        raise ValueError("exponents must be positive integers")
-    if exps[-1] % 2 != 0:
-        raise ValueError("the largest exponent must be even for integrability")
-    if rule is None:
-        rule = simpson_rule(domain if domain is not None else default_domain())
-    stats = [monomial_fn(e) for e in exps]
-    return ExpFamily(stats, rule, kind="custom-poly",
-                     name=f"poly({','.join(map(str, exps))})")
+    exps = _degrees(exponents, "exponents", "exponent")
+    return ExpFamily([monomial_fn(e) for e in exps], rule or simpson_rule(default_domain()),
+                     kind="custom-poly", name=f"poly({','.join(map(str, exps))})")

@@ -2,9 +2,8 @@
 
 The components q_1..q_{n+1} are fixed densities; the free weights are
 theta_1..theta_n and the last weight is 1 - sum theta.  As for an
-exponential family, `stats` (at the nodes: `stat_values`,
-`stat_derivative_values`) are the tangent vectors, here the constant
-functions q_i - q_{n+1}, so the information metric
+exponential family (both are `Statistics`), `stats` are the tangent
+vectors, here the constant functions q_i - q_{n+1}, so the information metric
 
     gamma_ij = <q_i - q_{n+1}, q_j - q_{n+1}>
 
@@ -26,28 +25,24 @@ from .errors import (
     ValidationError,
 )
 from .functions import DifferentiableFn, constant_fn, cosine_fn, gaussian_pdf_fn
-from .quadrature import Domain, QuadratureRule, default_domain, simpson_rule
+from .quadrature import Domain, QuadratureRule, Statistics, default_domain, simpson_rule
 
 WEIGHT_MARGIN = 1e-12
 METRIC_EIGENVALUE_FLOOR = 1e-12
 COMPONENT_MASS_TOL = 1e-8
 
 
-class MixtureFamily:
+class MixtureFamily(Statistics):
     """A simple mixture family over a fixed quadrature rule."""
+
+    error = InadmissibleWeights
 
     def __init__(self, components, rule: QuadratureRule, kind: str = "custom",
                  name: str = "mixture"):
         self.components = tuple(components)
-        self.rule = rule
-        self.kind = kind
-        self.name = name
         if len(self.components) < 2:
             raise ValidationError("a mixture family needs at least two components")
-        self.n = len(self.components) - 1
-        self.stats = tuple(c - self.components[-1] for c in self.components[:-1])
-        x = rule.nodes
-        q = np.vstack([np.asarray(c(x), dtype=float) for c in self.components])
+        q = np.vstack([np.asarray(c(rule.nodes), dtype=float) for c in self.components])
         if not np.all(np.isfinite(q)):
             raise ValidationError("components must be finite at the quadrature nodes")
         if q.min() < -WEIGHT_MARGIN:
@@ -57,63 +52,29 @@ class MixtureFamily:
             raise ValidationError(
                 f"components must integrate to 1, worst deviation {np.max(np.abs(masses - 1.0)):.3e}")
         self._Q = q
-        self._D = q[:-1] - q[-1]
-        self._D1 = None
-        self._D2 = None
-        gamma, beta = self._assemble_metric()
-        if np.linalg.eigvalsh(gamma).min() <= METRIC_EIGENVALUE_FLOOR:
+        last = self.components[-1]
+        super().__init__((c - last for c in self.components[:-1]), rule, kind, name,
+                         values=q[:-1] - q[-1])
+        self.gamma, self.beta = self.gamma_and_beta()
+        if np.linalg.eigvalsh(self.gamma).min() <= METRIC_EIGENVALUE_FLOOR:
             raise DegenerateMixtureMetric("mixture metric is numerically singular")
-        self.gamma = gamma
-        self.beta = beta
-
-    def _assemble_metric(self):
-        w = self.rule.weights
-        gamma = (self._D * w) @ self._D.T
-        gamma = 0.5 * (gamma + gamma.T)
-        beta = (self._D * w) @ self._Q[-1]
-        return gamma, beta
-
-    @property
-    def domain(self):
-        return self.rule.domain
 
     def component_values(self) -> np.ndarray:
         """(n+1, m) component densities at the quadrature nodes."""
         return self._Q
 
-    def stat_values(self) -> np.ndarray:
-        """(n, m) values of the statistics q_i - q_{n+1} at the quadrature nodes."""
-        return self._D
-
-    def stat_derivative_values(self):
-        """First and second derivatives of the statistics at the nodes."""
-        if self._D1 is None:
-            x = self.rule.nodes
-            self._D1 = np.vstack([c.d1(x) for c in self.stats])
-            self._D2 = np.vstack([c.d2(x) for c in self.stats])
-        return self._D1, self._D2
-
     def gamma_and_beta(self):
         """Recompute the constant metric and offset from scratch."""
-        return self._assemble_metric()
+        return self.gram(), (self._C * self.rule.weights) @ self._Q[-1]
 
     # -- weights ------------------------------------------------------
 
-    def is_admissible(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n,) or not np.all(np.isfinite(theta)):
-            return False
-        if theta.min() < -WEIGHT_MARGIN or theta.max() > 1.0 + WEIGHT_MARGIN:
-            return False
+    def _violation(self, theta):
         total = float(theta.sum())
-        return WEIGHT_MARGIN <= total <= 1.0 - WEIGHT_MARGIN
-
-    def require_admissible(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if not self.is_admissible(theta):
-            raise InadmissibleWeights(
-                f"weights {theta} violate the open-simplex constraints")
-        return theta
+        if (theta.min() < -WEIGHT_MARGIN or theta.max() > 1.0 + WEIGHT_MARGIN
+                or not WEIGHT_MARGIN <= total <= 1.0 - WEIGHT_MARGIN):
+            return f"weights {theta} violate the open-simplex constraints"
+        return None
 
     def clamp_weights(self, theta):
         """Project onto the margin-shrunk simplex; report whether anything moved.
@@ -174,17 +135,15 @@ class MixtureFamily:
         return theta
 
 
-def gaussian_mixture_family(means, variances, domain: Domain | None = None,
-                            rule: QuadratureRule | None = None) -> MixtureFamily:
+def gaussian_mixture_family(means, variances, rule: QuadratureRule | None = None) -> MixtureFamily:
     """Fixed Gaussian components; the last one carries the dependent weight."""
     means = [float(v) for v in means]
     variances = [float(v) for v in variances]
     if len(means) != len(variances) or len(means) < 2:
         raise ValueError("need matching means and variances for at least two components")
-    if rule is None:
-        rule = simpson_rule(domain if domain is not None else default_domain())
     comps = [gaussian_pdf_fn(mu, v) for mu, v in zip(means, variances)]
-    return MixtureFamily(comps, rule, kind="gaussian-mixture", name="gaussian-mixture")
+    return MixtureFamily(comps, rule or simpson_rule(default_domain()),
+                         kind="gaussian-mixture", name="gaussian-mixture")
 
 
 def cosine_circle_family(harmonics, rule: QuadratureRule | None = None) -> MixtureFamily:

@@ -81,6 +81,68 @@ class QuadratureRule:
         return self.nodes.size
 
 
+class Statistics:
+    """Statistics c_1..c_n of a finite family over a fixed quadrature rule.
+
+    The base of `ExpFamily` and `MixtureFamily`.  Node values are evaluated
+    at construction (or passed in as `values`), derivative values on first
+    use.  A subclass sets `error` and `_violation(theta)`, the message for a
+    finite length-n parameter outside its admissible set or None, and gets
+    both admissibility checks from that one rule.
+    """
+
+    def __init__(self, stats, rule: QuadratureRule, kind: str, name: str, values=None):
+        self.stats = tuple(stats)
+        self.rule = rule
+        self.kind = kind
+        self.name = name
+        self.n = len(self.stats)
+        if self.n == 0:
+            raise ValueError("at least one statistic is required")
+        if values is None:
+            values = np.vstack([np.asarray(c(rule.nodes), dtype=float) for c in self.stats])
+        self._C = values
+        self._derivatives = None
+
+    @property
+    def domain(self):
+        return self.rule.domain
+
+    def stat_values(self) -> np.ndarray:
+        """(n, m) statistics at the quadrature nodes."""
+        return self._C
+
+    def stat_derivative_values(self):
+        """First and second derivatives of the statistics at the nodes."""
+        if self._derivatives is None:
+            x = self.rule.nodes
+            self._derivatives = (np.vstack([c.d1(x) for c in self.stats]),
+                                 np.vstack([c.d2(x) for c in self.stats]))
+        return self._derivatives
+
+    def gram(self) -> np.ndarray:
+        """Symmetrized Gram matrix <c_i, c_j> under the rule."""
+        g = (self._C * self.rule.weights) @ self._C.T
+        return 0.5 * (g + g.T)
+
+    def _problem(self, theta):
+        if theta.shape != (self.n,):
+            return f"theta must have length {self.n}, got shape {theta.shape}"
+        if not np.isfinite(theta).all():
+            return "theta must be finite"
+        return self._violation(theta)
+
+    def is_admissible(self, theta) -> bool:
+        return self._problem(np.asarray(theta, dtype=float)) is None
+
+    def require_admissible(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        problem = self._problem(theta)
+        if problem is not None:
+            raise self.error(problem)
+        return theta
+
+
 def simpson_rule(domain: Domain, level: int = DEFAULT_LEVEL) -> QuadratureRule:
     """Composite Simpson rule with 2**level + 1 uniform nodes."""
     if level < 1:

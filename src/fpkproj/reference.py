@@ -2,14 +2,15 @@
 
 The grid solver discretizes dp/dt = -dJ/dx with the drift-diffusion flux
 J = F p - D p' (D = a/2, F = f - D') on a vertex-centered mesh with
-half-width boundary cells, exponentially fitted face weights, zero-flux
-boundaries, and Crank-Nicolson stepping.  Mass, measured by the trapezoid
-rule, is conserved to round-off because interior fluxes telescope.
+half-width boundary cells, Scharfetter-Gummel (exponentially fitted)
+face fluxes, zero-flux boundaries, and Crank-Nicolson stepping.  Mass,
+measured by the trapezoid rule, is conserved to round-off because
+interior fluxes telescope.
 
 Global projections minimize a divergence over the family instead of
 projecting the instantaneous dynamics: Kullback-Leibler for exponential
 families and the direct L2 distance for simple mixtures.  Both families
-expose statistics (`stats`, `stat_values`, `stat_derivative_values`), and
+are `Statistics` (`stats`, `stat_values`, `stat_derivative_values`), and
 both optima match their expectations E_p[stats]: KL gives E_theta[c] =
 E_p[c] and L2 gives m = E_p[q_i - q_{n+1}].  So a metric projection is the
 family's own inversion of E_p[stats], computed on the grid by
@@ -128,19 +129,6 @@ def grid_density(domain: Domain, nx: int, fn) -> GridDensity:
     return GridDensity(domain=domain, values=values / mass)
 
 
-def _face_weights(w: np.ndarray) -> np.ndarray:
-    """Exponentially fitted donor weights delta(w) = 1/w - 1/(e^w - 1)."""
-    out = np.empty_like(w)
-    small = np.abs(w) < 1e-5
-    ws = w[small]
-    out[small] = 0.5 - ws / 12.0 + ws ** 3 / 720.0
-    wl = w[~small]
-    # expm1 overflows to inf above 709, where 1/w - 0 is already the limit
-    with np.errstate(over="ignore"):
-        out[~small] = 1.0 / wl - 1.0 / np.expm1(wl)
-    return out
-
-
 def fpk_operator(model: SdeModel, domain: Domain, nx: int):
     """Tridiagonal bands (lower, diag, upper) of the discrete adjoint generator."""
     if nx < 3:
@@ -154,10 +142,14 @@ def fpk_operator(model: SdeModel, domain: Domain, nx: int):
     f_face = np.asarray(model.drift(xf), dtype=float) - 0.5 * np.asarray(
         model.diffusion.d1(xf), dtype=float)
     peclet = f_face * h / d_face
-    delta = _face_weights(peclet)
-    # J_{j+1/2} = alpha_j p_j + beta_j p_{j+1}; zero flux through the boundary faces
-    alpha = f_face * (1.0 - delta) + d_face / h
-    beta = f_face * delta - d_face / h
+    # J_{j+1/2} = alpha_j p_j + beta_j p_{j+1}; zero flux through the boundary faces.
+    # Scharfetter-Gummel: alpha = (D/h) B(-Pe), beta = -(D/h) B(Pe) with the positive
+    # Bernoulli function B(x) = x / (e^x - 1), B(0) = 1; expm1 overflows to inf
+    # above 709, where B has underflowed to 0 anyway
+    pe = np.stack((-peclet, peclet))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bern = d_face / h * np.where(pe == 0.0, 1.0, pe / np.expm1(pe))
+    alpha, beta = bern[0], -bern[1]
     lower = alpha / vol[1:]
     upper = -beta / vol[:-1]
     diag = np.empty(nx)
@@ -192,15 +184,16 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
     (see `sample_steps`).  With M = I - (dt/2) L, the step
     p <- M^-1 (I + (dt/2) L) p equals p <- 2 M^-1 p - p, since
     I + (dt/2) L = 2I - M: one LAPACK solve per step on a factorization of
-    M made once.  Both off-diagonal bands of L are positive (a birth-death
-    generator), so the diagonal similarity d of `_symmetrizer` turns L
-    into a symmetric S = D L D^-1, and the solver steps q = d p with the
-    symmetric positive definite M_S = I - (dt/2) S: `dpttrf` (LDL^T) once,
-    `dpttrs` per step, and snapshots p = q / d.  Where d does not exist in
-    double precision (a band rounds to zero or below, or is not finite, or
-    log d spans more than MAX_LOG_SPAN, as for strongly confining drifts
-    on wide domains) it steps p itself with `dgttrf`/`dgttrs`; the path is
-    chosen once per solve.  Either way every step checks the LAPACK status,
+    M made once.  The off-diagonal bands of L are positive multiples of
+    B(-Pe) and B(Pe) (a birth-death generator), so the diagonal
+    similarity d of `_symmetrizer` turns L into a symmetric
+    S = D L D^-1, and the solver steps q = d p with the symmetric positive
+    definite M_S = I - (dt/2) S: `dpttrf` (LDL^T) once, `dpttrs` per step,
+    and snapshots p = q / d.  Where d does not exist in double precision
+    (a band underflows to zero or is not finite, or log d spans more than
+    MAX_LOG_SPAN, as for strongly confining drifts on wide domains) it
+    steps p itself with `dgttrf`/`dgttrs`; the path is chosen once per
+    solve.  Either way every step checks the LAPACK status,
     negativity (q < -NEGATIVITY_TOL d) and the mass (w / d) . q, and
     raises SchemeInstability when M is singular or a solve fails, on
     negative densities beyond round-off or on loss of mass conservation.

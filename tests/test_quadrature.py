@@ -5,6 +5,9 @@ Oracles used here:
   * int N(x; m1, v1) N(x; m2, v2) dx
       = exp(-(m1 - m2)^2 / (2 (v1 + v2))) / sqrt(2 pi (v1 + v2))
   * composite Simpson is exact for cubics on any uniform grid
+
+It also checks the admissibility rule that the families share through
+their `Statistics` base.
 """
 
 import numpy as np
@@ -12,14 +15,25 @@ import pytest
 
 from fpkproj import (
     Domain,
+    ExpFamily,
     QuadratureRule,
     default_domain,
+    ep_family,
+    gaussian_mixture_family,
     gaussian_pdf_fn,
     inner_product,
     integrate,
+    monomial_fn,
     simpson_rule,
 )
-from fpkproj.errors import NonFiniteIntegrand, ValidationError
+from fpkproj.errors import (
+    InadmissibleParameter,
+    InadmissibleWeights,
+    NonFiniteIntegrand,
+    ValidationError,
+)
+from fpkproj.expfamily import ADMISSIBILITY_MARGIN as TAIL
+from fpkproj.mixture import WEIGHT_MARGIN as EDGE
 
 
 def gaussian_product_integral(m1, v1, m2, v2):
@@ -102,3 +116,45 @@ def test_rule_rejects_mismatched_weight_total():
     weights = np.full(5, 1.0)
     with pytest.raises(ValidationError):
         QuadratureRule(nodes=nodes, weights=weights, domain=dom, order=4)
+
+
+EP2 = ep_family(2)
+CUSTOM = ExpFamily([monomial_fn(1), monomial_fn(2)], simpson_rule(default_domain(1.0)))
+MIX = gaussian_mixture_family([-1.0, 0.2, 1.1], [0.5, 0.8, 0.6])
+
+
+@pytest.mark.parametrize("fam, theta, admissible", [
+    (EP2, [0.3, -0.5], True),
+    (EP2, [0.3], False),
+    (EP2, [0.3, -0.5, -0.5], False),
+    (EP2, [np.nan, -0.5], False),
+    (EP2, [0.3, -np.inf], False),
+    (EP2, [0.3, -2.0 * TAIL], True),
+    (EP2, [0.3, np.nextafter(-TAIL, -1.0)], True),
+    (EP2, [0.3, -TAIL], False),
+    (EP2, [0.3, -0.5 * TAIL], False),
+    (EP2, [0.3, 0.5], False),
+    # a custom family has no tail rule: any finite length-n theta is admissible
+    (CUSTOM, [0.3, 0.5], True),
+    (CUSTOM, [0.3, np.inf], False),
+    (CUSTOM, [0.3], False),
+    (MIX, [0.3, 0.3], True),
+    (MIX, [-EDGE, 0.5], True),
+    (MIX, [-2.0 * EDGE, 0.5], False),
+    (MIX, [1.0 + EDGE, -EDGE], False),
+    (MIX, [0.5 * EDGE, 0.5 * EDGE], True),
+    (MIX, [0.0, 0.0], False),
+    (MIX, [0.5, 0.5 - EDGE], True),
+    (MIX, [0.5, 0.5], False),
+    (MIX, [np.nan, 0.3], False),
+    (MIX, [0.3, 0.3, 0.3], False),
+])
+def test_is_admissible_exactly_when_require_admissible_returns(fam, theta, admissible):
+    theta = np.array(theta)
+    assert fam.is_admissible(theta) is admissible
+    if admissible:
+        assert np.array_equal(fam.require_admissible(theta), theta)
+    else:
+        error = InadmissibleParameter if isinstance(fam, ExpFamily) else InadmissibleWeights
+        with pytest.raises(error):
+            fam.require_admissible(theta)

@@ -49,7 +49,7 @@ from fpkproj.reference import _symmetrizer, fpk_operator, stat_expectations
 
 DOM = default_domain(1.0)
 OU = ornstein_uhlenbeck(kappa=1.0, sigma=np.sqrt(2.0))
-# its bands round to slightly below zero in the tails, so no symmetrizer exists
+# at 201 nodes log d spans about 1060 > MAX_LOG_SPAN, so it takes the general path
 CUBIC = polynomial_drift([0.2, -0.5, 0.0, -0.3], diffusion=1.5)
 
 
@@ -115,9 +115,14 @@ def _assert_matches_dense_step(model, nx, mean, var, dt):
     return _symmetrizer(lower, upper) is not None
 
 
-@pytest.mark.parametrize("model", [OU, CUBIC, circle_diffusion(2.0)])
-def test_crank_nicolson_matches_the_dense_two_matrix_step(model):
-    symmetric = _assert_matches_dense_step(model, 201, 0.6, 0.4, 2e-3)
+# model3: |Peclet| reaches 164 on this coarse grid, and its Scharfetter-Gummel
+# bands stay positive where the cancelling form of the fluxes rounds below zero
+@pytest.mark.parametrize("model, nx", [
+    (OU, 201), (CUBIC, 201), (circle_diffusion(2.0), 201),
+    (ornstein_uhlenbeck(kappa=3.0, sigma=np.sqrt(0.5)), 21),
+], ids=["model0", "model1", "model2", "model3"])
+def test_crank_nicolson_matches_the_dense_two_matrix_step(model, nx):
+    symmetric = _assert_matches_dense_step(model, nx, 0.6, 0.4, 2e-3)
     assert symmetric == (model is not CUBIC)
 
 
