@@ -45,27 +45,29 @@ NEWTON_MAX_ITER = 80
 
 
 class _Moments:
-    """One moment pass: log-partition, density values, w * p, eta; Fisher on demand."""
+    """One moment pass: log-partition, m = R e / z, its eta part, density values and w * p."""
 
-    __slots__ = ("key", "psi", "pvals", "wp", "eta", "fisher")
+    __slots__ = ("key", "psi", "m", "eta", "pvals", "wp")
 
-    def __init__(self, key, psi, pvals, wp, eta):
+    def __init__(self, key, psi, m, eta, pvals, wp):
         self.key = key
         self.psi = psi
+        self.m = m
+        self.eta = eta
         self.pvals = pvals
         self.wp = wp
-        self.eta = eta
-        self.fisher = None
 
 
 class ExpFamily(Statistics):
     """An exponential family over a fixed quadrature rule.
 
     Statistics, their node and derivative values and the admissibility
-    checks come from `Statistics`; the Gaussian fit is cached on first use.
-    The moment pass of the last theta evaluated is memoized, so density
-    values, moments, Fisher matrix and log-partition at one theta cost one
-    pass over the nodes; every public method returns a fresh array.
+    checks come from `Statistics`; the Gaussian fit and the row stack
+    R = [w; w c_i; w c_i c_j for i <= j] are built on first use.  A moment
+    pass is one exp and the product R e, which holds the normalization,
+    eta and E[c c'].  The pass of the last theta evaluated is memoized, so
+    density values, moments, Fisher matrix and log-partition at one theta
+    cost one pass over the nodes; every public method returns a fresh array.
     Instances are immutable apart from those caches.
     """
 
@@ -126,32 +128,82 @@ class ExpFamily(Statistics):
 
     # -- densities and moments ----------------------------------------
 
+    @cached_property
+    def row_stack(self) -> np.ndarray:
+        """R = [w; w c_i; w c_i c_j for i <= j] at the nodes, read-only, built on first use.
+
+        R e / z, z = w . e, is (1, eta, the upper triangle of E[c c']) for
+        e = exp(theta . c - shift).
+        """
+        return self.stack_rows(np.empty((0, self.rule.npoints)))
+
+    def stack_rows(self, extra) -> np.ndarray:
+        """[R; extra] as one read-only array; a family that has not built R yet
+        keeps a view of this one."""
+        n, c, w = self.n, self._C, self.rule.weights
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        k = 1 + n + len(pairs)
+        rows = np.empty((k + len(extra), c.shape[1]))
+        rows[0] = w
+        np.multiply(c, w, out=rows[1:n + 1])
+        # index[i, j]: the row of w c_i c_j for either order of i and j
+        index = np.empty((n, n), dtype=np.intp)
+        with np.errstate(over="ignore"):
+            for row, (i, j) in enumerate(pairs, start=1 + n):
+                np.multiply(rows[1 + i], c[j], out=rows[row])
+                index[i, j] = index[j, i] = row
+            # |R e| <= |R| 1 for 0 <= e <= 1, so then no moment pass overflows
+            bound = np.abs(rows[:k]).sum(axis=1)
+        if not np.isfinite(bound).all():
+            raise NonIntegrable("moment integrals overflow at the quadrature nodes")
+        rows[k:] = extra
+        rows.setflags(write=False)
+        self.__dict__.setdefault("row_stack", rows[:k])
+        self._pair_index = index
+        return rows
+
+    def _pass(self, theta, rows):
+        """(shift, z, e, rows @ e / z) at an admissible theta: one exp and one product.
+
+        e = exp(theta . c - shift) with shift = max theta . c, and z = w . e
+        is the product with the first row, which must be w.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = theta @ self._C
+        if not np.isfinite(s).all():
+            raise NonIntegrable("log-density is not finite at the quadrature nodes")
+        shift = s.max()
+        e = np.exp(s - shift)
+        m = rows @ e
+        z = m[0]
+        return shift, z, e, m / z
+
+    def _fisher(self, m) -> np.ndarray:
+        """Cov(c) = E[c c'] - eta eta' from a pass through the row stack, symmetric
+        by construction; DegenerateFisher unless positive definite."""
+        eta = m[1:self.n + 1]
+        g = m[self._pair_index] - np.outer(eta, eta)
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError as err:
+            raise DegenerateFisher("Fisher matrix is not positive definite") from err
+        return g
+
     def _moments(self, theta) -> _Moments:
         """The moment pass at theta, memoized for the last theta evaluated.
 
-        One pass over the nodes with a single exp gives psi, the density
-        values, wp = w * p and eta = C wp; the Fisher matrix is built from
-        the same wp on first request.  Admissibility is checked on every
-        call, and a failed evaluation is never stored, so every error is
-        raised again on every call.
+        Admissibility is checked on every call, and a failed evaluation is
+        never stored, so every error is raised again on every call.
         """
         theta = self.require_admissible(theta)
         key = theta.tobytes()
         memo = self._memo
         if memo is not None and memo.key == key:
             return memo
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = theta @ self._C
-        if not np.all(np.isfinite(s)):
-            raise NonIntegrable("log-density is not finite at the quadrature nodes")
-        shift = s.max()
-        e = np.exp(s - shift)
-        z = float(self.rule.weights @ e)
-        if not np.isfinite(z) or z <= 0.0:
-            raise NonIntegrable("normalization integral overflowed or vanished")
+        shift, z, e, m = self._pass(theta, self.row_stack)
         pvals = e / z
-        wp = self.rule.weights * pvals
-        memo = _Moments(key, shift + np.log(z), pvals, wp, self._C @ wp)
+        memo = _Moments(key, shift + np.log(z), m, m[1:self.n + 1], pvals,
+                        self.rule.weights * pvals)
         self._memo = memo
         return memo
 
@@ -203,17 +255,8 @@ class ExpFamily(Statistics):
         return self._monomial_rows(count) @ mom.wp
 
     def fisher_matrix(self, theta) -> np.ndarray:
-        """Covariance matrix of the statistics at theta."""
-        mom = self._moments(theta)
-        if mom.fisher is None:
-            g = (self._C * mom.wp) @ self._C.T - np.outer(mom.eta, mom.eta)
-            g = 0.5 * (g + g.T)
-            try:
-                np.linalg.cholesky(g)
-            except np.linalg.LinAlgError as err:
-                raise DegenerateFisher("Fisher matrix is not positive definite") from err
-            mom.fisher = g
-        return mom.fisher.copy()
+        """Covariance matrix of the statistics at theta, from the moment pass."""
+        return self._fisher(self._moments(theta).m)
 
     # -- polynomial-family algebra ------------------------------------
 
@@ -252,7 +295,7 @@ class ExpFamily(Statistics):
         A length-2n moment vector for the polynomial family is inverted
         algebraically; a length-n vector is inverted by damped Newton
         iteration on grad psi(theta) = eta to NEWTON_TOL, started from
-        `initial` when it is admissible and from `_newton_start(eta)` if not.
+        `_newton_start(eta, initial)`.
         """
         eta = np.asarray(eta, dtype=float)
         if self.kind == "ep" and eta.shape == (2 * self.n,):
@@ -260,10 +303,7 @@ class ExpFamily(Statistics):
         if eta.shape != (self.n,):
             raise ValueError(
                 f"expected {self.n} (or {2 * self.n} for the polynomial family) moments")
-        if initial is None or not self.is_admissible(initial):
-            theta = self._newton_start(eta)
-        else:
-            theta = np.array(initial, dtype=float)
+        theta = self._newton_start(eta, initial)
         scale = 1.0 + float(np.max(np.abs(eta)))
         res = self.expectation_params(theta) - eta
         best = float(np.max(np.abs(res)))
@@ -291,9 +331,10 @@ class ExpFamily(Statistics):
         raise InadmissibleRecovery(
             f"Newton inversion did not converge (residual {best:.3e})", value=theta)
 
-    def _newton_start(self, eta) -> np.ndarray:
-        """The seed of every inversion without an admissible guess: on the Gaussians
-        the one with eta's mean and variance, else `default_initial_theta()`."""
+    def _newton_start(self, eta, initial) -> np.ndarray:
+        """The seed of every inversion: on the Gaussians the one with eta's mean and
+        variance, whatever `initial` is; else `initial` when it is admissible, else
+        `default_initial_theta()`."""
         fit = self.gaussian_fit
         if fit is not None:
             mean, second = fit[0] @ eta + fit[1]  # (E x, E x^2) = A eta + b
@@ -303,6 +344,8 @@ class ExpFamily(Statistics):
                 theta = fit[0].T @ np.array([mean / var, -0.5 / var])
                 if self.is_admissible(theta):
                     return theta
+        if initial is not None and self.is_admissible(initial):
+            return np.array(initial, dtype=float)
         return self.default_initial_theta()
 
 

@@ -261,8 +261,10 @@ class ProjectedOde:
 
     Everything that does not depend on the state is assembled here, from
     L c, the generator applied to the family's statistics at the nodes.
-    An exponential-family right-hand side is then one moment pass (after a
-    Newton inversion for ada-ef) and a few small matvecs.  The
+    A tangent-ef stage is one exp and one product with the family's row
+    stack extended by w L c, which gives eta, E[c c'] and E[L c] at once,
+    then one solve with the Fisher matrix; an open ada-ef stage is a Newton
+    inversion and one matvec with L c.  The
     mixture methods are the constant affine field state_dot = A state + c:
     tangent-mix and ada-mix take (A, c) from the projection formulas, in
     weight and expectation coordinates, and galerkin from the weak form.
@@ -284,7 +286,10 @@ class ProjectedOde:
         self.dim = family.n
         self.affine = None
         self.lc = model.generator_values(family.rule.nodes, *family.stat_derivative_values())
-        if method == "ada-ef":
+        if method == "tangent-ef":
+            # the family's row stack and w L c: one product gives eta, E[c c'] and v
+            self._rows = family.stack_rows(family.rule.weights * self.lc)
+        elif method == "ada-ef":
             self.affine = family.affine_in_stats(self.lc)
         elif method == "galerkin":
             self.affine = _galerkin_affine(family, self.lc)
@@ -300,8 +305,8 @@ class ProjectedOde:
             return a @ state + c
         fam = self.family
         if self.method == "tangent-ef":
-            v = self.lc @ fam._moments(state).wp
-            return np.linalg.solve(fam.fisher_matrix(state), v)
+            m = fam._pass(fam.require_admissible(state), self._rows)[-1]
+            return np.linalg.solve(fam._fisher(m), m[-self.dim:])
         theta = fam.expectation_to_canonical(state, initial=theta_guess)
         return self.lc @ fam._moments(theta).wp
 
@@ -322,9 +327,10 @@ class ProjectedOde:
         ada-ef linearizes the moment map, d eta = g d theta: a nearby state
         s is seeded with theta + g(theta)^{-1} (s - state), or with theta
         itself when that point is not admissible.  The other methods invert
-        nothing and are handed theta.
+        nothing, and the Gaussians seed every inversion in closed form; they
+        are handed theta.
         """
-        if self.method != "ada-ef":
+        if self.method != "ada-ef" or self.family.gaussian_fit is not None:
             return lambda _: theta
         fam = self.family
         g_inv = np.linalg.inv(fam.fisher_matrix(theta))

@@ -9,6 +9,7 @@ Closed forms used as oracles (theta2 < 0, m = -t1/(2 t2), v = -1/(2 t2)):
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from fpkproj.errors import (
     NonIntegrable,
 )
 from fpkproj.expfamily import ExpFamily
+from fpkproj.quadrature import Domain
 
 
 def psi_gauss(t1, t2):
@@ -196,6 +198,36 @@ def test_newton_inversion_accepts_warm_start():
     assert np.max(np.abs(back - theta)) <= 1e-10
 
 
+@pytest.mark.parametrize("fam", [ep_family(2), hermite_family([1, 2])],
+                         ids=["EP(2)", "hermite(1,2)"])
+def test_gaussian_inversions_ignore_the_guess_and_take_no_newton_step(fam, monkeypatch):
+    # on the Gaussians the closed-form start is the answer, so a far
+    # admissible guess is not used and no Fisher matrix is built
+    theta = np.array([0.4, -0.7])
+    eta = fam.expectation_params(theta)
+    builds = []
+    fisher = fam.fisher_matrix
+    monkeypatch.setattr(fam, "fisher_matrix", lambda t: builds.append(1) or fisher(t))
+    assert fam.is_admissible(3.0 * theta)
+    back = fam.expectation_to_canonical(eta, initial=3.0 * theta)
+    assert not builds
+    assert np.max(np.abs(back - theta)) <= 1e-10
+
+
+def test_other_families_start_newton_at_an_admissible_guess(monkeypatch):
+    fam = ep_family(4)
+    theta = np.array([0.1, 0.3, -0.05, -0.2])
+    eta = fam.expectation_params(theta)
+    initial = np.array([0.05, 0.25, -0.02, -0.25])
+    starts = []
+    params = fam.expectation_params
+    monkeypatch.setattr(fam, "expectation_params",
+                        lambda t: starts.append(np.array(t)) or params(t))
+    back = fam.expectation_to_canonical(eta, initial=initial)
+    assert np.array_equal(starts[0], initial)
+    assert np.max(np.abs(back - theta)) <= 1e-9
+
+
 def test_double_length_moments_dispatch_to_algebraic_path():
     fam = ep_family(2)
     theta = np.array([-0.2, -0.6])
@@ -318,6 +350,19 @@ def test_errors_are_raised_on_every_call(theta, error):
                 with pytest.raises(error):
                     getattr(fam, kernel)(theta)
         assert fam.fisher_matrix(good).tobytes() == want.tobytes()
+
+
+def test_moment_integrals_that_overflow_raise_on_every_call():
+    # on [-1e80, 1e80] the weighted products w x^4 overflow, so every moment
+    # pass would be NaN; building the family already overflows in its Gram
+    # matrix and warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fam = ep_family(2, simpson_rule(Domain(-1e80, 1e80)))
+    for _ in range(2):
+        for kernel in ("expectation_params", "fisher_matrix", "density_values"):
+            with pytest.raises(NonIntegrable, match="moment integrals overflow"):
+                getattr(fam, kernel)([0.0, -1.0])
 
 
 @pytest.mark.parametrize("fam, theta", [

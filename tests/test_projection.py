@@ -10,6 +10,8 @@ statistics removes b' g^{-1} b = 8, and the square-root-density scaling
 divides by 4: R^2 = (32 - 8)/4 = 6.
 """
 
+import subprocess
+import sys
 from math import comb
 
 import numpy as np
@@ -40,7 +42,14 @@ from fpkproj import (
     residual,
     residual_terms,
 )
-from fpkproj.errors import InadmissibleRecovery, TrajectoryExit, ValidationError
+from fpkproj.errors import (
+    DegenerateFisher,
+    InadmissibleParameter,
+    InadmissibleRecovery,
+    NonIntegrable,
+    TrajectoryExit,
+    ValidationError,
+)
 import fpkproj.projection
 from fpkproj.projection import EF_METHODS, METHODS, ProjectedOde, rk4_propagator, sample_steps
 
@@ -610,6 +619,84 @@ def test_ada_ef_start_on_the_gaussians_builds_no_fisher_matrix(fam, monkeypatch)
     assert not builds
     assert np.array_equal(state, eta)
     assert np.max(np.abs(got - theta)) <= 1e-12
+
+
+@pytest.mark.parametrize("fam", [ep_family(2), hermite_family([1, 2])],
+                         ids=["EP(2)", "hermite(1,2)"])
+def test_ada_ef_seeds_on_the_gaussians_build_no_fisher_matrix(fam, monkeypatch):
+    # the Gaussians seed every inversion in closed form, so nearby states
+    # are handed theta instead of a linearized guess
+    theta = np.array([0.4, -0.7])
+    eta = fam.expectation_params(theta)
+    builds = []
+    fisher = fam.fisher_matrix
+    monkeypatch.setattr(fam, "fisher_matrix", lambda t: builds.append(1) or fisher(t))
+    seed = ProjectedOde(fam, OU, "ada-ef").newton_seeds(eta, theta)
+    assert seed(eta + 0.01) is theta
+    assert not builds
+
+
+@pytest.mark.parametrize("fam, model, theta", [
+    (ep_family(2), OU, [0.3, -0.6]),
+    (hermite_family([1, 2]), OU, [-0.2, -0.9]),
+    (ep_family(2), polynomial_drift([0.0, -1.0, 0.0, -1.0], 2.0), [1.1, -0.35]),
+    (custom_poly_family([2, 4]), polynomial_drift([0.0, -1.0, 0.0, -1.0], 2.0), [0.3, -0.2]),
+], ids=["EP(2)-OU", "hermite(1,2)-OU", "EP(2)-cubic", "poly(2,4)-cubic"])
+def test_fused_tangent_ef_stage_is_the_fisher_solve(fam, model, theta):
+    ode = ProjectedOde(fam, model, "tangent-ef")
+    theta = np.array(theta)
+    wp = fam.rule.weights * fam.density_values(theta)
+    want = np.linalg.solve(fam.fisher_matrix(theta), ode.lc @ wp)
+    got = ode.rhs(theta)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta, error", [
+    (np.array([0.0, -1e8]), DegenerateFisher),     # collapsed on one node
+    (np.array([1e308, -1.0]), NonIntegrable),     # theta . c overflows
+    (np.array([0.0, 0.5]), InadmissibleParameter),
+])
+def test_fused_tangent_ef_stage_raises_what_the_fisher_matrix_raises(theta, error):
+    fam = ep_family(2)
+    ode = ProjectedOde(fam, OU, "tangent-ef")
+    with pytest.raises(error) as want:
+        fam.fisher_matrix(theta)
+    for _ in range(2):
+        with pytest.raises(error) as got:
+            ode.rhs(theta)
+        assert str(got.value) == str(want.value)
+
+
+def test_tangent_ef_run_leaving_the_admissible_set_exits_at_the_step():
+    # every RK4 stage of the first step is admissible, the step itself is not
+    ode = ProjectedOde(ep_family(2), polynomial_drift([0.59, -0.14, -1.96], 0.3), "tangent-ef")
+    with pytest.raises(TrajectoryExit) as info:
+        integrate_ode(ode, np.array([-0.58, -0.87]), t_end=5.0, dt=0.5)
+    assert info.value.step == 1
+    assert str(info.value) == \
+        "step 1: canonical state left the admissible set: [0.26399682 0.14907387]"
+
+
+def test_ode_runs_leave_scipy_linalg_unloaded():
+    # the moment pass, the Fisher solve and the affine propagator are numpy;
+    # only the reference solver needs LAPACK's tridiagonal routines
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import fpkproj\n"
+        "fam = fpkproj.ep_family(2)\n"
+        "model = fpkproj.ornstein_uhlenbeck(1.0, 1.2)\n"
+        "theta = np.array([0.3, -0.6])\n"
+        "fpkproj.integrate_ode(fpkproj.make_ode(fam, model, 'tangent-ef'), theta,\n"
+        "                      t_end=0.05, dt=0.01, record_residual=True)\n"
+        "ode = fpkproj.make_ode(fam, model, 'ada-ef')\n"
+        "assert ode.affine is not None\n"
+        "fpkproj.integrate_ode(ode, fam.expectation_params(theta), t_end=0.05, dt=0.01)\n"
+        "print('scipy.linalg' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("method", METHODS)

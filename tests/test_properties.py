@@ -4,9 +4,10 @@
 * `canonical_from_moments` recovers a polynomial-family member from its
   moments eta_1..eta_2n.
 * ada-ef, which integrates eta (under OU the affine field A eta + b,
-  inverted once per step from the seed theta + g^{-1} d eta), follows the
-  same flow as tangent-ef, which integrates theta: d eta = g d theta makes
-  them one vector field.
+  inverted once per step), follows the same flow as tangent-ef, which
+  integrates theta: d eta = g d theta makes them one vector field.
+* The Fisher matrix read from the one moment pass, E[c c'] - eta eta', is
+  the two-pass covariance (C * w p) C' - eta eta' and exactly symmetric.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from fpkproj import (
     canonical_from_moments,
+    custom_poly_family,
     ep_family,
     hermite_family,
     integrate_ode,
@@ -22,19 +24,21 @@ from fpkproj import (
     ornstein_uhlenbeck,
 )
 
-FAMILIES = {"ep2": ep_family(2), "ep4": ep_family(4), "hermite12": hermite_family([1, 2])}
+FAMILIES = {"ep2": ep_family(2), "ep4": ep_family(4), "hermite12": hermite_family([1, 2]),
+            "poly24": custom_poly_family([2, 4])}
 # boxes of admissible theta whose members sit well inside the default domain
 BOXES = {
     "ep2": ((-0.7, 0.7), (-1.5, -0.35)),
     "hermite12": ((-0.7, 0.7), (-1.5, -0.35)),
     "ep4": ((-0.3, 0.3), (-0.6, -0.2), (-0.03, 0.03), (-0.3, -0.05)),
+    "poly24": ((-1.0, 0.5), (-0.3, -0.05)),
 }
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def members(draw, names=tuple(FAMILIES)):
+def members(draw, names=("ep2", "ep4", "hermite12")):
     name = draw(st.sampled_from(names))
     theta = np.array([draw(st.floats(lo, hi)) for lo, hi in BOXES[name]])
     return name, theta
@@ -49,6 +53,20 @@ def test_moment_roundtrip_by_newton(member):
     back = fam.expectation_to_canonical(eta)
     assert np.max(np.abs(fam.expectation_params(back) - eta)) <= 1e-11 * (1.0 + np.max(np.abs(eta)))
     assert np.max(np.abs(back - theta)) <= 1e-7
+
+
+@PROPERTY
+@given(member=members(names=tuple(FAMILIES)))
+def test_one_pass_fisher_matches_the_two_pass_covariance(member):
+    name, theta = member
+    fam = FAMILIES[name]
+    g = fam.fisher_matrix(theta)
+    assert np.array_equal(g, g.T)
+    c = fam.stat_values()
+    wp = fam.rule.weights * fam.density_values(theta)
+    eta = fam.expectation_params(theta)
+    two_pass = (c * wp) @ c.T - np.outer(eta, eta)
+    assert np.max(np.abs(g - two_pass)) <= 1e-13 * np.max(np.abs(g))
 
 
 @PROPERTY
