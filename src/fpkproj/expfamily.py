@@ -78,7 +78,13 @@ class ExpFamily(Statistics):
         if not np.all(np.isfinite(self._C)):
             raise ValueError("statistics must be finite at the quadrature nodes")
         self._memo = None
-        if np.linalg.eigvalsh(self.gram()).min() <= GRAM_EIGENVALUE_FLOOR:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.gram()
+        # a finite Gram bounds the row stack, so no moment pass overflows:
+        # sum |w c_i c_j| <= sqrt(G_ii G_jj) and sum |w c_i| <= sqrt(width G_ii)
+        if not np.isfinite(gram).all():
+            raise NonIntegrable("moment integrals overflow at the quadrature nodes")
+        if np.linalg.eigvalsh(gram).min() <= GRAM_EIGENVALUE_FLOOR:
             raise DependentStatistics(
                 "statistics are numerically dependent under the quadrature rule")
 
@@ -148,14 +154,9 @@ class ExpFamily(Statistics):
         np.multiply(c, w, out=rows[1:n + 1])
         # index[i, j]: the row of w c_i c_j for either order of i and j
         index = np.empty((n, n), dtype=np.intp)
-        with np.errstate(over="ignore"):
-            for row, (i, j) in enumerate(pairs, start=1 + n):
-                np.multiply(rows[1 + i], c[j], out=rows[row])
-                index[i, j] = index[j, i] = row
-            # |R e| <= |R| 1 for 0 <= e <= 1, so then no moment pass overflows
-            bound = np.abs(rows[:k]).sum(axis=1)
-        if not np.isfinite(bound).all():
-            raise NonIntegrable("moment integrals overflow at the quadrature nodes")
+        for row, (i, j) in enumerate(pairs, start=1 + n):
+            np.multiply(rows[1 + i], c[j], out=rows[row])
+            index[i, j] = index[j, i] = row
         rows[k:] = extra
         rows.setflags(write=False)
         self.__dict__.setdefault("row_stack", rows[:k])

@@ -103,6 +103,7 @@ class Statistics:
             values = np.vstack([np.asarray(c(rule.nodes), dtype=float) for c in self.stats])
         self._C = values
         self._derivatives = None
+        self._grid_values = None
 
     @property
     def domain(self):
@@ -119,6 +120,16 @@ class Statistics:
             self._derivatives = (np.vstack([c.d1(x) for c in self.stats]),
                                  np.vstack([c.d2(x) for c in self.stats]))
         return self._derivatives
+
+    def values_at(self, x) -> np.ndarray:
+        """(n, len(x)) statistics at the points x, read-only; the values at the last
+        x are kept, keyed on its identity, so a shared read-only grid costs one evaluation."""
+        memo = self._grid_values
+        if memo is None or memo[0] is not x:
+            values = np.vstack([c(x) for c in self.stats])
+            values.setflags(write=False)
+            memo = self._grid_values = (x, values)
+        return memo[1]
 
     def gram(self) -> np.ndarray:
         """Symmetrized Gram matrix <c_i, c_j> under the rule."""

@@ -308,15 +308,10 @@ def divergence_l2(p: GridDensity, q) -> float:
 def stat_expectations(p: GridDensity, family) -> np.ndarray:
     """E_p[stats]: the expectation coordinates that a metric projection matches.
 
-    The statistics' values on the last grid asked about are kept on the
-    family, keyed on the identity of the shared read-only nodes `p.x`, so
-    the snapshots of one reference run evaluate each statistic once.
+    The snapshots of one reference run share their read-only nodes `p.x`,
+    so the family's memo evaluates each statistic once per run.
     """
-    x = p.x
-    memo = getattr(family, "_grid_stats", None)
-    if memo is None or memo[0] is not x:
-        memo = family._grid_stats = (x, np.vstack([c(x) for c in family.stats]))
-    return np.array([p.expect(row) for row in memo[1]])
+    return np.array([p.expect(row) for row in family.values_at(p.x)])
 
 
 def metric_project_ef(p: GridDensity, fam: ExpFamily) -> np.ndarray:

@@ -6,6 +6,7 @@ than filled with sentinels.
 """
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -28,14 +29,7 @@ from .reference import (
     snapshot_index,
     solve_fpk,
 )
-from .scenario import (
-    Scenario,
-    build_family,
-    build_model,
-    build_reference_start,
-    reference_stride,
-    scenario_domain,
-)
+from .scenario import Scenario, build_run, reference_stride
 
 @dataclass
 class ResultTable:
@@ -86,13 +80,6 @@ def write_density_csv(path, snap: GridDensity):
     Path(path).write_text(text, newline="\n")
 
 
-def _write_density_slices(scenario: Scenario, snapshots, output_dir: Path):
-    times = [s.time for s in snapshots]
-    for t in scenario.outputs["density_times"]:
-        write_density_csv(output_dir / f"density_t{format(float(t), 'g')}.csv",
-                          snapshots[snapshot_index(times, t)])
-
-
 def _expectations(family, theta) -> np.ndarray:
     """eta (exponential family) or m (mixture) at canonical/weight coordinates."""
     if isinstance(family, ExpFamily):
@@ -120,24 +107,25 @@ def _start_state(initial: dict, family, coordinates: str):
     return None
 
 
-def _reference_snapshots(model, scenario: Scenario):
+def _reference_snapshots(scenario: Scenario, model, p0):
     """Solve the grid reference; a trajectory method gets one snapshot per row."""
-    p0 = build_reference_start(scenario, model)
     return solve_fpk(model, p0, scenario.numerics.t_end, scenario.numerics.pde_dt,
                      sample_stride=reference_stride(scenario))
 
 
-def _run_trajectory_method(scenario: Scenario, model, family, output_dir: Path,
-                           quiet: bool) -> ResultTable:
+# what an executor computes: the trajectory rows, the summary after the
+# scenario's name, the reference snapshots and a decay report, if any
+_Outcome = namedtuple("_Outcome", "rows summary snapshots report", defaults=((), None))
+
+
+def _run_trajectory_method(scenario: Scenario, model, family, p0) -> _Outcome:
     num = scenario.numerics
     ode = ProjectedOde(family, model, scenario.method)
     y0 = _start_state(scenario.initial, family, ode.coordinates)
     traj = integrate_ode(ode, y0, num.t_end, num.ode_dt,
                          record_residual=num.record_residual, sample_stride=num.sample_stride)
-    snapshots = [None] * len(traj.rows)
-    if num.attach_reference:
-        snapshots = _reference_snapshots(model, scenario)
-
+    snapshots = ([None] * len(traj.rows) if p0 is None
+                 else _reference_snapshots(scenario, model, p0))
     rows = []
     for i, (k, snap) in enumerate(zip(traj.rows, snapshots, strict=True)):
         theta = traj.thetas[i]
@@ -148,21 +136,14 @@ def _run_trajectory_method(scenario: Scenario, model, family, output_dir: Path,
         res = None if traj.residuals is None else float(traj.residuals[i])
         rows.append((float(traj.times[k]), *map(float, theta), *map(float, coords),
                      res, *_divergences(snap, family, theta), bool(traj.clamped[k])))
-    table = ResultTable(header=trajectory_header(family.n), rows=rows)
-    write_csv(output_dir / scenario.outputs["trajectory"], table)
-    if num.attach_reference:
-        _write_density_slices(scenario, snapshots, output_dir)
-    if not quiet:
-        final = ", ".join(format(v, ".6g") for v in traj.states[-1])
-        print(f"{scenario.name}: {scenario.method} reached t={num.t_end:g}, "
-              f"final state [{final}]" + (f", {len(traj.clamp_events)} clamps"
-                                          if traj.clamp_events else ""))
-    return table
+    final = ", ".join(format(v, ".6g") for v in traj.states[-1])
+    clamps = f", {len(traj.clamp_events)} clamps" if traj.clamp_events else ""
+    return _Outcome(rows, f"{scenario.method} reached t={num.t_end:g}, "
+                          f"final state [{final}]{clamps}", snapshots)
 
 
-def _run_metric_projection(scenario: Scenario, model, family, output_dir: Path,
-                           quiet: bool) -> ResultTable:
-    snapshots = _reference_snapshots(model, scenario)
+def _run_metric_projection(scenario: Scenario, model, family, p0) -> _Outcome:
+    snapshots = _reference_snapshots(scenario, model, p0)
     rows = []
     clamp_count = 0
     for snap in snapshots:
@@ -179,49 +160,44 @@ def _run_metric_projection(scenario: Scenario, model, family, output_dir: Path,
         coords = _expectations(family, theta)
         rows.append((float(snap.time), *map(float, theta), *map(float, coords),
                      None, *_divergences(snap, family, theta), clamped_flag))
-    table = ResultTable(header=trajectory_header(family.n), rows=rows)
-    write_csv(output_dir / scenario.outputs["trajectory"], table)
-    _write_density_slices(scenario, snapshots, output_dir)
-    if not quiet:
-        print(f"{scenario.name}: projected {len(rows)} snapshots"
-              + (f", {clamp_count} clamped" if clamp_count else ""))
-    return table
+    clamps = f", {clamp_count} clamped" if clamp_count else ""
+    return _Outcome(rows, f"projected {len(rows)} snapshots{clamps}", snapshots)
 
 
-def _run_decay(scenario: Scenario, model, family, output_dir: Path,
-               quiet: bool) -> ResultTable:
+def _run_decay(scenario: Scenario, model, family, p0) -> _Outcome:
     num = scenario.numerics
-    p0 = build_reference_start(scenario, model)
     start = _start_state(scenario.initial, family, "expectation")
     report = decay_experiment(
         model, family, p0, num.t_end, pde_dt=num.pde_dt, ode_dt=num.ode_dt,
         sample_stride=num.sample_stride, start=start, fit_window=num.fit_window)
-    write_decay_json(output_dir / scenario.outputs["decay"], report)
     rows = [
         (float(t), *[None] * family.n, *map(float, report.ode_moments[i]),
          None, None, None, None, False)
         for i, t in enumerate(report.times)
     ]
-    table = ResultTable(header=trajectory_header(family.n), rows=rows)
-    write_csv(output_dir / scenario.outputs["trajectory"], table)
-    if not quiet:
-        fitted = ", ".join("none" if r is None else format(r, ".6g")
-                           for r in report.fitted_rates)
-        print(f"{scenario.name}: eigenvalues "
-              + ", ".join(format(v, ".6g") for v in report.eigenvalues)
-              + f"; fitted rates [{fitted}]")
-    return table
+    eigenvalues = ", ".join(format(v, ".6g") for v in report.eigenvalues)
+    fitted = ", ".join("none" if r is None else format(r, ".6g")
+                       for r in report.fitted_rates)
+    return _Outcome(rows, f"eigenvalues {eigenvalues}; fitted rates [{fitted}]",
+                    report=report)
 
 
 def run_scenario(scenario: Scenario, output_dir, quiet: bool = False) -> ResultTable:
-    """Execute a validated scenario and write its output files."""
+    """Execute a scenario, built as validation builds it, and write its output files."""
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    domain = scenario_domain(scenario)
-    model = build_model(scenario, domain)
-    family = build_family(scenario, domain)
-    if scenario.method == "metric-projection":
-        return _run_metric_projection(scenario, model, family, output_dir, quiet)
-    if scenario.method == "decay-experiment":
-        return _run_decay(scenario, model, family, output_dir, quiet)
-    return _run_trajectory_method(scenario, model, family, output_dir, quiet)
+    model, family, p0 = build_run(scenario)
+    execute = {"metric-projection": _run_metric_projection,
+               "decay-experiment": _run_decay}.get(scenario.method, _run_trajectory_method)
+    out = execute(scenario, model, family, p0)
+    table = ResultTable(header=trajectory_header(family.n), rows=out.rows)
+    write_csv(output_dir / scenario.outputs["trajectory"], table)
+    for t in scenario.outputs["density_times"]:
+        times = [snap.time for snap in out.snapshots]
+        write_density_csv(output_dir / f"density_t{format(float(t), 'g')}.csv",
+                          out.snapshots[snapshot_index(times, t)])
+    if out.report is not None:
+        write_decay_json(output_dir / scenario.outputs["decay"], out.report)
+    if not quiet:
+        print(f"{scenario.name}: {out.summary}")
+    return table

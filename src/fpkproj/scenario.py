@@ -7,9 +7,10 @@ that builds it; parsing, construction and `presets list` all read it.
 
 Validation parses every field, rejecting unknown keys by name and naming
 missing required fields by their full path, and then builds the model,
-family and initial density exactly as a run does.  Value constraints are
-therefore checked once, by the factories, and a construction failure is
-reported as a ValidationError that names its section.
+family and initial density with `build_run`, the function a run builds
+with.  Value constraints are therefore checked once, by the factories, and
+a construction failure is reported as a ValidationError that names its
+section.
 """
 
 import math
@@ -260,8 +261,10 @@ def _built(path, build, *args):
         raise ValidationError(f"{path}: {err}") from err
 
 
-def _check_runnable(scenario: Scenario):
-    """Build what a run builds and check the step grids it will walk."""
+def build_run(scenario: Scenario):
+    """Build what a run builds and check the step grids it will walk; validation
+    and `run_scenario` both call this.  Returns (model, family, p0), p0 the initial
+    density on the reference grid, or None when no reference is solved."""
     num = scenario.numerics
     method = scenario.method
     domain = _built("numerics.domain", scenario_domain, scenario)
@@ -275,12 +278,14 @@ def _check_runnable(scenario: Scenario):
     if method == "decay-experiment":
         whole_steps(num.sample_stride * num.pde_dt, num.ode_dt,
                     "numerics.sample_stride * numerics.pde_dt")
-    if method in REFERENCE_METHODS or num.attach_reference:
-        _built("initial.density", build_reference_start, scenario, model)
-        nsteps = whole_steps(num.t_end, num.pde_dt, "numerics.t_end")
-        times = [k * num.pde_dt for k in sample_steps(nsteps, reference_stride(scenario))]
-        for t in scenario.outputs["density_times"]:
-            _built("outputs.density_times", snapshot_index, times, t)
+    if method not in REFERENCE_METHODS and not num.attach_reference:
+        return model, family, None
+    p0 = _built("initial.density", build_reference_start, scenario, model)
+    nsteps = whole_steps(num.t_end, num.pde_dt, "numerics.t_end")
+    times = [k * num.pde_dt for k in sample_steps(nsteps, reference_stride(scenario))]
+    for t in scenario.outputs["density_times"]:
+        _built("outputs.density_times", snapshot_index, times, t)
+    return model, family, p0
 
 
 def validate_scenario(raw: dict, name: str = "scenario") -> Scenario:
@@ -323,7 +328,7 @@ def validate_scenario(raw: dict, name: str = "scenario") -> Scenario:
         raise ValidationError("scenario.name must be a nonempty string")
     scenario = Scenario(name=scenario_name, model=model, family=family, method=method,
                         numerics=numerics, initial=initial, outputs=outputs)
-    _check_runnable(scenario)
+    build_run(scenario)
     return scenario
 
 

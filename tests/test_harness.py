@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +133,7 @@ def test_all_shipped_scenarios_validate():
     ("ou_metric_projection.yaml", "initial.density.means=[100,101]"),
     ("ou_ep2_tangent.yaml", "numerics.ode_dt=0.003"),
     ("circle_ada.yaml", "family.harmonics=[1,1]"),
+    ("ou_ep2_ada.yaml", "numerics.domain=[-1e80,1e80]"),
 ])
 def test_validate_rejects_what_run_cannot_build(name, override, capsys):
     assert cli_main(["validate", str(SCENARIO_DIR / name), "--override", override]) == 2
@@ -341,3 +343,23 @@ def test_cli_run_writes_outputs(tmp_path):
               "--override", "numerics.t_end=0.05")
     assert res.returncode == 0, res.stderr
     assert (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("name, overrides, pattern", [
+    ("ou_ep2_tangent.yaml", ["numerics.t_end=0.05", "numerics.sample_stride=10"],
+     # theta_1 = 0.5 exp(-t) and theta_2 = -1/2 under this OU model
+     r"ou_ep2_tangent: tangent-ef reached t=0\.05, final state \[0\.475615, -0\.5\]"),
+    ("ou_metric_projection.yaml", ["numerics.t_end=0.2", "numerics.pde_nx=601",
+                                   "outputs.density_times=[0.0]"],
+     r"ou_metric_projection: projected 3 snapshots"),
+    ("ou_hermite_decay.yaml", ["numerics.t_end=0.2", "numerics.pde_nx=601",
+                               "numerics.sample_stride=20", "numerics.fit_window=[0.0,0.2]"],
+     r"ou_hermite_decay: eigenvalues 1, 2; fitted rates \[[-0-9.e]+, [-0-9.e]+\]"),
+], ids=["trajectory", "metric-projection", "decay"])
+def test_run_prints_one_summary_line(tmp_path, capsys, name, overrides, pattern):
+    run_scenario(load_scenario(SCENARIO_DIR / name, overrides), tmp_path, quiet=False)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{Path(name).stem}: ")
+    assert re.fullmatch(pattern, lines[0]), lines[0]
+    run_scenario(load_scenario(SCENARIO_DIR / name, overrides), tmp_path, quiet=True)
+    assert capsys.readouterr().out == ""
