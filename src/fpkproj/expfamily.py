@@ -72,6 +72,9 @@ class ExpFamily(Statistics):
     """
 
     error = InadmissibleParameter
+    methods = ("tangent-ef", "ada-ef")
+    expectation_method = "ada-ef"
+    expectation_key = "eta"
 
     def __init__(self, stats, rule: QuadratureRule, kind: str = "custom", name: str = "custom"):
         super().__init__(stats, rule, kind, name)

@@ -36,13 +36,17 @@ class MixtureFamily(Statistics):
     """A simple mixture family over a fixed quadrature rule."""
 
     error = InadmissibleWeights
+    methods = ("tangent-mix", "ada-mix", "galerkin")
+    expectation_method = "ada-mix"
+    expectation_key = "m"
 
     def __init__(self, components, rule: QuadratureRule, kind: str = "custom",
                  name: str = "mixture"):
         self.components = tuple(components)
         if len(self.components) < 2:
             raise ValidationError("a mixture family needs at least two components")
-        q = np.vstack([np.asarray(c(rule.nodes), dtype=float) for c in self.components])
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.vstack([np.asarray(c(rule.nodes), dtype=float) for c in self.components])
         if not np.all(np.isfinite(q)):
             raise ValidationError("components must be finite at the quadrature nodes")
         if q.min() < -WEIGHT_MARGIN:
@@ -120,7 +124,7 @@ class MixtureFamily(Statistics):
         terms = [float(w) * comp for w, comp in zip(self.theta_hat(theta), self.components)]
         return sum(terms[1:], terms[0])
 
-    def weights_to_expectations(self, theta) -> np.ndarray:
+    def expectation_params(self, theta) -> np.ndarray:
         theta = self.require_admissible(theta)
         return self.gamma @ theta + self.beta
 

@@ -51,9 +51,7 @@ from .expfamily import ExpFamily
 from .mixture import MixtureFamily
 from .sde import SdeModel
 
-METHODS = ("tangent-ef", "ada-ef", "tangent-mix", "ada-mix", "galerkin")
-EF_METHODS = ("tangent-ef", "ada-ef")
-MIX_METHODS = ("tangent-mix", "ada-mix", "galerkin")
+METHODS = ExpFamily.methods + MixtureFamily.methods
 
 STEP_TOL = 1e-8
 # longest block of steps taken as one product of propagator powers
@@ -238,13 +236,14 @@ class Trajectory:
     """Record of an integrated projected flow.
 
     `times`, `states` (in the method's own coordinates) and `clamped` cover
-    every step; `thetas` (canonical/weight coordinates) and `residuals`
-    cover the sampled steps `rows` only.
+    every step; `thetas` (canonical/weight coordinates), `expectations`
+    (eta or m) and `residuals` cover the sampled steps `rows` only.
     """
 
     times: np.ndarray
     states: np.ndarray
     thetas: np.ndarray
+    expectations: np.ndarray
     rows: np.ndarray
     coordinates: str
     residuals: np.ndarray | None = None
@@ -277,12 +276,12 @@ class ProjectedOde:
     def __init__(self, family, model: SdeModel, method: str):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-        if not isinstance(family, ExpFamily if method in EF_METHODS else MixtureFamily):
+        if method not in family.methods:
             raise ValueError("method/family mismatch")
         self.family = family
         self.model = model
         self.method = method
-        self.coordinates = "expectation" if method in ("ada-ef", "ada-mix") else "canonical"
+        self.coordinates = "expectation" if method == family.expectation_method else "canonical"
         self.dim = family.n
         self.affine = None
         self.lc = model.generator_values(family.rule.nodes, *family.stat_derivative_values())
@@ -293,7 +292,7 @@ class ProjectedOde:
             self.affine = family.affine_in_stats(self.lc)
         elif method == "galerkin":
             self.affine = _galerkin_affine(family, self.lc)
-        elif method in MIX_METHODS:
+        else:
             self.affine = _projection_affine(family, self.lc, method)
             if method == "ada-mix":
                 self._gamma_inv = np.linalg.inv(family.gamma)
@@ -417,7 +416,7 @@ def _step_affine(ode: ProjectedOde, states, dt: float):
     phi, phi_c = rk4_propagator(*ode.affine, dt)
     powers = np.eye(ode.dim + 1)[None]
     powers[0, :-1, :-1], powers[0, :-1, -1] = phi, phi_c
-    mixture = ode.method in MIX_METHODS
+    mixture = isinstance(ode.family, MixtureFamily)
     events, weights = [], {}
     nsteps = states.shape[0] - 1
     y = states[0]
@@ -467,9 +466,11 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
     propagator (`_step_affine`), the others stage by stage.  Thetas and
     residuals are computed at `sample_steps(nsteps, sample_stride)` only,
     so closed ada-ef reports leaving the moment space at the first of those
-    steps after it leaves.  Residual recording is available for
-    exponential-family methods only.  Mixture weights are clamped to the
-    margin-shrunk simplex after each step and every clamp is recorded.
+    steps after it leaves.  Expectations there are the states, or the map
+    of theta taken with its residual, one moment pass per sampled step.
+    Residual recording is available for exponential-family methods only.
+    Mixture weights are clamped to the margin-shrunk simplex after each step
+    and every clamp is recorded.
     """
     nsteps = whole_steps(t_end, dt, "t_end")
     rows = sample_steps(nsteps, sample_stride)
@@ -481,7 +482,6 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
     states = np.empty((nsteps + 1, ode.dim))
     clamped = np.zeros(nsteps + 1, dtype=bool)
     states[0] = y
-    residuals = [residual(ode.family, ode.model, theta)] if record_residual else None
     events = []
     if ode.affine is None:
         thetas = _step_stages(ode, states, dt, theta, rows)
@@ -504,13 +504,17 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
             if k in weights:
                 thetas[i] = weights[k]
 
-    if record_residual:
-        for k, theta in zip(rows[1:], thetas[1:]):
-            try:
+    canonical = ode.coordinates == "canonical"
+    expectations, residuals = [], []
+    for k, theta in zip(rows, thetas):
+        try:
+            if record_residual:
                 residuals.append(residual(ode.family, ode.model, theta))
-            except FpkprojError as err:
-                raise _step_failure(err, k) from err
-        residuals = np.array(residuals)
+            if canonical:
+                expectations.append(ode.family.expectation_params(theta))
+        except FpkprojError as err:
+            raise _step_failure(err, k) from err
     return Trajectory(times=times, states=states, thetas=np.array(thetas), rows=np.array(rows),
+                      expectations=np.array(expectations) if canonical else states[rows],
                       coordinates=ode.coordinates, clamped=clamped, clamp_events=events,
-                      residuals=residuals)
+                      residuals=np.array(residuals) if record_residual else None)

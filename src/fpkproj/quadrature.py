@@ -29,6 +29,8 @@ class Domain:
             raise ValidationError("domain bounds must be finite")
         if not self.lower < self.upper:
             raise ValidationError(f"domain requires lower < upper, got [{self.lower}, {self.upper}]")
+        if not np.isfinite(float(self.upper) - float(self.lower)):
+            raise ValidationError(f"domain width overflows, got [{self.lower}, {self.upper}]")
         if self.kind not in DOMAIN_KINDS:
             raise ValidationError(f"unknown domain kind {self.kind!r}")
 
@@ -88,7 +90,9 @@ class Statistics:
     at construction (or passed in as `values`), derivative values on first
     use.  A subclass sets `error` and `_violation(theta)`, the message for a
     finite length-n parameter outside its admissible set or None, and gets
-    both admissibility checks from that one rule.
+    both admissibility checks from that one rule.  It also names its flows,
+    `methods`, the one in expectation coordinates, `expectation_method`, and
+    their `initial` key, `expectation_key`; `expectation_params` maps to them.
     """
 
     def __init__(self, stats, rule: QuadratureRule, kind: str, name: str, values=None):
@@ -100,7 +104,8 @@ class Statistics:
         if self.n == 0:
             raise ValueError("at least one statistic is required")
         if values is None:
-            values = np.vstack([np.asarray(c(rule.nodes), dtype=float) for c in self.stats])
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.vstack([np.asarray(c(rule.nodes), dtype=float) for c in self.stats])
         self._C = values
         self._derivatives = None
         self._grid_values = None

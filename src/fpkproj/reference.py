@@ -424,8 +424,7 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
     `start` optionally sets the projection's initial expectation
     coordinates; by default they are matched to p0, making epsilon(0) = 0.
     """
-    method, coordinates = ("ada-ef", "eta") if isinstance(family, ExpFamily) else ("ada-mix", "m")
-    ode = ProjectedOde(family, model, method)
+    ode = ProjectedOde(family, model, family.expectation_method)
     lambdas = _eigenvalues_for(family, ode.lc)
     # every snapshot must fall on an ODE step
     ode_stride = whole_steps(sample_stride * pde_dt, ode_dt, "sample_stride * pde_dt")
@@ -433,17 +432,16 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
     ref_moments = np.vstack([stat_expectations(snap, family) for snap in snapshots])
     y0 = ref_moments[0] if start is None else np.asarray(start, dtype=float)
     traj = integrate_ode(ode, y0, t_end, ode_dt, sample_stride=ode_stride)
-    ode_moments = traj.states[traj.rows]
     times = np.array([snap.time for snap in snapshots])
-    epsilon = ref_moments - ode_moments
+    epsilon = ref_moments - traj.expectations
     rates = fit_decay_rates(times, epsilon, window=fit_window)
     return DecayReport(
         times=times,
         epsilon=epsilon,
         reference_moments=ref_moments,
-        ode_moments=ode_moments,
+        ode_moments=traj.expectations,
         eigenvalues=lambdas,
         fitted_rates=rates,
         max_abs_epsilon=np.max(np.abs(epsilon), axis=0),
-        coordinates=coordinates,
+        coordinates=family.expectation_key,
     )

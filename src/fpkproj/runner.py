@@ -80,31 +80,12 @@ def write_density_csv(path, snap: GridDensity):
     Path(path).write_text(text, newline="\n")
 
 
-def _expectations(family, theta) -> np.ndarray:
-    """eta (exponential family) or m (mixture) at canonical/weight coordinates."""
-    if isinstance(family, ExpFamily):
-        return family.expectation_params(theta)
-    return family.weights_to_expectations(theta)
-
-
 def _divergences(snap, family, theta):
     """KL, Hellinger and L2 distances from a snapshot to the member at theta."""
     if snap is None:
         return None, None, None
     q = family.density(theta)(snap.x)
     return divergence_kl(snap, q), divergence_hellinger(snap, q), divergence_l2(snap, q)
-
-
-def _start_state(initial: dict, family, coordinates: str):
-    """Start of a flow in canonical or expectation coordinates; None if unset."""
-    if coordinates == "canonical":
-        return np.asarray(initial["theta"], dtype=float)
-    key = "eta" if isinstance(family, ExpFamily) else "m"
-    if key in initial:
-        return np.asarray(initial[key], dtype=float)
-    if "theta" in initial:
-        return _expectations(family, np.asarray(initial["theta"], dtype=float))
-    return None
 
 
 def _reference_snapshots(scenario: Scenario, model, p0):
@@ -118,31 +99,25 @@ def _reference_snapshots(scenario: Scenario, model, p0):
 _Outcome = namedtuple("_Outcome", "rows summary snapshots report", defaults=((), None))
 
 
-def _run_trajectory_method(scenario: Scenario, model, family, p0) -> _Outcome:
+def _run_trajectory_method(scenario: Scenario, model, family, p0, start) -> _Outcome:
     num = scenario.numerics
-    ode = ProjectedOde(family, model, scenario.method)
-    y0 = _start_state(scenario.initial, family, ode.coordinates)
-    traj = integrate_ode(ode, y0, num.t_end, num.ode_dt,
-                         record_residual=num.record_residual, sample_stride=num.sample_stride)
+    traj = integrate_ode(ProjectedOde(family, model, scenario.method), start, num.t_end,
+                         num.ode_dt, record_residual=num.record_residual,
+                         sample_stride=num.sample_stride)
     snapshots = ([None] * len(traj.rows) if p0 is None
                  else _reference_snapshots(scenario, model, p0))
-    rows = []
-    for i, (k, snap) in enumerate(zip(traj.rows, snapshots, strict=True)):
-        theta = traj.thetas[i]
-        if ode.coordinates == "expectation":
-            coords = traj.states[k]
-        else:
-            coords = _expectations(family, theta)
-        res = None if traj.residuals is None else float(traj.residuals[i])
-        rows.append((float(traj.times[k]), *map(float, theta), *map(float, coords),
-                     res, *_divergences(snap, family, theta), bool(traj.clamped[k])))
+    residuals = [None] * len(traj.rows) if traj.residuals is None else traj.residuals.tolist()
+    rows = [(float(traj.times[k]), *map(float, theta), *map(float, coords), res,
+             *_divergences(snap, family, theta), bool(traj.clamped[k]))
+            for k, theta, coords, res, snap in zip(traj.rows, traj.thetas, traj.expectations,
+                                                   residuals, snapshots, strict=True)]
     final = ", ".join(format(v, ".6g") for v in traj.states[-1])
     clamps = f", {len(traj.clamp_events)} clamps" if traj.clamp_events else ""
     return _Outcome(rows, f"{scenario.method} reached t={num.t_end:g}, "
                           f"final state [{final}]{clamps}", snapshots)
 
 
-def _run_metric_projection(scenario: Scenario, model, family, p0) -> _Outcome:
+def _run_metric_projection(scenario: Scenario, model, family, p0, start) -> _Outcome:
     snapshots = _reference_snapshots(scenario, model, p0)
     rows = []
     clamp_count = 0
@@ -157,16 +132,15 @@ def _run_metric_projection(scenario: Scenario, model, family, p0) -> _Outcome:
                 theta, _ = family.clamp_weights(np.asarray(err.value, dtype=float))
                 clamped_flag = True
                 clamp_count += 1
-        coords = _expectations(family, theta)
-        rows.append((float(snap.time), *map(float, theta), *map(float, coords),
+        rows.append((float(snap.time), *map(float, theta),
+                     *map(float, family.expectation_params(theta)),
                      None, *_divergences(snap, family, theta), clamped_flag))
     clamps = f", {clamp_count} clamped" if clamp_count else ""
     return _Outcome(rows, f"projected {len(rows)} snapshots{clamps}", snapshots)
 
 
-def _run_decay(scenario: Scenario, model, family, p0) -> _Outcome:
+def _run_decay(scenario: Scenario, model, family, p0, start) -> _Outcome:
     num = scenario.numerics
-    start = _start_state(scenario.initial, family, "expectation")
     report = decay_experiment(
         model, family, p0, num.t_end, pde_dt=num.pde_dt, ode_dt=num.ode_dt,
         sample_stride=num.sample_stride, start=start, fit_window=num.fit_window)
@@ -186,10 +160,10 @@ def run_scenario(scenario: Scenario, output_dir, quiet: bool = False) -> ResultT
     """Execute a scenario, built as validation builds it, and write its output files."""
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    model, family, p0 = build_run(scenario)
+    model, family, p0, start = build_run(scenario)
     execute = {"metric-projection": _run_metric_projection,
                "decay-experiment": _run_decay}.get(scenario.method, _run_trajectory_method)
-    out = execute(scenario, model, family, p0)
+    out = execute(scenario, model, family, p0, start)
     table = ResultTable(header=trajectory_header(family.n), rows=out.rows)
     write_csv(output_dir / scenario.outputs["trajectory"], table)
     for t in scenario.outputs["density_times"]:

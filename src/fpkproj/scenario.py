@@ -22,10 +22,10 @@ import numpy as np
 import yaml
 
 from .errors import FpkprojError, ValidationError
-from .expfamily import custom_poly_family, ep_family, hermite_family
+from .expfamily import ExpFamily, custom_poly_family, ep_family, hermite_family
 from .functions import DifferentiableFn, cosine_series_pdf_fn, gaussian_mixture_pdf_fn, gaussian_pdf_fn
-from .mixture import cosine_circle_family, gaussian_mixture_family
-from .projection import EF_METHODS, MIX_METHODS, sample_steps, whole_steps
+from .mixture import MixtureFamily, cosine_circle_family, gaussian_mixture_family
+from .projection import sample_steps, whole_steps
 from .projection import METHODS as ODE_METHODS
 from .quadrature import Domain, default_domain, simpson_rule
 from .reference import GridDensity, grid_density, snapshot_index
@@ -36,16 +36,6 @@ METHODS = ODE_METHODS + REFERENCE_METHODS
 REQUIRED = object()
 
 _TOP_KEYS = {"name", "model", "family", "method", "numerics", "initial", "outputs"}
-# initial keys each method can start from; one of them must be given
-_START_KEYS = {
-    "tangent-ef": ("theta",),
-    "ada-ef": ("eta", "theta"),
-    "tangent-mix": ("theta",),
-    "ada-mix": ("m", "theta"),
-    "galerkin": ("theta",),
-    "metric-projection": ("density",),
-    "decay-experiment": ("density",),
-}
 
 
 def _require_mapping(value, path):
@@ -154,8 +144,8 @@ def _parse_fields(spec, fields, path, extra=()):
 
 # one type of a typed section: {field: (parser, default or REQUIRED)}, the
 # factory called with the parsed fields, a note for `presets list`, and
-# for families the methods that accept them
-Preset = namedtuple("Preset", "fields build note methods", defaults=("", ()))
+# for families the class built, which names the methods that take it
+Preset = namedtuple("Preset", "fields build note family", defaults=("", None))
 
 
 MODELS = {
@@ -174,18 +164,18 @@ MODELS = {
 
 FAMILIES = {
     "ep": Preset({"n": (_integer, 2)}, ep_family,
-                 "statistics x, x^2, ..., x^n, n even", EF_METHODS),
+                 "statistics x, x^2, ..., x^n, n even", ExpFamily),
     "hermite": Preset({"indices": (_integers, REQUIRED)}, hermite_family,
-                      "probabilists' Hermite statistics He_k, largest index even", EF_METHODS),
+                      "probabilists' Hermite statistics He_k, largest index even", ExpFamily),
     "custom-poly": Preset({"exponents": (_integers, REQUIRED)}, custom_poly_family,
-                          "monomial statistics, largest exponent even", EF_METHODS),
+                          "monomial statistics, largest exponent even", ExpFamily),
     "gaussian-mixture": Preset(
         {"means": (_numbers, REQUIRED), "variances": (_numbers, REQUIRED)},
-        gaussian_mixture_family, "last component carries the rest", MIX_METHODS),
+        gaussian_mixture_family, "last component carries the rest", MixtureFamily),
     "cosine-circle": Preset(
         {"harmonics": (_integers, REQUIRED)}, cosine_circle_family,
         "components (1 + cos(kx))/(2*pi) plus uniform, circle-diffusion model only",
-        MIX_METHODS),
+        MixtureFamily),
 }
 
 DENSITIES = {
@@ -261,31 +251,56 @@ def _built(path, build, *args):
         raise ValidationError(f"{path}: {err}") from err
 
 
+def _start_keys(method: str, family) -> tuple:
+    """The initial keys a method can start its flow from, its own coordinates first:
+    a flow in expectation coordinates, as a decay experiment's is, also starts from theta."""
+    if method == "metric-projection":
+        return ()
+    if method in (family.expectation_method, "decay-experiment"):
+        return (family.expectation_key, "theta")
+    return ("theta",)
+
+
+def _flow_start(scenario: Scenario, family):
+    """The flow's start in the coordinates its method moves in, or None.  A theta
+    start is mapped to eta (one moment pass) or m, which refuses a theta the run
+    cannot take; an eta or m start is left to the run, which inverts it once."""
+    keys = _start_keys(scenario.method, family)
+    initial = scenario.initial
+    if "theta" in initial:
+        theta = np.asarray(initial["theta"], dtype=float)
+        mapped = _built("initial.theta", family.expectation_params, theta)
+        return theta if keys[0] == "theta" else mapped
+    return next((np.asarray(initial[key], dtype=float) for key in keys if key in initial), None)
+
+
 def build_run(scenario: Scenario):
     """Build what a run builds and check the step grids it will walk; validation
-    and `run_scenario` both call this.  Returns (model, family, p0), p0 the initial
-    density on the reference grid, or None when no reference is solved."""
+    and `run_scenario` both call this.  Returns (model, family, p0, start): p0 the
+    initial density on the reference grid, or None when no reference is solved,
+    and start the flow's start from `_flow_start`."""
     num = scenario.numerics
     method = scenario.method
     domain = _built("numerics.domain", scenario_domain, scenario)
     model = _built("model", build_model, scenario, domain)
     family = _built("family", build_family, scenario, domain)
-    for key in ("theta", "eta", "m"):
-        if key in scenario.initial and len(scenario.initial[key]) != family.n:
+    for key, value in scenario.initial.items():
+        if key != "density" and len(value) != family.n:
             raise ValidationError(f"initial.{key} must have length {family.n} (family dimension)")
+    start = _flow_start(scenario, family)
     if method != "metric-projection":
         whole_steps(num.t_end, num.ode_dt, "numerics.t_end")
     if method == "decay-experiment":
         whole_steps(num.sample_stride * num.pde_dt, num.ode_dt,
                     "numerics.sample_stride * numerics.pde_dt")
     if method not in REFERENCE_METHODS and not num.attach_reference:
-        return model, family, None
+        return model, family, None, start
     p0 = _built("initial.density", build_reference_start, scenario, model)
     nsteps = whole_steps(num.t_end, num.pde_dt, "numerics.t_end")
     times = [k * num.pde_dt for k in sample_steps(nsteps, reference_stride(scenario))]
     for t in scenario.outputs["density_times"]:
         _built("outputs.density_times", snapshot_index, times, t)
-    return model, family, p0
+    return model, family, p0, start
 
 
 def validate_scenario(raw: dict, name: str = "scenario") -> Scenario:
@@ -299,27 +314,35 @@ def validate_scenario(raw: dict, name: str = "scenario") -> Scenario:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
     model = _parse_typed(raw["model"], MODELS, "model")
     family = _parse_typed(raw["family"], FAMILIES, "family")
-    takes = FAMILIES[family["type"]].methods
-    if method in ODE_METHODS and method not in takes:
+    family_class = FAMILIES[family["type"]].family
+    if method in ODE_METHODS and method not in family_class.methods:
         raise ValidationError(f"method/family mismatch: {family['type']} families take "
-                              f"{', '.join(takes)}, got {method}")
+                              f"{', '.join(family_class.methods)}, got {method}")
     numerics = Numerics(**_parse_fields(raw["numerics"], _NUMERICS, "numerics"))
     initial = {key: value for key, value
                in _parse_fields(raw.get("initial") or {}, _INITIAL, "initial").items()
                if value is not None}
     outputs = _parse_fields(raw.get("outputs") or {}, _OUTPUTS, "outputs")
-    starts = _START_KEYS[method]
-    if not any(key in initial for key in starts):
+    starts = _start_keys(method, family_class)
+    reference = method in REFERENCE_METHODS or numerics.attach_reference
+    for key in initial:
+        if key not in ((*starts, "density") if reference else starts):
+            raise ValidationError(f"{method} on {family['type']} families does not read initial."
+                                  + ("density without a reference" if key == "density" else key))
+    given = [key for key in starts if key in initial]
+    if len(given) > 1:
+        raise ValidationError(f"initial.{given[0]} and initial.{given[1]} both given; "
+                              f"{method} starts from one of them")
+    if method in ODE_METHODS and not given:
         raise ValidationError(" or ".join(f"initial.{key}" for key in starts)
                               + f" required for {method}")
-    if numerics.attach_reference and "density" not in initial:
-        raise ValidationError("initial.density required when numerics.attach_reference is set")
-    writes_slices = method == "metric-projection" or (
-        method in ODE_METHODS and numerics.attach_reference)
-    if outputs["density_times"] and not writes_slices:
+    if reference and "density" not in initial:
+        raise ValidationError("initial.density required " + (
+            f"for {method}" if method in REFERENCE_METHODS else "when numerics.attach_reference is set"))
+    if outputs["density_times"] and (not reference or method == "decay-experiment"):
         raise ValidationError("outputs.density_times needs reference snapshots: method "
                               "metric-projection, or numerics.attach_reference on a trajectory method")
-    if numerics.record_residual and method in MIX_METHODS:
+    if numerics.record_residual and method in MixtureFamily.methods:
         raise ValidationError("numerics.record_residual applies to exponential-family methods")
     if family["type"] == "cosine-circle" and model["type"] != "circle-diffusion":
         raise ValidationError("cosine-circle families require the circle-diffusion model")
@@ -430,7 +453,7 @@ def presets_text() -> str:
             parts = [", ".join(name if default is REQUIRED else f"{name} (default {default!r})"
                                for name, (_, default) in preset.fields.items())]
             parts += [preset.note] if preset.note else []
-            parts += [f"methods {', '.join(preset.methods)}"] if preset.methods else []
+            parts += [f"methods {', '.join(preset.family.methods)}"] if preset.family else []
             lines.append(f"  {kind}: " + "; ".join(parts))
     lines += ["methods:", "  " + ", ".join(METHODS)]
     return "\n".join(lines)

@@ -33,8 +33,9 @@ class SdeModel:
 
     def __post_init__(self):
         x = np.linspace(self.domain.lower, self.domain.upper, _PROBE_POINTS)
-        a = np.asarray(self.diffusion(x), dtype=float)
-        f = np.asarray(self.drift(x), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.asarray(self.diffusion(x), dtype=float)
+            f = np.asarray(self.drift(x), dtype=float)
         if not np.all(np.isfinite(f)):
             raise ValidationError("drift is not finite on the domain")
         if not np.all(np.isfinite(a)) or np.min(a) <= 0:

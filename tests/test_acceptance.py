@@ -113,7 +113,7 @@ def test_criterion_03_decay_rates_circle_model():
                 + 0.2 * np.cos(3.0 * x)) / (2.0 * np.pi)
 
     p0 = grid_density(model.domain, 2001, p0_fn)
-    start = fam.weights_to_expectations(np.array([0.1, 0.05]))
+    start = fam.expectation_params(np.array([0.1, 0.05]))
     rep = decay_experiment(model, fam, p0, t_end=1.2, pde_dt=1e-3, ode_dt=1e-3,
                            sample_stride=10, start=start, fit_window=(0.05, 1.0))
     rates = np.array([float(r) for r in rep.fitted_rates])
@@ -145,7 +145,7 @@ def test_criterion_04_expectation_equals_tangent_projection():
     for fam, model in mix_presets:
         for _ in range(100):
             theta = draw_simplex(rng, fam.n)
-            m = fam.weights_to_expectations(theta)
+            m = fam.expectation_params(theta)
             lhs = mixture_m_rhs(fam, model, m)
             rhs = fam.gamma @ mixture_theta_rhs(fam, model, theta)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))

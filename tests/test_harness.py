@@ -134,10 +134,38 @@ def test_all_shipped_scenarios_validate():
     ("ou_ep2_tangent.yaml", "numerics.ode_dt=0.003"),
     ("circle_ada.yaml", "family.harmonics=[1,1]"),
     ("ou_ep2_ada.yaml", "numerics.domain=[-1e80,1e80]"),
+    # these also printed numpy overflow warnings, or ended in a traceback
+    # under -W error::RuntimeWarning
+    ("ou_ep2_ada.yaml", "numerics.domain=[-1e200,1e200]"),
+    ("gauss_mix_tangent.yaml", "numerics.domain=[-1e200,1e200]"),
+    ("cubic_ep2_residual.yaml", "numerics.domain=[-1e200,1e200]"),
+    ("ou_ep2_ada.yaml", "numerics.domain=[-1e308,1e308]"),
+    ("gauss_mix_tangent.yaml", "numerics.domain=[-1e308,1e308]"),
+    ("cubic_ep2_residual.yaml", "numerics.domain=[-1e308,1e308]"),
+    # starts outside the admissible set, refused when the start is built
+    ("ou_ep2_tangent.yaml", "initial.theta=[0.5,0.5]"),
+    ("circle_ada.yaml", "initial.theta=[0.7,0.6]"),
 ])
 def test_validate_rejects_what_run_cannot_build(name, override, capsys):
     assert cli_main(["validate", str(SCENARIO_DIR / name), "--override", override]) == 2
     assert "validation error" in capsys.readouterr().err
+
+
+# each of these validated, and the run ignored the key
+@pytest.mark.parametrize("name, overrides, message", [
+    ("ou_metric_projection.yaml", ["initial.theta=[0.5,-0.5]"], "does not read initial.theta"),
+    ("ou_hermite_decay.yaml", ["initial.m=[0.1,0.1]"], "does not read initial.m"),
+    ("ou_ep2_tangent.yaml", ["initial.eta=[0.5,1.25]"], "does not read initial.eta"),
+    ("circle_ada.yaml", ["initial.eta=[0.1,0.1]"], "does not read initial.eta"),
+    ("ou_ep2_ada.yaml", ["initial.density.type=gaussian"], "does not read initial.density"),
+    ("ou_ep2_ada.yaml", ["initial.theta=[0.5,-0.5]"], "initial.eta and initial.theta"),
+    ("circle_ada.yaml", ["initial.m=[0.1,0.1]"], "initial.m and initial.theta"),
+    ("ou_hermite_decay.yaml", ["initial.theta=[0.1,-0.5]"], "initial.eta and initial.theta"),
+])
+def test_initial_keys_the_method_does_not_read_are_refused(name, overrides, message, capsys):
+    args = [arg for item in overrides for arg in ("--override", item)]
+    assert cli_main(["validate", str(SCENARIO_DIR / name), *args]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_density_times_must_be_snapshot_times():

@@ -98,7 +98,7 @@ def test_affine_coordinate_roundtrip():
     rng = np.random.default_rng(21)
     for _ in range(10):
         theta = rng.uniform(0.05, 0.4, size=2)
-        m = fam.weights_to_expectations(theta)
+        m = fam.expectation_params(theta)
         assert np.max(np.abs(m - (fam.gamma @ theta + fam.beta))) <= 1e-14
         back = fam.expectations_to_weights(m)
         assert np.max(np.abs(back - theta)) <= 1e-11
@@ -109,8 +109,8 @@ def test_expectation_map_is_affine():
     rng = np.random.default_rng(22)
     t1 = rng.uniform(0.02, 0.25, size=3)
     t2 = rng.uniform(0.02, 0.25, size=3)
-    lhs = fam.weights_to_expectations(0.5 * (t1 + t2))
-    rhs = 0.5 * (fam.weights_to_expectations(t1) + fam.weights_to_expectations(t2))
+    lhs = fam.expectation_params(0.5 * (t1 + t2))
+    rhs = 0.5 * (fam.expectation_params(t1) + fam.expectation_params(t2))
     assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
 

@@ -51,7 +51,9 @@ from fpkproj.errors import (
     ValidationError,
 )
 import fpkproj.projection
-from fpkproj.projection import EF_METHODS, METHODS, ProjectedOde, rk4_propagator, sample_steps
+from fpkproj.expfamily import ExpFamily
+from fpkproj.mixture import MixtureFamily
+from fpkproj.projection import METHODS, ProjectedOde, rk4_propagator, sample_steps
 
 
 OU = ornstein_uhlenbeck(kappa=1.0, sigma=np.sqrt(2.0))
@@ -119,7 +121,7 @@ def test_mixture_expectation_flow_is_consistent():
     rng = np.random.default_rng(32)
     for _ in range(5):
         theta = rng.uniform(0.05, 0.4, size=2)
-        m = fam.weights_to_expectations(theta)
+        m = fam.expectation_params(theta)
         lhs = mixture_m_rhs(fam, OU, m)
         rhs = fam.gamma @ mixture_theta_rhs(fam, OU, theta)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
@@ -152,7 +154,7 @@ def test_mixture_methods_clamp_at_the_simplex_boundary():
     theta0 = np.array([0.2189, 0.3573])
     thetas = {}
     for method in ("tangent-mix", "ada-mix", "galerkin"):
-        y0 = fam.weights_to_expectations(theta0) if method == "ada-mix" else theta0
+        y0 = fam.expectation_params(theta0) if method == "ada-mix" else theta0
         traj = integrate_ode(make_ode(fam, model, method), y0, t_end=0.5, dt=1e-3)
         assert traj.times[-1] == pytest.approx(0.5)
         assert traj.clamp_events and traj.clamp_events[0].step == 368
@@ -178,7 +180,7 @@ def test_linear_mixture_flows_match_matrix_exponential(family, model, theta0):
         aug = np.zeros((n + 1, n + 1))
         aug[:n, :n] = np.column_stack([ode.rhs(e) - c for e in np.eye(n)])
         aug[:n, n] = c
-        y0 = family.weights_to_expectations(theta0) if method == "ada-mix" else theta0
+        y0 = family.expectation_params(theta0) if method == "ada-mix" else theta0
         traj = integrate_ode(ode, y0, t_end=0.5, dt=1e-3)
         assert not traj.clamped.any()
         for t, state in zip(traj.times[::50], traj.states[::50]):
@@ -193,10 +195,10 @@ def test_trajectory_carries_canonical_coordinates():
     for theta, eta in zip(traj.thetas, traj.states):
         assert np.max(np.abs(fam.expectation_params(theta) - eta)) <= 1e-10
     mix = gaussian_mixture_family([-1.0, 0.0, 1.0], [0.5, 0.5, 0.5])
-    m0 = mix.weights_to_expectations(np.array([0.3, 0.3]))
+    m0 = mix.expectation_params(np.array([0.3, 0.3]))
     traj = integrate_ode(make_ode(mix, OU, "ada-mix"), m0, t_end=0.05, dt=1e-2)
     for theta, m in zip(traj.thetas, traj.states):
-        assert np.max(np.abs(mix.weights_to_expectations(theta) - m)) <= 1e-14
+        assert np.max(np.abs(mix.expectation_params(theta) - m)) <= 1e-14
 
 
 def test_residual_vanishes_when_family_is_invariant():
@@ -227,15 +229,22 @@ def test_residual_projection_terms_are_consistent():
     assert terms["residual_sq"] >= 0.0
 
 
-def test_method_family_mismatch_is_rejected():
-    fam = ep_family(2)
-    mix = cosine_circle_family([1])
-    with pytest.raises(ValueError, match="method/family mismatch"):
-        make_ode(fam, OU, "tangent-mix")
-    with pytest.raises(ValueError, match="method/family mismatch"):
-        make_ode(mix, __import__("fpkproj").circle_diffusion(2.0), "ada-ef")
-    with pytest.raises(ValueError):
-        make_ode(fam, OU, "leapfrog")
+@pytest.mark.parametrize("fam, model", [
+    (ep_family(2), OU),
+    (cosine_circle_family([1]), circle_diffusion(2.0)),
+], ids=["ExpFamily", "MixtureFamily"])
+def test_method_family_mismatch_is_rejected(fam, model):
+    assert METHODS == ExpFamily.methods + MixtureFamily.methods
+    for method in METHODS:
+        if method in fam.methods:
+            ode = make_ode(fam, model, method)
+            expected = "expectation" if method == fam.expectation_method else "canonical"
+            assert ode.coordinates == expected
+        else:
+            with pytest.raises(ValueError, match="method/family mismatch"):
+                make_ode(fam, model, method)
+    with pytest.raises(ValueError, match="unknown method"):
+        make_ode(fam, model, "leapfrog")
 
 
 def test_integration_grid_is_validated():
@@ -428,11 +437,7 @@ AFFINE_IDS = [f"{fam.name}-{method}" for fam, _, _, method in AFFINE]
 
 
 def _start(fam, method, theta0):
-    if method == "ada-mix":
-        return fam.weights_to_expectations(theta0)
-    if method == "ada-ef":
-        return fam.expectation_params(theta0)
-    return theta0
+    return fam.expectation_params(theta0) if method == fam.expectation_method else theta0
 
 
 @pytest.mark.parametrize("fam, model, theta0, method", AFFINE, ids=AFFINE_IDS)
@@ -476,6 +481,22 @@ def test_sampled_rows_are_the_same_steps_of_a_dense_run(fam, model, theta0, meth
     assert np.max(np.abs(sparse.thetas - dense.thetas[rows])) <= 1e-10
     if residual_too:
         assert np.array_equal(sparse.residuals, dense.residuals[rows])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_trajectory_expectations_at_sampled_rows(method):
+    if method in ExpFamily.methods:
+        fam, model, theta0 = ep_family(2), CLOSED_OU, np.array([0.4, -0.7])
+    else:
+        fam, model, theta0 = cosine_circle_family([1, 2]), circle_diffusion(2.0), np.array([0.2, 0.1])
+    ode = make_ode(fam, model, method)
+    traj = integrate_ode(ode, _start(fam, method, theta0), t_end=0.3, dt=1e-2, sample_stride=7)
+    assert np.array_equal(traj.rows, sample_steps(30, 7))
+    if method == fam.expectation_method:
+        assert np.array_equal(traj.expectations, traj.states[traj.rows])
+    else:
+        assert np.array_equal(traj.expectations,
+                              [fam.expectation_params(theta) for theta in traj.thetas])
 
 
 def test_sampling_inverts_and_computes_residuals_at_sampled_steps_only(monkeypatch):
@@ -705,7 +726,7 @@ def test_building_an_ode_applies_the_generator_once(method, monkeypatch):
     original = SdeModel.generator_values
     monkeypatch.setattr(SdeModel, "generator_values",
                         lambda self, *args: calls.append(1) or original(self, *args))
-    if method in EF_METHODS:
+    if method in ExpFamily.methods:
         ProjectedOde(hermite_family([1, 2]), OU, method)
     else:
         ProjectedOde(cosine_circle_family([1, 2]), circle_diffusion(2.0), method)
@@ -717,7 +738,7 @@ def test_non_finite_weights_end_an_affine_run_at_the_step(method):
     fam = cosine_circle_family([1, 2])
     ode = make_ode(fam, circle_diffusion(2.0), method)
     ode.affine = (np.full((2, 2), np.nan), np.zeros(2))
-    y0 = fam.weights_to_expectations([0.2, 0.1]) if method == "ada-mix" else [0.2, 0.1]
+    y0 = fam.expectation_params([0.2, 0.1]) if method == "ada-mix" else [0.2, 0.1]
     with pytest.raises(TrajectoryExit) as info:
         integrate_ode(ode, np.asarray(y0), t_end=0.1, dt=1e-2)
     assert info.value.step == 1
