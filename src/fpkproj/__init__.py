@@ -10,7 +10,7 @@ coincide with moment-matching and Galerkin schemes.
 
 __version__ = "0.1.0"
 
-from .errors import FpkprojError, ValidationError
+from .errors import FpkprojError, UnderResolvedQuadrature, ValidationError
 from .functions import (
     DifferentiableFn,
     check_derivatives,
@@ -29,6 +29,7 @@ from .quadrature import (
     inner_product,
     integrate,
     simpson_rule,
+    trapezoid_rule,
 )
 from .sde import SdeModel, circle_diffusion, ornstein_uhlenbeck, polynomial_drift
 from .expfamily import (

@@ -31,6 +31,10 @@ class InadmissibleParameter(FpkprojError):
     """Canonical parameter lies outside the family's admissible set."""
 
 
+class UnderResolvedQuadrature(FpkprojError):
+    """The quadrature rule's embedded error estimate exceeds its tolerance."""
+
+
 class NonIntegrable(FpkprojError):
     """Normalization integral overflowed, underflowed, or is not finite."""
 

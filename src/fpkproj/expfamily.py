@@ -33,7 +33,7 @@ from .errors import (
     NonIntegrable,
 )
 from .functions import DifferentiableFn, hermite_fn, monomial_fn
-from .quadrature import QuadratureRule, Statistics, default_domain, simpson_rule
+from .quadrature import QuadratureRule, Statistics, default_domain, embedded_gap, trapezoid_rule
 
 ADMISSIBILITY_MARGIN = 1e-12
 GRAM_EIGENVALUE_FLOOR = 1e-10
@@ -146,6 +146,26 @@ class ExpFamily(Statistics):
         """
         return self.stack_rows(np.empty((0, self.rule.npoints)))
 
+    @cached_property
+    def _coarse_stack(self) -> np.ndarray:
+        """R on the even nodes with the weights of the embedded coarse rule."""
+        return self.row_stack[:, ::2] * (self.rule.embedded_weights() / self.rule.weights[::2])
+
+    def quadrature_error(self, theta) -> float:
+        """Embedded estimate at theta: T_L against T_{L-1} on the even nodes, over eta
+        and E[c c'], from the moment pass and one product on half the nodes."""
+        mom = self._moments(theta)
+        coarse = self._coarse_stack @ mom.pvals[::2]
+        if not coarse[0] > 0:
+            return np.inf  # the density underflows at every even node
+        return embedded_gap(mom.m[1:], coarse[1:] / coarse[0])
+
+    def integrals_error(self, values) -> float:
+        """The embedded estimate on the integrals of values, a function at the nodes,
+        times 1, c and c c'."""
+        values = np.asarray(values, dtype=float)
+        return embedded_gap(self.row_stack @ values, self._coarse_stack @ values[::2])
+
     def stack_rows(self, extra) -> np.ndarray:
         """[R; extra] as one read-only array; a family that has not built R yet
         keeps a view of this one."""
@@ -219,11 +239,16 @@ class ExpFamily(Statistics):
         """Normalized density at the quadrature nodes."""
         return self._moments(theta).pvals.copy()
 
-    def density(self, theta) -> DifferentiableFn:
+    def density(self, theta, psi=None) -> DifferentiableFn:
         """The density exp(log p), log p = theta . c - psi built by the function algebra;
-        p' = (log p)' p and p'' = ((log p)'' + (log p)'^2) p."""
+        p' = (log p)' p and p'' = ((log p)'' + (log p)'^2) p.  `psi` is the log-partition
+        at theta when the caller has it (a trajectory carries it at its rows), else it
+        comes from a moment pass."""
         theta = np.array(theta, dtype=float)
-        psi = self._moments(theta).psi
+        if psi is None:
+            psi = self._moments(theta).psi
+        else:
+            self.require_admissible(theta)
         terms = [float(t) * c for t, c in zip(theta, self.stats)]
         log_p = sum(terms[1:], terms[0]) - psi
 
@@ -335,19 +360,27 @@ class ExpFamily(Statistics):
         raise InadmissibleRecovery(
             f"Newton inversion did not converge (residual {best:.3e})", value=theta)
 
-    def _newton_start(self, eta, initial) -> np.ndarray:
-        """The seed of every inversion: on the Gaussians the one with eta's mean and
-        variance, whatever `initial` is; else `initial` when it is admissible, else
-        `default_initial_theta()`."""
+    def gaussian_start(self, eta):
+        """On the Gaussians, the admissible theta of the Gaussian with eta's mean and
+        variance, in closed form; None on other families or when there is none."""
         fit = self.gaussian_fit
-        if fit is not None:
-            mean, second = fit[0] @ eta + fit[1]  # (E x, E x^2) = A eta + b
-            var = second - mean * mean
-            if var > 0:
-                # theta' . (x, x^2) = theta' . (A c + b) = (A' theta') . c + const
-                theta = fit[0].T @ np.array([mean / var, -0.5 / var])
-                if self.is_admissible(theta):
-                    return theta
+        if fit is None:
+            return None
+        mean, second = fit[0] @ eta + fit[1]  # (E x, E x^2) = A eta + b
+        var = second - mean * mean
+        if not var > 0:
+            return None
+        # theta' . (x, x^2) = theta' . (A c + b) = (A' theta') . c + const
+        theta = fit[0].T @ np.array([mean / var, -0.5 / var])
+        return theta if self.is_admissible(theta) else None
+
+    def _newton_start(self, eta, initial) -> np.ndarray:
+        """The seed of every inversion: on the Gaussians `gaussian_start(eta)`, whatever
+        `initial` is; else `initial` when it is admissible, else
+        `default_initial_theta()`."""
+        theta = self.gaussian_start(eta)
+        if theta is not None:
+            return theta
         if initial is not None and self.is_admissible(initial):
             return np.array(initial, dtype=float)
         return self.default_initial_theta()
@@ -393,7 +426,7 @@ def ep_family(n: int, rule: QuadratureRule | None = None) -> ExpFamily:
     if n < 2 or n % 2 != 0:
         raise ValueError("n must be an even integer >= 2")
     stats = [monomial_fn(i) for i in range(1, n + 1)]
-    return ExpFamily(stats, rule or simpson_rule(default_domain()), kind="ep", name=f"EP({n})")
+    return ExpFamily(stats, rule or trapezoid_rule(default_domain()), kind="ep", name=f"EP({n})")
 
 
 def _degrees(values, plural: str, singular: str) -> list:
@@ -409,12 +442,12 @@ def _degrees(values, plural: str, singular: str) -> list:
 def hermite_family(indices, rule: QuadratureRule | None = None) -> ExpFamily:
     """Family spanned by probabilists' Hermite polynomials He_k."""
     idx = _degrees(indices, "indices", "index")
-    return ExpFamily([hermite_fn(i) for i in idx], rule or simpson_rule(default_domain()),
+    return ExpFamily([hermite_fn(i) for i in idx], rule or trapezoid_rule(default_domain()),
                      kind="hermite", name=f"hermite({','.join(map(str, idx))})")
 
 
 def custom_poly_family(exponents, rule: QuadratureRule | None = None) -> ExpFamily:
     """Monomial statistics with arbitrary exponents; the largest must be even."""
     exps = _degrees(exponents, "exponents", "exponent")
-    return ExpFamily([monomial_fn(e) for e in exps], rule or simpson_rule(default_domain()),
+    return ExpFamily([monomial_fn(e) for e in exps], rule or trapezoid_rule(default_domain()),
                      kind="custom-poly", name=f"poly({','.join(map(str, exps))})")

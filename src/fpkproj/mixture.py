@@ -22,10 +22,19 @@ from .errors import (
     DegenerateMixtureMetric,
     InadmissibleRecovery,
     InadmissibleWeights,
+    UnderResolvedQuadrature,
     ValidationError,
 )
 from .functions import DifferentiableFn, constant_fn, cosine_fn, gaussian_pdf_fn
-from .quadrature import Domain, QuadratureRule, Statistics, default_domain, simpson_rule
+from .quadrature import (
+    QUADRATURE_TOL,
+    Domain,
+    QuadratureRule,
+    Statistics,
+    default_domain,
+    embedded_gap,
+    trapezoid_rule,
+)
 
 WEIGHT_MARGIN = 1e-12
 METRIC_EIGENVALUE_FLOOR = 1e-12
@@ -33,7 +42,14 @@ COMPONENT_MASS_TOL = 1e-8
 
 
 class MixtureFamily(Statistics):
-    """A simple mixture family over a fixed quadrature rule."""
+    """A simple mixture family over a fixed quadrature rule.
+
+    Every member is a combination of the components, so one embedded
+    estimate, on gamma and on the component masses, holds for all of them;
+    it is computed once, when the family is built.  Components whose masses
+    miss 1 on an under-resolved rule raise UnderResolvedQuadrature, on a
+    resolved one ValidationError.
+    """
 
     error = InadmissibleWeights
     methods = ("tangent-mix", "ada-mix", "galerkin")
@@ -51,15 +67,22 @@ class MixtureFamily(Statistics):
             raise ValidationError("components must be finite at the quadrature nodes")
         if q.min() < -WEIGHT_MARGIN:
             raise ValidationError("components must be nonnegative densities")
+        coarse = rule.embedded_weights()
         masses = q @ rule.weights
-        if np.max(np.abs(masses - 1.0)) > COMPONENT_MASS_TOL:
-            raise ValidationError(
-                f"components must integrate to 1, worst deviation {np.max(np.abs(masses - 1.0)):.3e}")
+        mass_error = embedded_gap(masses, q[:, ::2] @ coarse)
+        worst = float(np.max(np.abs(masses - 1.0)))
+        if worst > COMPONENT_MASS_TOL:
+            error = UnderResolvedQuadrature if mass_error > QUADRATURE_TOL else ValidationError
+            raise error(f"components must integrate to 1 on {rule.npoints} quadrature nodes, "
+                        f"worst deviation {worst:.3e}")
         self._Q = q
         last = self.components[-1]
         super().__init__((c - last for c in self.components[:-1]), rule, kind, name,
                          values=q[:-1] - q[-1])
         self.gamma, self.beta = self.gamma_and_beta()
+        even = self._C[:, ::2]
+        self._quadrature_error = max(mass_error,
+                                     embedded_gap(self.gamma, (even * coarse) @ even.T))
         if np.linalg.eigvalsh(self.gamma).min() <= METRIC_EIGENVALUE_FLOOR:
             raise DegenerateMixtureMetric("mixture metric is numerically singular")
 
@@ -70,6 +93,10 @@ class MixtureFamily(Statistics):
     def gamma_and_beta(self):
         """Recompute the constant metric and offset from scratch."""
         return self.gram(), (self._C * self.rule.weights) @ self._Q[-1]
+
+    def quadrature_error(self, theta=None) -> float:
+        """The family's embedded estimate, the same at every member."""
+        return self._quadrature_error
 
     # -- weights ------------------------------------------------------
 
@@ -146,7 +173,7 @@ def gaussian_mixture_family(means, variances, rule: QuadratureRule | None = None
     if len(means) != len(variances) or len(means) < 2:
         raise ValueError("need matching means and variances for at least two components")
     comps = [gaussian_pdf_fn(mu, v) for mu, v in zip(means, variances)]
-    return MixtureFamily(comps, rule or simpson_rule(default_domain()),
+    return MixtureFamily(comps, rule or trapezoid_rule(default_domain()),
                          kind="gaussian-mixture", name="gaussian-mixture")
 
 
@@ -157,7 +184,7 @@ def cosine_circle_family(harmonics, rule: QuadratureRule | None = None) -> Mixtu
         raise ValueError("harmonics must be positive integers")
     domain = Domain(0.0, 2.0 * np.pi, kind="bounded-reflecting")
     if rule is None:
-        rule = simpson_rule(domain)
+        rule = trapezoid_rule(domain)
     scale = 1.0 / (2.0 * np.pi)
     comps = [cosine_fn(k, amplitude=scale, offset=scale) for k in ks]
     comps.append(constant_fn(scale))

@@ -37,6 +37,7 @@ sqrt-density geometry, between L* p and its tangent-space image:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -174,20 +175,24 @@ def _galerkin_affine(fam: MixtureFamily, lc):
     return sol[:, :-1], sol[:, -1]
 
 
-def residual_terms(fam: ExpFamily, model: SdeModel, theta) -> dict:
+def model_values(fam, model: SdeModel) -> tuple:
+    """(f, a, f', a', a'') at the family's nodes: what `residual_terms` reads of the model."""
+    x = fam.rule.nodes
+    return tuple(np.asarray(g(x), dtype=float) for g in (
+        model.drift, model.diffusion, model.drift.d1, model.diffusion.d1, model.diffusion.d2))
+
+
+def residual_terms(fam: ExpFamily, model: SdeModel, theta, values=None) -> dict:
     """All pieces of the orthogonal decomposition of L* p at theta.
 
     Uses the sqrt-free form (L* p)/p = -(f' + f S') + (a'' + 2 a' S' +
     a (S'' + S'^2))/2 with S = theta . c, so no square roots of small
-    densities appear.
+    densities appear.  `values` is `model_values(fam, model)`, which a
+    caller at many thetas evaluates once.
     """
     theta = fam.require_admissible(theta)
     x = fam.rule.nodes
-    f = np.asarray(model.drift(x), dtype=float)
-    a = np.asarray(model.diffusion(x), dtype=float)
-    f1 = np.asarray(model.drift.d1(x), dtype=float)
-    a1 = np.asarray(model.diffusion.d1(x), dtype=float)
-    a2 = np.asarray(model.diffusion.d2(x), dtype=float)
+    f, a, f1, a1, a2 = model_values(fam, model) if values is None else values
     c1, c2 = fam.stat_derivative_values()
     s1 = theta @ c1
     s2 = theta @ c2
@@ -218,9 +223,9 @@ def residual_terms(fam: ExpFamily, model: SdeModel, theta) -> dict:
     }
 
 
-def residual(fam: ExpFamily, model: SdeModel, theta) -> float:
+def residual(fam: ExpFamily, model: SdeModel, theta, values=None) -> float:
     """Norm of the component of L* p orthogonal to the tangent space."""
-    r_sq = residual_terms(fam, model, theta)["residual_sq"]
+    r_sq = residual_terms(fam, model, theta, values)["residual_sq"]
     return float(np.sqrt(max(r_sq, 0.0)))
 
 
@@ -237,7 +242,9 @@ class Trajectory:
 
     `times`, `states` (in the method's own coordinates) and `clamped` cover
     every step; `thetas` (canonical/weight coordinates), `expectations`
-    (eta or m) and `residuals` cover the sampled steps `rows` only.
+    (eta or m), the embedded quadrature estimates `quadrature_errors`,
+    `residuals` and, on an exponential family, the log-partitions
+    `log_partitions` cover the sampled steps `rows` only.
     """
 
     times: np.ndarray
@@ -246,9 +253,11 @@ class Trajectory:
     expectations: np.ndarray
     rows: np.ndarray
     coordinates: str
+    quadrature_errors: np.ndarray
     residuals: np.ndarray | None = None
     clamped: np.ndarray | None = None
     clamp_events: list = field(default_factory=list)
+    log_partitions: np.ndarray | None = None
 
     @property
     def final_state(self):
@@ -270,7 +279,8 @@ class ProjectedOde:
     ada-ef is that field too when L c = A c + b on span{c, 1} at the nodes:
     then E_eta[L c] = A eta + b and no stage inverts the moment map.
     `lc` holds L c, one row per statistic; `affine` holds (A, c) of a
-    constant affine field, else None.
+    constant affine field, else None; `model_values`, what the residual
+    reads of the model at the nodes, is evaluated on first use.
     """
 
     def __init__(self, family, model: SdeModel, method: str):
@@ -296,6 +306,10 @@ class ProjectedOde:
             self.affine = _projection_affine(family, self.lc, method)
             if method == "ada-mix":
                 self._gamma_inv = np.linalg.inv(family.gamma)
+
+    @cached_property
+    def model_values(self) -> tuple:
+        return model_values(self.family, self.model)
 
     def rhs(self, state, theta_guess=None) -> np.ndarray:
         """Time derivative of the state; `theta_guess` seeds ada-ef's inversion."""
@@ -458,6 +472,20 @@ def _step_affine(ode: ProjectedOde, states, dt: float):
     return events, weights
 
 
+def _row_inversions(ode: ProjectedOde, states, rows, theta):
+    """Closed ada-ef's thetas at the rows: its field needs none, so the moment map is
+    inverted at the sampled steps only, each inversion seeded from the one before and
+    made when its row is recorded."""
+    yield theta
+    for prev, k in zip(rows, rows[1:]):
+        try:
+            seed = ode.newton_seeds(states[prev], theta)(states[k])
+            theta = ode.family.expectation_to_canonical(states[k], initial=seed)
+        except FpkprojError as err:
+            raise _step_failure(err, k) from err
+        yield theta
+
+
 def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
                   record_residual: bool = False, sample_stride: int = 1) -> Trajectory:
     """Classic fixed-step fourth-order Runge-Kutta integration.
@@ -467,14 +495,16 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
     residuals are computed at `sample_steps(nsteps, sample_stride)` only,
     so closed ada-ef reports leaving the moment space at the first of those
     steps after it leaves.  Expectations there are the states, or the map
-    of theta taken with its residual, one moment pass per sampled step.
+    of theta taken with its residual, and the family's embedded quadrature
+    estimate (`quadrature_error`) with them, one moment pass per sampled step.
     Residual recording is available for exponential-family methods only.
     Mixture weights are clamped to the margin-shrunk simplex after each step
     and every clamp is recorded.
     """
     nsteps = whole_steps(t_end, dt, "t_end")
     rows = sample_steps(nsteps, sample_stride)
-    if record_residual and not isinstance(ode.family, ExpFamily):
+    exponential = isinstance(ode.family, ExpFamily)
+    if record_residual and not exponential:
         raise ValidationError("residual recording applies to exponential families only")
 
     y, theta = ode.prepare_initial(initial_state)
@@ -487,15 +517,7 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
         thetas = _step_stages(ode, states, dt, theta, rows)
     elif ode.method == "ada-ef":
         _step_affine(ode, states, dt)
-        # closed ada-ef's field needs no theta: invert at sampled steps only,
-        # each seeded from the previous one
-        thetas = [theta]
-        for prev, k in zip(rows, rows[1:]):
-            try:
-                seed = ode.newton_seeds(states[prev], thetas[-1])(states[k])
-                thetas.append(ode.family.expectation_to_canonical(states[k], initial=seed))
-            except FpkprojError as err:
-                raise _step_failure(err, k) from err
+        thetas = _row_inversions(ode, states, rows, theta)
     else:
         events, weights = _step_affine(ode, states, dt)
         clamped[list(weights)] = True
@@ -504,17 +526,26 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
             if k in weights:
                 thetas[i] = weights[k]
 
+    fam = ode.family
     canonical = ode.coordinates == "canonical"
-    expectations, residuals = [], []
+    recorded, errors, expectations, residuals, psis = [], [], [], [], []
+    # one moment pass per row: the estimate makes it, or finds it in the
+    # family's memo, and the expectations, residual and log-partition reuse it
     for k, theta in zip(rows, thetas):
+        recorded.append(theta)
         try:
+            errors.append(fam.quadrature_error(theta))
             if record_residual:
-                residuals.append(residual(ode.family, ode.model, theta))
+                residuals.append(residual(fam, ode.model, theta, ode.model_values))
             if canonical:
-                expectations.append(ode.family.expectation_params(theta))
+                expectations.append(fam.expectation_params(theta))
+            if exponential:
+                psis.append(fam.log_partition(theta))
         except FpkprojError as err:
             raise _step_failure(err, k) from err
-    return Trajectory(times=times, states=states, thetas=np.array(thetas), rows=np.array(rows),
+    return Trajectory(times=times, states=states, thetas=np.array(recorded), rows=np.array(rows),
                       expectations=np.array(expectations) if canonical else states[rows],
-                      coordinates=ode.coordinates, clamped=clamped, clamp_events=events,
-                      residuals=np.array(residuals) if record_residual else None)
+                      coordinates=ode.coordinates, quadrature_errors=np.array(errors),
+                      clamped=clamped, clamp_events=events,
+                      residuals=np.array(residuals) if record_residual else None,
+                      log_partitions=np.array(psis) if exponential else None)

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InadmissibleRecovery
 from .expfamily import ExpFamily
 from .projection import ProjectedOde, integrate_ode
+from .quadrature import require_resolved
 from .reference import (
     DecayReport,
     GridDensity,
@@ -80,11 +81,12 @@ def write_density_csv(path, snap: GridDensity):
     Path(path).write_text(text, newline="\n")
 
 
-def _divergences(snap, family, theta):
-    """KL, Hellinger and L2 distances from a snapshot to the member at theta."""
+def _divergences(snap, family, theta, psi=None):
+    """KL, Hellinger and L2 distances from a snapshot to the member at theta; `psi`
+    is the log-partition of an exponential-family member when a trajectory carries it."""
     if snap is None:
         return None, None, None
-    q = family.density(theta)(snap.x)
+    q = (family.density(theta) if psi is None else family.density(theta, psi))(snap.x)
     return divergence_kl(snap, q), divergence_hellinger(snap, q), divergence_l2(snap, q)
 
 
@@ -104,13 +106,18 @@ def _run_trajectory_method(scenario: Scenario, model, family, p0, start) -> _Out
     traj = integrate_ode(ProjectedOde(family, model, scenario.method), start, num.t_end,
                          num.ode_dt, record_residual=num.record_residual,
                          sample_stride=num.sample_stride)
+    for k, error in zip(traj.rows, traj.quadrature_errors):
+        require_resolved(family.rule, error, f"row t = {traj.times[k]:g}")
     snapshots = ([None] * len(traj.rows) if p0 is None
                  else _reference_snapshots(scenario, model, p0))
-    residuals = [None] * len(traj.rows) if traj.residuals is None else traj.residuals.tolist()
+    missing = [None] * len(traj.rows)
+    residuals = missing if traj.residuals is None else traj.residuals.tolist()
+    psis = missing if traj.log_partitions is None else traj.log_partitions
     rows = [(float(traj.times[k]), *map(float, theta), *map(float, coords), res,
-             *_divergences(snap, family, theta), bool(traj.clamped[k]))
-            for k, theta, coords, res, snap in zip(traj.rows, traj.thetas, traj.expectations,
-                                                   residuals, snapshots, strict=True)]
+             *_divergences(snap, family, theta, psi), bool(traj.clamped[k]))
+            for k, theta, coords, res, psi, snap in zip(
+                traj.rows, traj.thetas, traj.expectations, residuals, psis, snapshots,
+                strict=True)]
     final = ", ".join(format(v, ".6g") for v in traj.states[-1])
     clamps = f", {len(traj.clamp_events)} clamps" if traj.clamp_events else ""
     return _Outcome(rows, f"{scenario.method} reached t={num.t_end:g}, "
@@ -132,6 +139,8 @@ def _run_metric_projection(scenario: Scenario, model, family, p0, start) -> _Out
                 theta, _ = family.clamp_weights(np.asarray(err.value, dtype=float))
                 clamped_flag = True
                 clamp_count += 1
+        require_resolved(family.rule, family.quadrature_error(theta),
+                         f"snapshot t = {snap.time:g}")
         rows.append((float(snap.time), *map(float, theta),
                      *map(float, family.expectation_params(theta)),
                      None, *_divergences(snap, family, theta), clamped_flag))

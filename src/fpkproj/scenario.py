@@ -21,13 +21,20 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import FpkprojError, ValidationError
+from .errors import FpkprojError, UnderResolvedQuadrature, ValidationError
 from .expfamily import ExpFamily, custom_poly_family, ep_family, hermite_family
 from .functions import DifferentiableFn, cosine_series_pdf_fn, gaussian_mixture_pdf_fn, gaussian_pdf_fn
 from .mixture import MixtureFamily, cosine_circle_family, gaussian_mixture_family
 from .projection import sample_steps, whole_steps
 from .projection import METHODS as ODE_METHODS
-from .quadrature import Domain, default_domain, simpson_rule
+from .quadrature import (
+    MAX_LEVEL,
+    MIN_LEVEL,
+    Domain,
+    default_domain,
+    require_resolved,
+    trapezoid_rule,
+)
 from .reference import GridDensity, grid_density, snapshot_index
 from .sde import circle_diffusion, ornstein_uhlenbeck, polynomial_drift
 
@@ -207,7 +214,7 @@ def _build(table, spec, **context):
 _NUMERICS = {
     "t_end": (_positive, REQUIRED),
     "domain": (_interval(-math.inf), None),
-    "quadrature_level": (_int_range(3, 20), 12),
+    "quadrature_level": (_int_range(3, 20), None),
     "ode_dt": (_positive, 1e-3),
     "pde_nx": (_int_range(3, 10 ** 6), 2001),
     "pde_dt": (_positive, 1e-3),
@@ -244,11 +251,13 @@ class Scenario:
 
 
 def _built(path, build, *args):
-    """build(*args), with any construction failure reported against `path`."""
+    """build(*args), with any construction failure reported against `path`; a named
+    numerical error keeps its name, as the command line prints it on exit code 3."""
     try:
         return build(*args)
     except (ValueError, FpkprojError) as err:
-        raise ValidationError(f"{path}: {err}") from err
+        name = "" if isinstance(err, (ValueError, ValidationError)) else f"{type(err).__name__}: "
+        raise ValidationError(f"{path}: {name}{err}") from err
 
 
 def _start_keys(method: str, family) -> tuple:
@@ -263,14 +272,17 @@ def _start_keys(method: str, family) -> tuple:
 
 def _flow_start(scenario: Scenario, family):
     """The flow's start in the coordinates its method moves in, or None.  A theta
-    start is mapped to eta (one moment pass) or m, which refuses a theta the run
-    cannot take; an eta or m start is left to the run, which inverts it once."""
+    start is mapped to eta (one moment pass) or m, and an m start to the weights
+    (one linear solve), which refuses a start the run cannot take; an eta start is
+    left to the run, which inverts it once."""
     keys = _start_keys(scenario.method, family)
     initial = scenario.initial
     if "theta" in initial:
         theta = np.asarray(initial["theta"], dtype=float)
         mapped = _built("initial.theta", family.expectation_params, theta)
         return theta if keys[0] == "theta" else mapped
+    if "m" in initial:
+        _built("initial.m", family.expectations_to_weights, initial["m"])
     return next((np.asarray(initial[key], dtype=float) for key in keys if key in initial), None)
 
 
@@ -415,8 +427,47 @@ def build_model(scenario: Scenario, domain: Domain):
 
 
 def build_family(scenario: Scenario, domain: Domain):
-    return _build(FAMILIES, scenario.family,
-                  rule=simpson_rule(domain, scenario.numerics.quadrature_level))
+    """The family on the trapezoid rule at numerics.quadrature_level or, when that is
+    absent, at the smallest level in MIN_LEVEL..MAX_LEVEL whose embedded estimate is
+    within QUADRATURE_TOL at the start (`_check_start`).  UnderResolvedQuadrature when
+    the given level, or the largest, is not."""
+    level = scenario.numerics.quadrature_level
+    for level in range(MIN_LEVEL, MAX_LEVEL + 1) if level is None else (level,):
+        try:
+            family = _build(FAMILIES, scenario.family, rule=trapezoid_rule(domain, level))
+            _check_start(scenario, family)
+            return family
+        except UnderResolvedQuadrature as err:
+            failure = err
+    raise failure
+
+
+def _check_start(scenario: Scenario, family) -> None:
+    """UnderResolvedQuadrature unless the family's embedded estimate is within
+    QUADRATURE_TOL at every member the start gives without a Newton solve: every
+    member of a mixture family; for an exponential family the member at a theta
+    start, the closed-form member of an eta start on the Gaussians, and the initial
+    density's own integrals of 1, c and c c'.  A start that gives no member here is
+    refused by `build_run` or left to the run, which checks the estimate at its rows."""
+    rule = family.rule
+    if isinstance(family, MixtureFamily):
+        require_resolved(rule, family.quadrature_error(), "family")
+        return
+    initial = scenario.initial
+    if "theta" in initial and family.is_admissible(initial["theta"]):
+        require_resolved(rule, family.quadrature_error(initial["theta"]), "initial.theta")
+    if "eta" in initial and len(initial["eta"]) == family.n:
+        theta = family.gaussian_start(np.asarray(initial["eta"], dtype=float))
+        if theta is not None:
+            require_resolved(rule, family.quadrature_error(theta), "initial.eta")
+    if "density" not in initial:
+        return
+    try:
+        values = build_initial_density(initial["density"])(rule.nodes)
+    except (ValueError, FpkprojError):
+        return  # build_run refuses it by name, as it does one that is not finite
+    if np.isfinite(values).all():
+        require_resolved(rule, family.integrals_error(values), "initial.density")
 
 
 def build_initial_density(spec: dict) -> DifferentiableFn:

@@ -26,7 +26,9 @@ from fpkproj import (
 )
 from fpkproj.cli import main as cli_main
 from fpkproj.errors import ValidationError
+from fpkproj.expfamily import ExpFamily
 from fpkproj.functions import cosine_series_pdf_fn
+from fpkproj.quadrature import MIN_LEVEL
 from fpkproj.reference import GridDensity
 from fpkproj.runner import format_value, trajectory_header, write_density_csv
 from fpkproj.scenario import (
@@ -35,6 +37,7 @@ from fpkproj.scenario import (
     METHODS,
     MODELS,
     apply_overrides,
+    build_family,
     build_initial_density,
     scenario_domain,
 )
@@ -122,6 +125,47 @@ def test_all_shipped_scenarios_validate():
     for path in paths:
         sc = load_scenario(path)
         assert sc.name == path.stem
+        # every shipped start is resolved on the smallest level
+        assert build_family(sc, scenario_domain(sc)).rule.npoints == 2 ** MIN_LEVEL + 1
+
+
+GAUSS = {"type": "ep", "n": 2}
+
+
+@pytest.mark.parametrize("method, family, initial, level", [
+    ("tangent-ef", GAUSS, {"theta": [0.0, -10.0]}, 8),  # variance 0.05
+    ("tangent-ef", GAUSS, {"theta": [0.0, -25.0]}, 9),  # variance 0.02
+    ("tangent-ef", GAUSS, {"theta": [0.0, -50.0]}, 10),  # variance 0.01
+    # an eta start on the Gaussians is mapped in closed form
+    ("ada-ef", {"type": "hermite", "indices": [1, 2]}, {"eta": [0.0, -0.99]}, 10),
+    ("metric-projection", GAUSS, {"density": {"type": "gaussian", "var": 0.01}}, 10),
+    # on 257 nodes the narrow component misses its mass, on 513 its Gram entries
+    ("tangent-mix", {"type": "gaussian-mixture", "means": [-1.0, 0.0, 1.0],
+                     "variances": [0.003, 0.5, 0.5]}, {"theta": [0.3, 0.3]}, 11),
+])
+def test_quadrature_level_is_the_smallest_that_resolves_the_start(method, family, initial,
+                                                                  level):
+    raw = {"name": "narrow", "method": method, "model": {"type": "ou"}, "family": family,
+           "numerics": {"t_end": 0.01}, "initial": initial}
+    sc = validate_scenario(raw)
+    assert build_family(sc, scenario_domain(sc)).rule.npoints == 2 ** level + 1
+
+
+@pytest.mark.parametrize("command, overrides, code", [
+    ("validate", ["numerics.quadrature_level=4"], 2),
+    # kappa 4 and sigma 0.5 narrow the flow to variance 1/32, beyond what 257 nodes resolve
+    ("run", ["model.kappa=4", "model.sigma=0.5"], 3),
+])
+def test_under_resolved_quadrature_is_refused_by_name(tmp_path, capsys, command, overrides,
+                                                      code):
+    args = [command, str(SCENARIO_DIR / "ou_ep2_tangent.yaml")]
+    args += [arg for item in overrides for arg in ("--override", item)]
+    args += ["--output-dir", str(tmp_path), "--quiet"] if command == "run" else []
+    assert cli_main(args) == code
+    err = capsys.readouterr().err
+    assert "UnderResolvedQuadrature" in err and "raise numerics.quadrature_level" in err
+    if command == "run":
+        assert cli_main([*args, "--override", "numerics.quadrature_level=10"]) == 0
 
 
 # each of these passed `fpkproj validate` and then failed `fpkproj run`
@@ -145,6 +189,7 @@ def test_all_shipped_scenarios_validate():
     # starts outside the admissible set, refused when the start is built
     ("ou_ep2_tangent.yaml", "initial.theta=[0.5,0.5]"),
     ("circle_ada.yaml", "initial.theta=[0.7,0.6]"),
+    ("circle_ada.yaml", "initial={m: [5, 5]}"),
 ])
 def test_validate_rejects_what_run_cannot_build(name, override, capsys):
     assert cli_main(["validate", str(SCENARIO_DIR / name), "--override", override]) == 2
@@ -231,6 +276,27 @@ def test_divergence_rows_use_the_snapshot_at_their_own_time(tmp_path):
     member = ep_family(2).density(np.array(row[1:3]))
     assert row[6] == pytest.approx(divergence_kl(snaps[-1], member), rel=1e-12)
     assert row[6] != pytest.approx(divergence_kl(snaps[0], member), rel=1e-3)
+
+
+def test_trajectory_rows_take_one_moment_pass_each(tmp_path, monkeypatch):
+    # the start's pass when the run is built, then one per later row; the
+    # divergences read the log-partition the trajectory carries at its rows
+    sc = load_scenario(SCENARIO_DIR / "ou_ep2_tangent.yaml", [
+        "numerics.record_residual=false", "numerics.attach_reference=true",
+        "initial.density={type: gaussian, mean: 0.5, var: 1.0}"])
+    passes = []
+    original = ExpFamily._pass
+
+    def counted(self, theta, rows):
+        if rows is self.row_stack:  # a moment pass, not a tangent-ef stage
+            passes.append(1)
+        return original(self, theta, rows)
+
+    monkeypatch.setattr(ExpFamily, "_pass", counted)
+    table = run_scenario(sc, tmp_path, quiet=True)
+    assert len(table.rows) == 21
+    assert all(row[6] is not None for row in table.rows)
+    assert len(passes) == 21
 
 
 def test_attached_reference_writes_density_slices(tmp_path):

@@ -17,14 +17,17 @@ from fpkproj import (
     gaussian_mixture_family,
     gaussian_pdf_fn,
     simpson_rule,
+    trapezoid_rule,
 )
 from fpkproj.errors import (
     DegenerateMixtureMetric,
     InadmissibleRecovery,
     InadmissibleWeights,
+    UnderResolvedQuadrature,
     ValidationError,
 )
 from fpkproj.mixture import MixtureFamily
+from fpkproj.quadrature import QUADRATURE_TOL
 
 
 MEANS = [-1.0, 0.2, 1.1]
@@ -176,6 +179,12 @@ def test_component_mass_is_validated():
     comps = [1.1 * gaussian_pdf_fn(0.0, 1.0), gaussian_pdf_fn(1.0, 1.0)]
     with pytest.raises(ValidationError):
         MixtureFamily(comps, rule)
+    # a mass that misses 1 on a rule too coarse for the component is the rule's fault
+    with pytest.raises(UnderResolvedQuadrature, match="257 quadrature nodes"):
+        gaussian_mixture_family([-1.0, 0.0, 1.0], [0.003, 0.5, 0.5])
+    fine = gaussian_mixture_family([-1.0, 0.0, 1.0], [0.003, 0.5, 0.5],
+                                   trapezoid_rule(default_domain(), 11))
+    assert fine.quadrature_error() <= QUADRATURE_TOL
 
 
 def test_at_least_two_components_required():

@@ -513,18 +513,17 @@ def test_sampling_inverts_and_computes_residuals_at_sampled_steps_only(monkeypat
                               sample_stride=50)
     assert len(calls) <= 1 + report.times.size
 
-    terms = []
-    original = fpkproj.projection.residual_terms
-
-    def counted(*args, **kwargs):
-        terms.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(fpkproj.projection, "residual_terms", counted)
+    calls = []
+    for name in ("residual_terms", "model_values"):
+        original = getattr(fpkproj.projection, name)
+        monkeypatch.setattr(fpkproj.projection, name,
+                            lambda *args, _name=name, _fn=original: calls.append(_name) or _fn(*args))
     cubic = polynomial_drift([0.0, 0.0, 0.0, -1.0], diffusion=2.0)
     traj = integrate_ode(make_ode(ep_family(2), cubic, "tangent-ef"), np.array([0.0, -0.5]),
                          t_end=0.2, dt=1e-3, record_residual=True, sample_stride=30)
-    assert len(terms) == traj.residuals.size == len(sample_steps(200, 30))
+    assert calls.count("residual_terms") == traj.residuals.size == len(sample_steps(200, 30))
+    # the drift and diffusion at the nodes are evaluated once per ODE, not per row
+    assert calls.count("model_values") == 1
 
 
 @pytest.mark.parametrize("fam, theta0", CLOSED[:2], ids=["EP(2)", "EP(4)"])

@@ -45,8 +45,8 @@ VALUES = {
     "numerics.record_residual": ("true", "false"),
     "numerics.fit_window": ("[0.0, 0.02]", "[0.02, 0.0]", "[-1, 1]"),
     "initial.theta": ("[0.5, -0.5]", "[0.2, 0.1]", "[0.4, 0.3]", "[0.2]", "[0.5, 0.5]",
-                      "[0.9, 0.9]", "[]"),
-    "initial.eta": ("[0.5, 1.25]", "[0.0, 0.0]", "[0.5, 0.1]", "[1.0]"),
+                      "[0.9, 0.9]", "[]", "[0.0, -50.0]"),
+    "initial.eta": ("[0.5, 1.25]", "[0.0, 0.0]", "[0.5, 0.1]", "[1.0]", "[0.0, 0.01]"),
     "initial.m": ("[0.1, 0.1]", "[5, 5]", "[0.0]"),
     "initial.density.type": (*DENSITIES, "bogus"),
     "initial.density.mean": ("0.5", "100", "-11"),
