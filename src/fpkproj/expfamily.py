@@ -144,7 +144,20 @@ class ExpFamily(Statistics):
         R e / z, z = w . e, is (1, eta, the upper triangle of E[c c']) for
         e = exp(theta . c - shift).
         """
-        return self.stack_rows(np.empty((0, self.rule.npoints)))
+        w = self.rule.weights
+        wc = self._C * w
+        i, j = np.triu_indices(self.n)
+        rows = np.vstack([w, wc, wc[i] * self._C[j]])
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def _pair_index(self) -> np.ndarray:
+        """index[i, j]: the row of R holding w c_i c_j, for either order of i and j."""
+        i, j = np.triu_indices(self.n)
+        index = np.empty((self.n, self.n), dtype=np.intp)
+        index[i, j] = index[j, i] = 1 + self.n + np.arange(i.size)
+        return index
 
     @cached_property
     def _coarse_stack(self) -> np.ndarray:
@@ -165,26 +178,6 @@ class ExpFamily(Statistics):
         times 1, c and c c'."""
         values = np.asarray(values, dtype=float)
         return embedded_gap(self.row_stack @ values, self._coarse_stack @ values[::2])
-
-    def stack_rows(self, extra) -> np.ndarray:
-        """[R; extra] as one read-only array; a family that has not built R yet
-        keeps a view of this one."""
-        n, c, w = self.n, self._C, self.rule.weights
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        k = 1 + n + len(pairs)
-        rows = np.empty((k + len(extra), c.shape[1]))
-        rows[0] = w
-        np.multiply(c, w, out=rows[1:n + 1])
-        # index[i, j]: the row of w c_i c_j for either order of i and j
-        index = np.empty((n, n), dtype=np.intp)
-        for row, (i, j) in enumerate(pairs, start=1 + n):
-            np.multiply(rows[1 + i], c[j], out=rows[row])
-            index[i, j] = index[j, i] = row
-        rows[k:] = extra
-        rows.setflags(write=False)
-        self.__dict__.setdefault("row_stack", rows[:k])
-        self._pair_index = index
-        return rows
 
     def _pass(self, theta, rows):
         """(shift, z, e, rows @ e / z) at an admissible theta: one exp and one product.

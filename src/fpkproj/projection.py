@@ -297,7 +297,7 @@ class ProjectedOde:
         self.lc = model.generator_values(family.rule.nodes, *family.stat_derivative_values())
         if method == "tangent-ef":
             # the family's row stack and w L c: one product gives eta, E[c c'] and v
-            self._rows = family.stack_rows(family.rule.weights * self.lc)
+            self._rows = np.vstack([family.row_stack, family.rule.weights * self.lc])
         elif method == "ada-ef":
             self.affine = family.affine_in_stats(self.lc)
         elif method == "galerkin":

@@ -14,6 +14,7 @@ convergence it is about the error of T_{L-1}, far above that of T_L.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,8 @@ DEFAULT_LEVEL = 12
 MIN_LEVEL = 8
 MAX_LEVEL = 14
 QUADRATURE_TOL = 1e-10
+# a density above this at an end node of a truncated line is not negligible there
+END_DENSITY_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -184,15 +187,22 @@ class Statistics:
         return theta
 
 
-def require_resolved(rule: QuadratureRule, error: float, where: str) -> None:
+def require_resolved(rule: QuadratureRule, error: float, where: str, density=None) -> None:
     """UnderResolvedQuadrature, naming `where`, unless the embedded estimate `error` of
-    the rule is within QUADRATURE_TOL."""
+    the rule is within QUADRATURE_TOL.  `density`, called only then, gives the density
+    (one row per density) at the nodes; on a truncated line, where one exceeds
+    END_DENSITY_TOL at an end node, the message also says to widen numerics.domain,
+    since there the rule converges only as h**2 and a finer level barely helps."""
     if not error <= QUADRATURE_TOL:
         level = (rule.npoints - 1).bit_length() - 1
+        advice = "raise numerics.quadrature_level"
+        if density is not None and rule.domain.kind == "unbounded-truncated":
+            end = float(np.max(density()[..., [0, -1]]))
+            if end > END_DENSITY_TOL:
+                advice += f", or widen numerics.domain: the density is {end:.2e} at an end node"
         raise UnderResolvedQuadrature(
             f"{where}: embedded quadrature error estimate {error:.2e} exceeds "
-            f"{QUADRATURE_TOL:g} at level {level} ({rule.npoints} nodes); "
-            "raise numerics.quadrature_level")
+            f"{QUADRATURE_TOL:g} at level {level} ({rule.npoints} nodes); {advice}")
 
 
 def embedded_gap(fine, coarse) -> float:
@@ -201,29 +211,34 @@ def embedded_gap(fine, coarse) -> float:
     return float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
 
 
+@lru_cache(maxsize=16)
+def trapezoid_grid(domain: Domain, npoints: int) -> tuple:
+    """Nodes and weights of the trapezoid rule on npoints uniform nodes, read-only and
+    shared: a family's rule and a reference grid on the same nodes hold the same arrays."""
+    nodes = np.linspace(domain.lower, domain.upper, npoints)
+    weights = np.full(npoints, domain.width / (npoints - 1))
+    weights[0] = weights[-1] = 0.5 * weights[1]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def trapezoid_rule(domain: Domain, level: int = MIN_LEVEL) -> QuadratureRule:
     """Trapezoid rule with 2**level + 1 uniform nodes."""
     if level < 1:
         raise ValidationError("level must be at least 1")
-    npoints = 2 ** level + 1
-    nodes = np.linspace(domain.lower, domain.upper, npoints)
-    weights = np.full(npoints, domain.width / (npoints - 1))
-    weights[0] = weights[-1] = 0.5 * weights[1]
+    nodes, weights = trapezoid_grid(domain, 2 ** level + 1)
     return QuadratureRule(nodes=nodes, weights=weights, domain=domain)
 
 
 def simpson_rule(domain: Domain, level: int = DEFAULT_LEVEL) -> QuadratureRule:
-    """Composite Simpson rule with 2**level + 1 uniform nodes."""
+    """Composite Simpson rule with 2**level + 1 uniform nodes, (4 T_h - T_2h) / 3."""
     if level < 1:
         raise ValidationError("level must be at least 1")
-    npoints = 2 ** level + 1
-    nodes = np.linspace(domain.lower, domain.upper, npoints)
-    h = domain.width / (npoints - 1)
-    weights = np.full(npoints, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    weights *= h / 3.0
-    return QuadratureRule(nodes=nodes, weights=weights, domain=domain)
+    nodes, fine = trapezoid_grid(domain, 2 ** level + 1)
+    weights = 4.0 * fine
+    weights[::2] -= trapezoid_grid(domain, 2 ** (level - 1) + 1)[1]
+    return QuadratureRule(nodes=nodes, weights=weights / 3.0, domain=domain)
 
 
 def _evaluate(f, nodes: np.ndarray) -> np.ndarray:

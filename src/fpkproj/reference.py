@@ -18,8 +18,8 @@ family's own inversion of E_p[stats], computed on the grid by
 `MixtureFamily.expectations_to_weights` (a constant linear solve).
 """
 
+import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,10 +34,8 @@ from .errors import (
 from .expfamily import ExpFamily, canonical_from_moments
 from .mixture import MixtureFamily
 from .projection import STEP_TOL, ProjectedOde, integrate_ode, sample_steps, whole_steps
-from .quadrature import Domain
+from .quadrature import Domain, trapezoid_grid
 from .sde import SdeModel
-
-import warnings
 
 NEGATIVITY_TOL = 1e-10
 NEGATIVE_SAMPLE_TOL = 1e-12
@@ -47,18 +45,6 @@ EIGEN_RESIDUAL_TOL = 1e-8
 DECAY_FLOOR = 1e-8
 FLIP_SKIP = 2
 MAX_LOG_SPAN = 600.0
-
-
-@lru_cache(maxsize=16)
-def _grid(domain: Domain, nx: int):
-    """Nodes and trapezoid weights of the uniform nx-point grid, read-only and shared."""
-    x = np.linspace(domain.lower, domain.upper, nx)
-    h = domain.width / (nx - 1)
-    w = np.full(nx, h)
-    w[0] = w[-1] = 0.5 * h
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 @dataclass(frozen=True)
@@ -90,11 +76,11 @@ class GridDensity:
 
     @property
     def x(self) -> np.ndarray:
-        return _grid(self.domain, self.nx)[0]
+        return trapezoid_grid(self.domain, self.nx)[0]
 
     @property
     def trapezoid_weights(self) -> np.ndarray:
-        return _grid(self.domain, self.nx)[1]
+        return trapezoid_grid(self.domain, self.nx)[1]
 
     def mass(self) -> float:
         return float(self.trapezoid_weights @ self.values)
@@ -116,7 +102,7 @@ def grid_density(domain: Domain, nx: int, fn) -> GridDensity:
     """
     if nx < 3:
         raise ValidationError("nx must be at least 3")
-    x, w = _grid(domain, nx)
+    x, w = trapezoid_grid(domain, nx)
     values = np.asarray(fn(x), dtype=float)
     low = values.min()
     if low < -NEGATIVE_SAMPLE_TOL * values.max():
@@ -133,7 +119,7 @@ def fpk_operator(model: SdeModel, domain: Domain, nx: int):
     """Tridiagonal bands (lower, diag, upper) of the discrete adjoint generator."""
     if nx < 3:
         raise ValidationError("nx must be at least 3")
-    x, vol = _grid(domain, nx)
+    x, vol = trapezoid_grid(domain, nx)
     h = domain.width / (nx - 1)
     xf = x[:-1] + 0.5 * h
     d_face = 0.5 * np.asarray(model.diffusion(xf), dtype=float)

@@ -16,11 +16,10 @@ import numpy as np
 from .errors import InadmissibleRecovery
 from .expfamily import ExpFamily
 from .projection import ProjectedOde, integrate_ode
-from .quadrature import require_resolved
+from .quadrature import require_resolved, trapezoid_grid
 from .reference import (
     DecayReport,
     GridDensity,
-    _grid,
     decay_experiment,
     divergence_hellinger,
     divergence_kl,
@@ -73,7 +72,7 @@ def write_decay_json(path, report: DecayReport):
 def _density_template(domain, nx: int) -> str:
     """A density slice of the grid with its nodes rendered: one "%.17g" left per value."""
     # "%.17g" renders a float exactly as format_value does
-    return "x,p\n" + "%.17g,%%.17g\n" * nx % tuple(_grid(domain, nx)[0].tolist())
+    return "x,p\n" + "%.17g,%%.17g\n" * nx % tuple(trapezoid_grid(domain, nx)[0].tolist())
 
 
 def write_density_csv(path, snap: GridDensity):
@@ -106,8 +105,9 @@ def _run_trajectory_method(scenario: Scenario, model, family, p0, start) -> _Out
     traj = integrate_ode(ProjectedOde(family, model, scenario.method), start, num.t_end,
                          num.ode_dt, record_residual=num.record_residual,
                          sample_stride=num.sample_stride)
-    for k, error in zip(traj.rows, traj.quadrature_errors):
-        require_resolved(family.rule, error, f"row t = {traj.times[k]:g}")
+    for k, theta, error in zip(traj.rows, traj.thetas, traj.quadrature_errors):
+        require_resolved(family.rule, error, f"row t = {traj.times[k]:g}",
+                         lambda: family.density_values(theta))
     snapshots = ([None] * len(traj.rows) if p0 is None
                  else _reference_snapshots(scenario, model, p0))
     missing = [None] * len(traj.rows)
@@ -140,7 +140,7 @@ def _run_metric_projection(scenario: Scenario, model, family, p0, start) -> _Out
                 clamped_flag = True
                 clamp_count += 1
         require_resolved(family.rule, family.quadrature_error(theta),
-                         f"snapshot t = {snap.time:g}")
+                         f"snapshot t = {snap.time:g}", lambda: family.density_values(theta))
         rows.append((float(snap.time), *map(float, theta),
                      *map(float, family.expectation_params(theta)),
                      None, *_divergences(snap, family, theta), clamped_flag))

@@ -250,14 +250,21 @@ class Scenario:
     outputs: dict = field(default_factory=dict)
 
 
+class _Placed(ValidationError):
+    """A ValidationError that already names the scenario path it is about."""
+
+
 def _built(path, build, *args):
     """build(*args), with any construction failure reported against `path`; a named
-    numerical error keeps its name, as the command line prints it on exit code 3."""
+    numerical error keeps its name, as the command line prints it on exit code 3, and
+    a failure already reported against a path keeps that path."""
     try:
         return build(*args)
+    except _Placed:
+        raise
     except (ValueError, FpkprojError) as err:
         name = "" if isinstance(err, (ValueError, ValidationError)) else f"{type(err).__name__}: "
-        raise ValidationError(f"{path}: {name}{err}") from err
+        raise _Placed(f"{path}: {name}{err}") from err
 
 
 def _start_keys(method: str, family) -> tuple:
@@ -271,34 +278,55 @@ def _start_keys(method: str, family) -> tuple:
 
 
 def _flow_start(scenario: Scenario, family):
-    """The flow's start in the coordinates its method moves in, or None.  A theta
-    start is mapped to eta (one moment pass) or m, and an m start to the weights
-    (one linear solve), which refuses a start the run cannot take; an eta start is
-    left to the run, which inverts it once."""
+    """The flow's start in the coordinates its method moves in, or None, once the
+    family's embedded estimate is within QUADRATURE_TOL at the members the start gives
+    without a Newton solve (UnderResolvedQuadrature otherwise).
+
+    A theta start is mapped to eta (one moment pass) or m, and an m start to the
+    weights (one linear solve), which refuses a start the run cannot take; an eta start
+    is left to the run, which inverts it once.  The estimate is checked on a mixture
+    family itself, which holds for every member, and on an exponential family at a
+    theta start, at the closed-form Gaussian of an eta start on the Gaussians, and on
+    the initial density's own integrals of 1, c and c c'.  A start that gives no member
+    here is checked by the run at its rows."""
+    initial, rule = scenario.initial, family.rule
+    if isinstance(family, MixtureFamily):
+        require_resolved(rule, family.quadrature_error(), "family", family.component_values)
+    for key, value in initial.items():
+        if key != "density" and len(value) != family.n:
+            raise _Placed(f"initial.{key} must have length {family.n} (family dimension)")
     keys = _start_keys(scenario.method, family)
-    initial = scenario.initial
+    start = next((np.asarray(initial[key], dtype=float) for key in keys if key in initial), None)
+    member = None
     if "theta" in initial:
-        theta = np.asarray(initial["theta"], dtype=float)
-        mapped = _built("initial.theta", family.expectation_params, theta)
-        return theta if keys[0] == "theta" else mapped
-    if "m" in initial:
-        _built("initial.m", family.expectations_to_weights, initial["m"])
-    return next((np.asarray(initial[key], dtype=float) for key in keys if key in initial), None)
+        member = np.asarray(initial["theta"], dtype=float)
+        mapped = _built("initial.theta", family.expectation_params, member)
+        start = member if keys[0] == "theta" else mapped
+    elif "m" in initial:
+        _built("initial.m", family.expectations_to_weights, start)
+    elif "eta" in initial:
+        member = family.gaussian_start(start)
+    if member is not None:  # a mixture member's estimate is the family's, checked above
+        where = "initial.theta" if "theta" in initial else "initial.eta"
+        require_resolved(rule, family.quadrature_error(member), where,
+                         lambda: family.density_values(member))
+    if "density" in initial and isinstance(family, ExpFamily):
+        values = _built("initial.density", build_initial_density, initial["density"])(rule.nodes)
+        require_resolved(rule, family.integrals_error(values), "initial.density", lambda: values)
+    return start
 
 
 def build_run(scenario: Scenario):
     """Build what a run builds and check the step grids it will walk; validation
     and `run_scenario` both call this.  Returns (model, family, p0, start): p0 the
     initial density on the reference grid, or None when no reference is solved,
-    and start the flow's start from `_flow_start`."""
+    and start the flow's start from `_flow_start`, which `build_family` has already
+    checked at the level it chose."""
     num = scenario.numerics
     method = scenario.method
     domain = _built("numerics.domain", scenario_domain, scenario)
     model = _built("model", build_model, scenario, domain)
     family = _built("family", build_family, scenario, domain)
-    for key, value in scenario.initial.items():
-        if key != "density" and len(value) != family.n:
-            raise ValidationError(f"initial.{key} must have length {family.n} (family dimension)")
     start = _flow_start(scenario, family)
     if method != "metric-projection":
         whole_steps(num.t_end, num.ode_dt, "numerics.t_end")
@@ -429,45 +457,17 @@ def build_model(scenario: Scenario, domain: Domain):
 def build_family(scenario: Scenario, domain: Domain):
     """The family on the trapezoid rule at numerics.quadrature_level or, when that is
     absent, at the smallest level in MIN_LEVEL..MAX_LEVEL whose embedded estimate is
-    within QUADRATURE_TOL at the start (`_check_start`).  UnderResolvedQuadrature when
+    within QUADRATURE_TOL at the start (`_flow_start`).  UnderResolvedQuadrature when
     the given level, or the largest, is not."""
     level = scenario.numerics.quadrature_level
     for level in range(MIN_LEVEL, MAX_LEVEL + 1) if level is None else (level,):
         try:
             family = _build(FAMILIES, scenario.family, rule=trapezoid_rule(domain, level))
-            _check_start(scenario, family)
+            _flow_start(scenario, family)
             return family
         except UnderResolvedQuadrature as err:
             failure = err
     raise failure
-
-
-def _check_start(scenario: Scenario, family) -> None:
-    """UnderResolvedQuadrature unless the family's embedded estimate is within
-    QUADRATURE_TOL at every member the start gives without a Newton solve: every
-    member of a mixture family; for an exponential family the member at a theta
-    start, the closed-form member of an eta start on the Gaussians, and the initial
-    density's own integrals of 1, c and c c'.  A start that gives no member here is
-    refused by `build_run` or left to the run, which checks the estimate at its rows."""
-    rule = family.rule
-    if isinstance(family, MixtureFamily):
-        require_resolved(rule, family.quadrature_error(), "family")
-        return
-    initial = scenario.initial
-    if "theta" in initial and family.is_admissible(initial["theta"]):
-        require_resolved(rule, family.quadrature_error(initial["theta"]), "initial.theta")
-    if "eta" in initial and len(initial["eta"]) == family.n:
-        theta = family.gaussian_start(np.asarray(initial["eta"], dtype=float))
-        if theta is not None:
-            require_resolved(rule, family.quadrature_error(theta), "initial.eta")
-    if "density" not in initial:
-        return
-    try:
-        values = build_initial_density(initial["density"])(rule.nodes)
-    except (ValueError, FpkprojError):
-        return  # build_run refuses it by name, as it does one that is not finite
-    if np.isfinite(values).all():
-        require_resolved(rule, family.integrals_error(values), "initial.density")
 
 
 def build_initial_density(spec: dict) -> DifferentiableFn:

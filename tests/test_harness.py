@@ -164,8 +164,34 @@ def test_under_resolved_quadrature_is_refused_by_name(tmp_path, capsys, command,
     assert cli_main(args) == code
     err = capsys.readouterr().err
     assert "UnderResolvedQuadrature" in err and "raise numerics.quadrature_level" in err
+    # neither density reaches the ends of the domain, so a wider one would not help
+    assert "widen numerics.domain" not in err
     if command == "run":
         assert cli_main([*args, "--override", "numerics.quadrature_level=10"]) == 0
+
+
+SPREADING = "model={type: polynomial-drift, coefficients: [0, 1], diffusion: 2.0}"
+
+
+@pytest.mark.parametrize("name, overrides, code, widen", [
+    # the unstable drift x spreads the flow until its density reaches the ends of
+    # [-12, 12], where the trapezoid rule converges only as h^2
+    ("ou_ep2_tangent.yaml", [SPREADING], 3, True),
+    ("ou_ep2_tangent.yaml", [SPREADING, "numerics.quadrature_level=12"], 3, True),
+    # the circle has no ends to widen
+    ("circle_ada.yaml", ["family.harmonics=[2,3]", "numerics.quadrature_level=3"], 2, False),
+    ("circle_decay.yaml", ["family.harmonics=[2,3]", "numerics.quadrature_level=3"], 2, False),
+], ids=["spreading", "spreading-level-12", "circle-ada", "circle-decay"])
+def test_under_resolved_advice_names_the_domain_where_the_density_reaches_its_ends(
+        tmp_path, capsys, name, overrides, code, widen):
+    args = ["run", str(SCENARIO_DIR / name), "--output-dir", str(tmp_path), "--quiet"]
+    args += [arg for item in overrides for arg in ("--override", item)]
+    assert cli_main(args) == code
+    err = capsys.readouterr().err
+    assert "raise numerics.quadrature_level" in err
+    assert ("widen numerics.domain" in err) == widen
+    if widen:
+        assert cli_main([*args, "--override", "numerics.domain=[-30,30]"]) == 0
 
 
 # each of these passed `fpkproj validate` and then failed `fpkproj run`
@@ -194,6 +220,26 @@ def test_under_resolved_quadrature_is_refused_by_name(tmp_path, capsys, command,
 def test_validate_rejects_what_run_cannot_build(name, override, capsys):
     assert cli_main(["validate", str(SCENARIO_DIR / name), "--override", override]) == 2
     assert "validation error" in capsys.readouterr().err
+
+
+# what `validate` prints for a start it refuses: the start's own key names
+# the error, and the family only an estimate that the family's rule misses
+@pytest.mark.parametrize("name, override, message", [
+    ("ou_ep2_tangent.yaml", "initial.theta=[0.5,0.5]", "initial.theta: InadmissibleParameter: "
+     "leading coefficient must be negative, got theta_n = 0.5"),
+    ("ou_ep2_tangent.yaml", "initial.theta=[0.5]",
+     "initial.theta must have length 2 (family dimension)"),
+    ("ou_ep2_tangent.yaml", "numerics.quadrature_level=4",
+     "family: UnderResolvedQuadrature: initial.theta: embedded quadrature error estimate "
+     "6.43e-01 exceeds 1e-10 at level 4 (17 nodes); raise numerics.quadrature_level"),
+    ("circle_ada.yaml", "initial={m: [5, 5]}",
+     "initial.m: InadmissibleRecovery: recovered weights leave the open simplex"),
+    ("ou_metric_projection.yaml", "initial.density.means=[0.0]",
+     "initial.density: need one mean and one variance per weight"),
+])
+def test_validate_names_the_start_it_refuses(name, override, message, capsys):
+    assert cli_main(["validate", str(SCENARIO_DIR / name), "--override", override]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 # each of these validated, and the run ignored the key

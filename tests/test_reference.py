@@ -45,6 +45,7 @@ from fpkproj.errors import (
     ValidationError,
 )
 from fpkproj.functions import gaussian_mixture_pdf_fn
+from fpkproj.quadrature import trapezoid_rule
 from fpkproj.reference import _symmetrizer, fpk_operator, stat_expectations
 
 DOM = default_domain(1.0)
@@ -317,6 +318,18 @@ def test_metric_projections_evaluate_each_statistic_once_per_grid(fam, project, 
     assert len(snapshots) == 11 and calls == [1] * fam.n
     project(grid_density(DOM, 501, member), fam)
     assert calls == [2] * fam.n
+
+
+@pytest.mark.parametrize("level", [4, 8, 11])
+def test_family_rules_and_reference_grids_share_one_trapezoid_grid(level):
+    # one owner of the uniform trapezoid rule: a family's rule at level L and a
+    # reference grid of 2**L + 1 nodes on its domain hold the same arrays
+    rule = hermite_family([1, 2], trapezoid_rule(DOM, level)).rule
+    p = grid_density(DOM, 2 ** level + 1, gaussian_pdf_fn(0.2, 0.8))
+    assert p.x is rule.nodes and p.trapezoid_weights is rule.weights
+    for values in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
 
 
 @pytest.mark.parametrize("fam, density", [
