@@ -19,7 +19,8 @@ theta_n < 0) two algebraic facts are used heavily:
   vector (eta_1, ..., eta_2n) through an n x n Hankel solve.
 """
 
-from functools import cached_property
+import math
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -42,6 +43,72 @@ RECURSION_DEGENERACY_FLOOR = 1e-8
 CLOSURE_TOL = 1e-10
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 80
+
+
+@cache
+def _unrolled_cholesky(n: int):
+    """(factor, solve) for n x n matrices, compiled on first use of n.
+
+    factor(g) takes the n * n entries of g in row-major order, reads its lower
+    triangle and returns the entries of L, g = L L', row by row; solve(lower, b)
+    returns x with L L' x = b by a forward and a back substitution.  Both are the
+    textbook loops unrolled into straight-line arithmetic on local floats, in the
+    loops' order of operations; at n = 8 that runs about three times faster than
+    the loops themselves under CPython 3.11.
+    """
+    def row(names):
+        return "[" + ", ".join(names) + "]"
+
+    lower = row(f"l{i}_{j}" for i in range(n) for j in range(i + 1))
+    xs = row(f"x{i}" for i in range(n))
+    entries = row(f"g{i}_{j}" for i in range(n) for j in range(n))
+    lines = ["def factor(g):", f"    {entries} = g"]
+    for i in range(n):
+        for j in range(i):
+            dot = "".join(f" - l{i}_{k} * l{j}_{k}" for k in range(j))
+            lines.append(f"    l{i}_{j} = (g{i}_{j}{dot}) / l{j}_{j}")
+        dot = "".join(f" - l{i}_{k} * l{i}_{k}" for k in range(i))
+        lines += [f"    pivot = g{i}_{i}{dot}",
+                  "    if not pivot > 0.0:",
+                  "        raise DegenerateFisher('Fisher matrix is not positive definite')",
+                  f"    l{i}_{i} = sqrt(pivot)"]
+    lines += [f"    return {lower}", "def solve(lower, b):", f"    {lower} = lower", f"    {xs} = b"]
+    for i in range(n):
+        dot = "".join(f" - l{i}_{k} * x{k}" for k in range(i))
+        lines.append(f"    x{i} = (x{i}{dot}) / l{i}_{i}")
+    for i in reversed(range(n)):
+        dot = "".join(f" - l{k}_{i} * x{k}" for k in range(i + 1, n))
+        lines.append(f"    x{i} = (x{i}{dot}) / l{i}_{i}")
+    lines.append(f"    return {xs}")
+    namespace = {"sqrt": math.sqrt, "DegenerateFisher": DegenerateFisher}
+    exec(compile("\n".join(lines), f"<cholesky n={n}>", "exec"), namespace)
+    return namespace["factor"], namespace["solve"]
+
+
+class _Cholesky:
+    """g = L L' for a small symmetric n x n matrix g, in Python floats.
+
+    g is an array or its n * n entries in row-major order as a list of
+    floats (`entries`); only its lower triangle is read.  Every Fisher
+    solve goes through one of these: at the n of the shipped families,
+    the unrolled factorization and sweeps cost less than the wrapper of
+    one numpy.linalg call.  Construction raises DegenerateFisher at the
+    first pivot that is not > 0, NaN included, so it certifies that g is
+    positive definite.
+    """
+
+    __slots__ = ("entries", "lower", "_solve")
+
+    def __init__(self, g):
+        if isinstance(g, np.ndarray):
+            g = g.ravel().tolist()
+        factor, self._solve = _unrolled_cholesky(math.isqrt(len(g)))
+        self.entries = g
+        self.lower = factor(g)
+
+    def solve(self, b) -> np.ndarray:
+        """x with g x = b for a length-n array b."""
+        return np.array(self._solve(self.lower, b.tolist()))
 
 
 class _Moments:
@@ -152,12 +219,14 @@ class ExpFamily(Statistics):
         return rows
 
     @cached_property
-    def _pair_index(self) -> np.ndarray:
-        """index[i, j]: the row of R holding w c_i c_j, for either order of i and j."""
-        i, j = np.triu_indices(self.n)
-        index = np.empty((self.n, self.n), dtype=np.intp)
-        index[i, j] = index[j, i] = 1 + self.n + np.arange(i.size)
-        return index
+    def _fisher_terms(self) -> list:
+        """(k, 1 + i, 1 + j) for each entry g_ij in row-major order: g_ij = m[k] - m[1 + i]
+        m[1 + j] for the moment vector m of a pass, whose row k holds w c_i c_j."""
+        n = self.n
+        i, j = np.triu_indices(n)
+        index = np.empty((n, n), dtype=np.intp)
+        index[i, j] = index[j, i] = 1 + n + np.arange(i.size)
+        return [(int(index[i, j]), 1 + i, 1 + j) for i in range(n) for j in range(n)]
 
     @cached_property
     def _coarse_stack(self) -> np.ndarray:
@@ -195,16 +264,12 @@ class ExpFamily(Statistics):
         z = m[0]
         return shift, z, e, m / z
 
-    def _fisher(self, m) -> np.ndarray:
-        """Cov(c) = E[c c'] - eta eta' from a pass through the row stack, symmetric
-        by construction; DegenerateFisher unless positive definite."""
-        eta = m[1:self.n + 1]
-        g = m[self._pair_index] - np.outer(eta, eta)
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError as err:
-            raise DegenerateFisher("Fisher matrix is not positive definite") from err
-        return g
+    def _fisher(self, m) -> _Cholesky:
+        """The factor of g = Cov(c) = E[c c'] - eta eta', read in floats from a pass
+        through the row stack, so g is symmetric by construction; DegenerateFisher
+        unless g is positive definite."""
+        m = m.tolist()
+        return _Cholesky([m[k] - m[i] * m[j] for k, i, j in self._fisher_terms])
 
     def _moments(self, theta) -> _Moments:
         """The moment pass at theta, memoized for the last theta evaluated.
@@ -278,7 +343,7 @@ class ExpFamily(Statistics):
 
     def fisher_matrix(self, theta) -> np.ndarray:
         """Covariance matrix of the statistics at theta, from the moment pass."""
-        return self._fisher(self._moments(theta).m)
+        return np.array(self._fisher(self._moments(theta).m).entries).reshape(self.n, self.n)
 
     # -- polynomial-family algebra ------------------------------------
 
@@ -332,8 +397,7 @@ class ExpFamily(Statistics):
         for _ in range(NEWTON_MAX_ITER):
             if best <= NEWTON_TOL * scale:
                 return theta
-            g = self.fisher_matrix(theta)
-            step = -np.linalg.solve(g, res)
+            step = -_Cholesky(self.fisher_matrix(theta)).solve(res)
             t = 1.0
             while t >= 2.0 ** -30:
                 cand = theta + t * step

@@ -48,7 +48,7 @@ from .errors import (
     TrajectoryExit,
     ValidationError,
 )
-from .expfamily import ExpFamily
+from .expfamily import ExpFamily, _Cholesky
 from .mixture import MixtureFamily
 from .sde import SdeModel
 
@@ -205,8 +205,7 @@ def residual_terms(fam: ExpFamily, model: SdeModel, theta, values=None) -> dict:
     w_norm_sq = float(wp @ (ratio * ratio)) / 4.0
     centered = fam.stat_values() - eta[:, None]
     b = (centered * wp) @ ratio / 4.0
-    g = fam.fisher_matrix(theta)
-    coeff = np.linalg.solve(g, b)
+    coeff = fam._fisher(mom.m).solve(b)
     proj_norm_sq = 4.0 * float(b @ coeff)
     tangent = coeff @ centered
     proj_pointwise_sq = float(wp @ (tangent * tangent))
@@ -271,7 +270,8 @@ class ProjectedOde:
     L c, the generator applied to the family's statistics at the nodes.
     A tangent-ef stage is one exp and one product with the family's row
     stack extended by w L c, which gives eta, E[c c'] and E[L c] at once,
-    then one solve with the Fisher matrix; an open ada-ef stage is a Newton
+    then one Cholesky factor of the Fisher matrix in floats, which both
+    certifies and solves; an open ada-ef stage is a Newton
     inversion and one matvec with L c.  The
     mixture methods are the constant affine field state_dot = A state + c:
     tangent-mix and ada-mix take (A, c) from the projection formulas, in
@@ -319,7 +319,7 @@ class ProjectedOde:
         fam = self.family
         if self.method == "tangent-ef":
             m = fam._pass(fam.require_admissible(state), self._rows)[-1]
-            return np.linalg.solve(fam._fisher(m), m[-self.dim:])
+            return fam._fisher(m).solve(m[-self.dim:])
         theta = fam.expectation_to_canonical(state, initial=theta_guess)
         return self.lc @ fam._moments(theta).wp
 
@@ -346,10 +346,10 @@ class ProjectedOde:
         if self.method != "ada-ef" or self.family.gaussian_fit is not None:
             return lambda _: theta
         fam = self.family
-        g_inv = np.linalg.inv(fam.fisher_matrix(theta))
+        factor = _Cholesky(fam.fisher_matrix(theta))
 
         def seed(near):
-            guess = theta + g_inv @ (near - state)
+            guess = theta + factor.solve(near - state)
             return guess if fam.is_admissible(guess) else theta
 
         return seed

@@ -215,7 +215,8 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
         q = y
         if q.min() < 0.0 and np.any(q < floor):
             raise SchemeInstability(
-                f"density dropped to {(q / d).min()} at step {k}")
+                f"density dropped to {(q / d).min()} at step {k} with dt = {dt:g}; "
+                "reduce numerics.pde_dt")
         mass = float(weights @ q)
         if abs(mass - prev_mass) > MASS_DRIFT_GUARD:
             raise SchemeInstability(

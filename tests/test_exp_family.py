@@ -9,6 +9,7 @@ Closed forms used as oracles (theta2 < 0, m = -t1/(2 t2), v = -1/(2 t2)):
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from fpkproj.errors import (
     InadmissibleRecovery,
     NonIntegrable,
 )
-from fpkproj.expfamily import ExpFamily
+from fpkproj.expfamily import ExpFamily, _Cholesky
 from fpkproj.quadrature import Domain
 
 
@@ -251,6 +252,94 @@ def test_collapsed_member_has_degenerate_fisher():
     # so the covariance of the statistics vanishes under the rule
     with pytest.raises(DegenerateFisher):
         ep_family(2).fisher_matrix([0.0, -1e8])
+
+
+def _loop_cholesky_solve(g, b):
+    """The textbook loops that `_Cholesky` unrolls, in the same order of operations:
+    (the rows of L, x with L L' x = b)."""
+    n = len(g)
+    lower = []
+    for i in range(n):
+        row = []
+        for j in range(i):
+            s = g[i][j]
+            for k in range(j):
+                s -= row[k] * lower[j][k]
+            row.append(s / lower[j][j])
+        s = g[i][i]
+        for k in range(i):
+            s -= row[k] * row[k]
+        if not s > 0.0:
+            raise DegenerateFisher("Fisher matrix is not positive definite")
+        row.append(math.sqrt(s))
+        lower.append(row)
+    x = list(b)
+    for i in range(n):
+        for k in range(i):
+            x[i] -= lower[i][k] * x[k]
+        x[i] /= lower[i][i]
+    for i in reversed(range(n)):
+        for k in range(i + 1, n):
+            x[i] -= lower[k][i] * x[k]
+        x[i] /= lower[i][i]
+    return lower, x
+
+
+def _spd(rng, n, cond):
+    """A symmetric positive definite n x n matrix with condition number about cond."""
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    g = (q * np.geomspace(1.0, 1.0 / cond, n)) @ q.T
+    return 0.5 * (g + g.T)
+
+
+FISHER_MEMBERS = [
+    (ep_family(2), [0.3, -0.6]),
+    (ep_family(4), [0.1, 0.3, -0.05, -0.2]),
+    (ep_family(6), [0.1, 0.2, 0.0, -0.1, 0.0, -0.01]),
+    (hermite_family([1, 2]), [-0.2, -0.9]),
+    (hermite_family([2, 4]), [0.2, -0.1]),
+]
+
+
+@pytest.mark.parametrize("fam, theta", FISHER_MEMBERS,
+                         ids=[fam.name for fam, _ in FISHER_MEMBERS])
+def test_cholesky_solve_matches_numpy_on_fisher_matrices(fam, theta):
+    g = fam.fisher_matrix(theta)
+    for b in np.random.default_rng(3).normal(size=(4, fam.n)):
+        want = np.linalg.solve(g, b)
+        got = _Cholesky(g).solve(b)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cholesky_solve_matches_numpy_and_the_loops_on_spd_matrices(n):
+    # both solvers are backward stable, so they agree to round-off in the
+    # residual at any condition number; the forward difference grows with it
+    rng = np.random.default_rng(100 + n)
+    for cond in (1.0, 1e3, 1e6, 1e10):
+        g = _spd(rng, n, cond)
+        b = rng.normal(size=n)
+        factor = _Cholesky(g)
+        got, want = factor.solve(b), np.linalg.solve(g, b)
+        scale = np.max(np.abs(g)) * np.max(np.abs(want))
+        assert np.max(np.abs(g @ (got - want))) <= 1e-13 * scale
+        assert np.max(np.abs(got - want)) <= 1e-13 * cond * np.max(np.abs(want))
+        # the unrolled code does the loops' arithmetic in the loops' order
+        lower, x = _loop_cholesky_solve(g.tolist(), b.tolist())
+        assert factor.lower == [v for row in lower for v in row]
+        assert got.tolist() == x
+
+
+@pytest.mark.parametrize("g", [
+    [[1.0, 1.0], [1.0, 1.0]],              # singular
+    [[1.0, 2.0], [2.0, 1.0]],              # indefinite
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.nan]],
+    [[0.0]],
+], ids=["singular", "indefinite", "nan", "nan-1x1", "zero-1x1"])
+def test_cholesky_refuses_what_is_not_positive_definite(g):
+    with pytest.raises(DegenerateFisher, match="^Fisher matrix is not positive definite$"):
+        _Cholesky(np.array(g))
 
 
 def test_hermite_family_admissibility_and_metric():

@@ -194,6 +194,19 @@ def test_under_resolved_advice_names_the_domain_where_the_density_reaches_its_en
         assert cli_main([*args, "--override", "numerics.domain=[-30,30]"]) == 0
 
 
+def test_negative_reference_density_names_the_step_size(tmp_path, capsys):
+    # the stiff quartic-potential drift -50 x^3 sends Crank-Nicolson below zero
+    # in the first step of 1e-3 on 2001 nodes
+    args = ["run", str(SCENARIO_DIR / "ou_metric_projection.yaml"),
+            "--override", "model={type: polynomial-drift, coefficients: [0, 0, 0, -50], "
+                          "diffusion: 1.0}",
+            "--override", "numerics.pde_nx=2001", "--output-dir", str(tmp_path), "--quiet"]
+    assert cli_main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("SchemeInstability: density dropped to ")
+    assert "at step 1 with dt = 0.001; reduce numerics.pde_dt" in err
+
+
 # each of these passed `fpkproj validate` and then failed `fpkproj run`
 @pytest.mark.parametrize("name, override", [
     ("ou_hermite_decay.yaml", "family.indices=[1,3]"),

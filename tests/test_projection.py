@@ -13,6 +13,7 @@ divides by 4: R^2 = (32 - 8)/4 = 6.
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ from fpkproj.mixture import MixtureFamily
 from fpkproj.projection import METHODS, ProjectedOde, rk4_propagator, sample_steps
 
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 OU = ornstein_uhlenbeck(kappa=1.0, sigma=np.sqrt(2.0))
 
 
@@ -671,6 +673,20 @@ def test_fused_tangent_ef_stage_is_the_fisher_solve(fam, model, theta):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("fam", [ep_family(2), ep_family(6), hermite_family([1, 2])],
+                         ids=["EP(2)", "EP(6)", "hermite(1,2)"])
+def test_tangent_ef_stage_factors_the_fisher_matrix_once(fam, monkeypatch):
+    ode = ProjectedOde(fam, OU, "tangent-ef")
+    theta = fam.default_initial_theta()
+    want = ode.rhs(theta)
+    factors = []
+    init = fpkproj.expfamily._Cholesky.__init__
+    monkeypatch.setattr(fpkproj.expfamily._Cholesky, "__init__",
+                        lambda self, g: factors.append(1) or init(self, g))
+    assert ode.rhs(theta).tobytes() == want.tobytes()
+    assert len(factors) == 1
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("theta, error", [
     (np.array([0.0, -1e8]), DegenerateFisher),     # collapsed on one node
@@ -698,13 +714,17 @@ def test_tangent_ef_run_leaving_the_admissible_set_exits_at_the_step():
         "step 1: canonical state left the admissible set: [0.26399682 0.14907387]"
 
 
-def test_ode_runs_leave_scipy_linalg_unloaded():
-    # the moment pass, the Fisher solve and the affine propagator are numpy;
-    # only the reference solver needs LAPACK's tridiagonal routines
+def test_ode_runs_leave_scipy_unloaded(tmp_path):
+    # the moment pass and the affine propagator are numpy and the Fisher solve is
+    # Python floats; only the reference solver needs LAPACK's tridiagonal routines
     code = (
         "import sys\n"
         "import numpy as np\n"
         "import fpkproj\n"
+        "from fpkproj.runner import run_scenario\n"
+        "from fpkproj.scenario import load_scenario\n"
+        f"run_scenario(load_scenario({str(SCENARIO_DIR / 'ou_ep2_tangent.yaml')!r}),\n"
+        f"             {str(tmp_path)!r}, quiet=True)\n"
         "fam = fpkproj.ep_family(2)\n"
         "model = fpkproj.ornstein_uhlenbeck(1.0, 1.2)\n"
         "theta = np.array([0.3, -0.6])\n"
@@ -713,7 +733,7 @@ def test_ode_runs_leave_scipy_linalg_unloaded():
         "ode = fpkproj.make_ode(fam, model, 'ada-ef')\n"
         "assert ode.affine is not None\n"
         "fpkproj.integrate_ode(ode, fam.expectation_params(theta), t_end=0.05, dt=0.01)\n"
-        "print('scipy.linalg' in sys.modules)\n")
+        "print(any(name.split('.')[0] == 'scipy' for name in sys.modules))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
