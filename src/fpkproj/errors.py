@@ -74,10 +74,6 @@ class DependentStatistics(FpkprojError):
     """Family statistics are numerically linearly dependent."""
 
 
-class DegenerateBasis(FpkprojError):
-    """Galerkin mass matrix is singular on the constrained subspace."""
-
-
 class TrajectoryExit(FpkprojError):
     """Time integration aborted; `step` records where."""
 

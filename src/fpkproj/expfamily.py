@@ -88,20 +88,17 @@ def _unrolled_cholesky(n: int):
 class _Cholesky:
     """g = L L' for a small symmetric n x n matrix g, in Python floats.
 
-    g is an array or its n * n entries in row-major order as a list of
-    floats (`entries`); only its lower triangle is read.  Every Fisher
-    solve goes through one of these: at the n of the shipped families,
-    the unrolled factorization and sweeps cost less than the wrapper of
-    one numpy.linalg call.  Construction raises DegenerateFisher at the
-    first pivot that is not > 0, NaN included, so it certifies that g is
-    positive definite.
+    g is given as its n * n entries in row-major order, a list of floats
+    (`entries`); only its lower triangle is read.  Every Fisher solve goes
+    through one of these: at the n of the shipped families, the unrolled
+    factorization and sweeps cost less than the wrapper of one numpy.linalg
+    call.  Construction raises DegenerateFisher at the first pivot that is
+    not > 0, NaN included, so it certifies that g is positive definite.
     """
 
     __slots__ = ("entries", "lower", "_solve")
 
-    def __init__(self, g):
-        if isinstance(g, np.ndarray):
-            g = g.ravel().tolist()
+    def __init__(self, g: list):
         factor, self._solve = _unrolled_cholesky(math.isqrt(len(g)))
         self.entries = g
         self.lower = factor(g)
@@ -397,7 +394,7 @@ class ExpFamily(Statistics):
         for _ in range(NEWTON_MAX_ITER):
             if best <= NEWTON_TOL * scale:
                 return theta
-            step = -_Cholesky(self.fisher_matrix(theta)).solve(res)
+            step = -self._fisher(self._moments(theta).m).solve(res)
             t = 1.0
             while t >= 2.0 ** -30:
                 cand = theta + t * step

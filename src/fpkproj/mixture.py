@@ -12,8 +12,10 @@ does not depend on theta, and the expectation-type coordinates
     m_i(theta) = <p(theta), q_i - q_{n+1}> = (gamma theta + beta)_i,
     beta_i = <q_{n+1}, q_i - q_{n+1}>,
 
-are an affine bijection with the weights.  The L2 projection of a density
-p is the member with m = E_p[stats].
+are an affine bijection with the weights.  The family owns that chart: it
+certifies gamma once and keeps its inverse `gamma_inv`, which every map
+from m back to the weights reads.  The L2 projection of a density p is the
+member with m = E_p[stats].
 """
 
 import numpy as np
@@ -85,6 +87,8 @@ class MixtureFamily(Statistics):
                                      embedded_gap(self.gamma, (even * coarse) @ even.T))
         if np.linalg.eigvalsh(self.gamma).min() <= METRIC_EIGENVALUE_FLOOR:
             raise DegenerateMixtureMetric("mixture metric is numerically singular")
+        self.gamma_inv = np.linalg.inv(self.gamma)
+        self.gamma_inv.setflags(write=False)
 
     def component_values(self) -> np.ndarray:
         """(n+1, m) component densities at the quadrature nodes."""
@@ -159,7 +163,7 @@ class MixtureFamily(Statistics):
         m = np.asarray(m, dtype=float)
         if m.shape != (self.n,) or not np.all(np.isfinite(m)):
             raise ValueError(f"expected a finite vector of length {self.n}")
-        theta = np.linalg.solve(self.gamma, m - self.beta)
+        theta = self.gamma_inv @ (m - self.beta)
         if not self.is_admissible(theta):
             raise InadmissibleRecovery(
                 "recovered weights leave the open simplex", value=theta)

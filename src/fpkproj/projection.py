@@ -41,14 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateBasis,
-    FpkprojError,
-    NonFiniteIntegrand,
-    TrajectoryExit,
-    ValidationError,
-)
-from .expfamily import ExpFamily, _Cholesky
+from .errors import FpkprojError, NonFiniteIntegrand, TrajectoryExit, ValidationError
+from .expfamily import ExpFamily
 from .mixture import MixtureFamily
 from .sde import SdeModel
 
@@ -57,13 +51,19 @@ METHODS = ExpFamily.methods + MixtureFamily.methods
 STEP_TOL = 1e-8
 # longest block of steps taken as one product of propagator powers
 BLOCK_STEPS = 1024
+# most steps on any time grid: a run keeps a state per step
+MAX_STEPS = 10 ** 7
 
 
 def whole_steps(span: float, dt: float, what: str) -> int:
-    """Number of steps of length dt in span; ValidationError unless whole and positive."""
+    """Number of steps of length dt in span; ValidationError unless whole, positive
+    and at most MAX_STEPS."""
     if not (dt > 0 and span > 0 and np.isfinite(span / dt)):
         raise ValidationError(f"{what} ({span:g}) and its step ({dt:g}) must be positive")
     nsteps = int(round(span / dt))
+    if nsteps > MAX_STEPS:
+        raise ValidationError(f"{what} ({span:g}) is {nsteps:.8g} steps of {dt:g}, "
+                              f"more than the {MAX_STEPS} a grid may take")
     if nsteps < 1 or abs(nsteps * dt - span) > STEP_TOL * max(1.0, span):
         raise ValidationError(f"{what} ({span:g}) is not a whole number of steps of {dt:g}")
     return nsteps
@@ -129,14 +129,14 @@ def _projection_affine(fam: MixtureFamily, lc, method: str):
     theta_hat = (theta, 1 - sum theta), B theta_hat = E theta + b for
     E = B[:, :n] - B[:, n] and b = B[:, n], so
     theta_dot = gamma^{-1} (E theta + b) and, through m = gamma theta + beta,
-    m_dot = E gamma^{-1} (m - beta) + b.
+    m_dot = E gamma^{-1} (m - beta) + b, with the family's `gamma_inv`.
     """
     big_b = (lc * fam.rule.weights) @ fam.component_values().T
     e = big_b[:, :-1] - big_b[:, -1:]
     b = big_b[:, -1]
     if method == "tangent-mix":
-        return np.linalg.solve(fam.gamma, e), np.linalg.solve(fam.gamma, b)
-    a = np.linalg.solve(fam.gamma, e.T).T
+        return fam.gamma_inv @ e, fam.gamma_inv @ b
+    a = e @ fam.gamma_inv.T
     return a, b - a @ fam.beta
 
 
@@ -166,12 +166,9 @@ def _galerkin_affine(fam: MixtureFamily, lc):
     basis = np.vstack([fam.stat_values(), fam.component_values()[-1]])
     mass = (basis * w) @ basis.T
     stiffness = (lc * w) @ basis.T
-    lhs = mass[:-1, :-1]
-    try:
-        np.linalg.cholesky(lhs)
-    except np.linalg.LinAlgError as err:
-        raise DegenerateBasis("mass matrix is singular on the constrained subspace") from err
-    sol = np.linalg.solve(lhs, stiffness)
+    # the constrained mass block is gamma assembled again, equal to it to an ulp,
+    # and the family refused a singular gamma (DegenerateMixtureMetric)
+    sol = np.linalg.solve(mass[:-1, :-1], stiffness)
     return sol[:, :-1], sol[:, -1]
 
 
@@ -230,9 +227,13 @@ def residual(fam: ExpFamily, model: SdeModel, theta, values=None) -> float:
 
 @dataclass(frozen=True)
 class ClampEvent:
+    """A step whose weights were clamped: the state before the clamp and the
+    clamped weights, the trajectory's thetas at that step."""
+
     step: int
     time: float
     raw_state: tuple
+    weights: tuple
 
 
 @dataclass
@@ -240,7 +241,7 @@ class Trajectory:
     """Record of an integrated projected flow.
 
     `times`, `states` (in the method's own coordinates) and `clamped` cover
-    every step; `thetas` (canonical/weight coordinates), `expectations`
+    every step, and `clamp_events` holds one `ClampEvent` per clamped step; `thetas` (canonical/weight coordinates), `expectations`
     (eta or m), the embedded quadrature estimates `quadrature_errors`,
     `residuals` and, on an exponential family, the log-partitions
     `log_partitions` cover the sampled steps `rows` only.
@@ -304,8 +305,6 @@ class ProjectedOde:
             self.affine = _galerkin_affine(family, self.lc)
         else:
             self.affine = _projection_affine(family, self.lc, method)
-            if method == "ada-mix":
-                self._gamma_inv = np.linalg.inv(family.gamma)
 
     @cached_property
     def model_values(self) -> tuple:
@@ -346,7 +345,7 @@ class ProjectedOde:
         if self.method != "ada-ef" or self.family.gaussian_fit is not None:
             return lambda _: theta
         fam = self.family
-        factor = _Cholesky(fam.fisher_matrix(theta))
+        factor = fam._fisher(fam._moments(theta).m)
 
         def seed(near):
             guess = theta + factor.solve(near - state)
@@ -357,7 +356,7 @@ class ProjectedOde:
     def weights(self, states):
         """Mixture weights of a mixture state, or of one state per row."""
         if self.method == "ada-mix":
-            return (states - self.family.beta) @ self._gamma_inv.T
+            return (states - self.family.beta) @ self.family.gamma_inv.T
         return states
 
     def constrain(self, state, theta_guess=None):
@@ -378,7 +377,7 @@ class ProjectedOde:
         if not changed:
             return state, theta, False
         if self.method == "ada-mix":
-            return fam.gamma @ clamped + fam.beta, clamped, True
+            return fam.expectation_params(clamped), clamped, True
         return clamped, clamped, True
 
 
@@ -424,14 +423,13 @@ def _step_affine(ode: ProjectedOde, states, dt: float):
     while the powers stay finite).  Mixture blocks are accepted up to the
     first row whose weights `clamp_weights` would move; that row is
     constrained and the flow takes plain steps y <- Phi y + phi until a
-    step needs no clamp.  Returns the clamp events and the clamped weights
-    by step.
+    step needs no clamp.  Returns the clamp events.
     """
     phi, phi_c = rk4_propagator(*ode.affine, dt)
     powers = np.eye(ode.dim + 1)[None]
     powers[0, :-1, :-1], powers[0, :-1, -1] = phi, phi_c
     mixture = isinstance(ode.family, MixtureFamily)
-    events, weights = [], {}
+    events = []
     nsteps = states.shape[0] - 1
     y = states[0]
     k, length, longest, plain = 0, 1, BLOCK_STEPS, False
@@ -467,9 +465,9 @@ def _step_affine(ode: ProjectedOde, states, dt: float):
         states[k] = y
         length = 2
         if plain:
-            events.append(ClampEvent(step=k, time=k * dt, raw_state=tuple(raw)))
-            weights[k] = theta
-    return events, weights
+            events.append(ClampEvent(step=k, time=k * dt, raw_state=tuple(raw),
+                                     weights=tuple(theta)))
+    return events
 
 
 def _row_inversions(ode: ProjectedOde, states, rows, theta):
@@ -519,12 +517,11 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
         _step_affine(ode, states, dt)
         thetas = _row_inversions(ode, states, rows, theta)
     else:
-        events, weights = _step_affine(ode, states, dt)
-        clamped[list(weights)] = True
-        thetas = [theta, *ode.weights(states[rows[1:]])]
-        for i, k in enumerate(rows):
-            if k in weights:
-                thetas[i] = weights[k]
+        events = _step_affine(ode, states, dt)
+        clamps = {event.step: np.array(event.weights) for event in events}
+        clamped[list(clamps)] = True
+        weights = ode.weights(states[rows[1:]])
+        thetas = [theta, *(clamps.get(k, w) for k, w in zip(rows[1:], weights))]
 
     fam = ode.family
     canonical = ode.coordinates == "canonical"

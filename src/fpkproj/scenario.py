@@ -25,7 +25,7 @@ from .errors import FpkprojError, UnderResolvedQuadrature, ValidationError
 from .expfamily import ExpFamily, custom_poly_family, ep_family, hermite_family
 from .functions import DifferentiableFn, cosine_series_pdf_fn, gaussian_mixture_pdf_fn, gaussian_pdf_fn
 from .mixture import MixtureFamily, cosine_circle_family, gaussian_mixture_family
-from .projection import sample_steps, whole_steps
+from .projection import MAX_STEPS, sample_steps, whole_steps
 from .projection import METHODS as ODE_METHODS
 from .quadrature import (
     MAX_LEVEL,
@@ -117,8 +117,11 @@ def _interval(floor):
 
 
 def _file_name(value, path):
-    if not isinstance(value, str) or not value:
-        raise ValidationError(f"{path} must be a file name")
+    """One path component other than '.' and '..', so that it names an entry of the
+    directory it is joined to."""
+    if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or "\0" in value:
+        raise ValidationError(f"{path} must be a file name without '/' or NUL, other than "
+                              f"'.' and '..', got {value!r}")
     return value
 
 
@@ -218,7 +221,7 @@ _NUMERICS = {
     "ode_dt": (_positive, 1e-3),
     "pde_nx": (_int_range(3, 10 ** 6), 2001),
     "pde_dt": (_positive, 1e-3),
-    "sample_stride": (_int_range(1, math.inf), 10),
+    "sample_stride": (_int_range(1, MAX_STEPS), 10),
     "fit_window": (_interval(0.0), None),
     "record_residual": (_flag, False),
     "attach_reference": (_flag, False),
@@ -283,12 +286,13 @@ def _flow_start(scenario: Scenario, family):
     without a Newton solve (UnderResolvedQuadrature otherwise).
 
     A theta start is mapped to eta (one moment pass) or m, and an m start to the
-    weights (one linear solve), which refuses a start the run cannot take; an eta start
-    is left to the run, which inverts it once.  The estimate is checked on a mixture
-    family itself, which holds for every member, and on an exponential family at a
-    theta start, at the closed-form Gaussian of an eta start on the Gaussians, and on
-    the initial density's own integrals of 1, c and c c'.  A start that gives no member
-    here is checked by the run at its rows."""
+    weights (one linear solve), which refuses a start the run cannot take; on the
+    Gaussians an eta start is mapped in closed form and refused when no Gaussian has
+    its moments, and elsewhere it is left to the run, which inverts it once.  The
+    estimate is checked on a mixture family itself, which holds for every member, and
+    on an exponential family at a theta start, at the closed-form Gaussian of an eta
+    start on the Gaussians, and on the initial density's own integrals of 1, c and
+    c c'.  A start that gives no member here is checked by the run at its rows."""
     initial, rule = scenario.initial, family.rule
     if isinstance(family, MixtureFamily):
         require_resolved(rule, family.quadrature_error(), "family", family.component_values)
@@ -306,6 +310,9 @@ def _flow_start(scenario: Scenario, family):
         _built("initial.m", family.expectations_to_weights, start)
     elif "eta" in initial:
         member = family.gaussian_start(start)
+        if member is None and family.gaussian_fit is not None:
+            raise _Placed("initial.eta: no Gaussian has these moments; the variance they "
+                          "give must be positive and finite")
     if member is not None:  # a mixture member's estimate is the family's, checked above
         where = "initial.theta" if "theta" in initial else "initial.eta"
         require_resolved(rule, family.quadrature_error(member), where,
@@ -386,9 +393,8 @@ def validate_scenario(raw: dict, name: str = "scenario") -> Scenario:
         raise ValidationError("numerics.record_residual applies to exponential-family methods")
     if family["type"] == "cosine-circle" and model["type"] != "circle-diffusion":
         raise ValidationError("cosine-circle families require the circle-diffusion model")
-    scenario_name = raw.get("name", name)
-    if not isinstance(scenario_name, str) or not scenario_name:
-        raise ValidationError("scenario.name must be a nonempty string")
+    # the name is the run's directory under the output directory
+    scenario_name = _file_name(raw.get("name", name), "scenario.name")
     scenario = Scenario(name=scenario_name, model=model, family=family, method=method,
                         numerics=numerics, initial=initial, outputs=outputs)
     build_run(scenario)

@@ -202,12 +202,12 @@ def test_newton_inversion_accepts_warm_start():
                          ids=["EP(2)", "hermite(1,2)"])
 def test_gaussian_inversions_ignore_the_guess_and_take_no_newton_step(fam, monkeypatch):
     # on the Gaussians the closed-form start is the answer, so a far
-    # admissible guess is not used and no Fisher matrix is built
+    # admissible guess is not used and no Fisher matrix is factored
     theta = np.array([0.4, -0.7])
     eta = fam.expectation_params(theta)
     builds = []
-    fisher = fam.fisher_matrix
-    monkeypatch.setattr(fam, "fisher_matrix", lambda t: builds.append(1) or fisher(t))
+    init = _Cholesky.__init__
+    monkeypatch.setattr(_Cholesky, "__init__", lambda self, g: builds.append(1) or init(self, g))
     assert fam.is_admissible(3.0 * theta)
     back = fam.expectation_to_canonical(eta, initial=3.0 * theta)
     assert not builds
@@ -226,6 +226,28 @@ def test_other_families_start_newton_at_an_admissible_guess(monkeypatch):
     back = fam.expectation_to_canonical(eta, initial=initial)
     assert np.array_equal(starts[0], initial)
     assert np.max(np.abs(back - theta)) <= 1e-9
+
+
+def test_newton_factors_the_fisher_matrix_of_its_pass_once_per_step(monkeypatch):
+    # each step solves with the factor of the moment pass at its theta; the
+    # public fisher_matrix, which would factor g a second time, is not called
+    fam = ep_family(4)
+    theta = np.array([0.1, 0.3, -0.05, -0.2])
+    eta = fam.expectation_params(theta)
+    calls = {"factor": 0, "solve": 0, "fisher_matrix": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(_Cholesky, "__init__", counted("factor", _Cholesky.__init__))
+    monkeypatch.setattr(_Cholesky, "solve", counted("solve", _Cholesky.solve))
+    monkeypatch.setattr(fam, "fisher_matrix", counted("fisher_matrix", fam.fisher_matrix))
+    back = fam.expectation_to_canonical(eta, initial=theta + [0.05, -0.05, 0.02, 0.01])
+    assert calls == {"factor": 4, "solve": 4, "fisher_matrix": 0}
+    assert np.max(np.abs(back - theta)) <= 1e-12
 
 
 def test_double_length_moments_dispatch_to_algebraic_path():
@@ -307,7 +329,7 @@ def test_cholesky_solve_matches_numpy_on_fisher_matrices(fam, theta):
     g = fam.fisher_matrix(theta)
     for b in np.random.default_rng(3).normal(size=(4, fam.n)):
         want = np.linalg.solve(g, b)
-        got = _Cholesky(g).solve(b)
+        got = _Cholesky(g.ravel().tolist()).solve(b)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -319,7 +341,7 @@ def test_cholesky_solve_matches_numpy_and_the_loops_on_spd_matrices(n):
     for cond in (1.0, 1e3, 1e6, 1e10):
         g = _spd(rng, n, cond)
         b = rng.normal(size=n)
-        factor = _Cholesky(g)
+        factor = _Cholesky(g.ravel().tolist())
         got, want = factor.solve(b), np.linalg.solve(g, b)
         scale = np.max(np.abs(g)) * np.max(np.abs(want))
         assert np.max(np.abs(g @ (got - want))) <= 1e-13 * scale
@@ -339,7 +361,7 @@ def test_cholesky_solve_matches_numpy_and_the_loops_on_spd_matrices(n):
 ], ids=["singular", "indefinite", "nan", "nan-1x1", "zero-1x1"])
 def test_cholesky_refuses_what_is_not_positive_definite(g):
     with pytest.raises(DegenerateFisher, match="^Fisher matrix is not positive definite$"):
-        _Cholesky(np.array(g))
+        _Cholesky([v for row in g for v in row])
 
 
 def test_hermite_family_admissibility_and_metric():

@@ -28,6 +28,8 @@ from fpkproj.cli import main as cli_main
 from fpkproj.errors import ValidationError
 from fpkproj.expfamily import ExpFamily
 from fpkproj.functions import cosine_series_pdf_fn
+from fpkproj.mixture import gaussian_mixture_family
+from fpkproj.projection import MAX_STEPS, whole_steps
 from fpkproj.quadrature import MIN_LEVEL
 from fpkproj.reference import GridDensity
 from fpkproj.runner import format_value, trajectory_header, write_density_csv
@@ -253,6 +255,82 @@ def test_validate_rejects_what_run_cannot_build(name, override, capsys):
 def test_validate_names_the_start_it_refuses(name, override, message, capsys):
     assert cli_main(["validate", str(SCENARIO_DIR / name), "--override", override]) == 2
     assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize("name, override, key", [
+    # the run died with an OverflowError traceback in sample_steps
+    ("ou_ep2_ada.yaml", "numerics.ode_dt=1e-300", "numerics.t_end"),
+    # validate itself ended in that traceback
+    ("ou_metric_projection.yaml", "numerics.pde_dt=1e-300", "numerics.t_end"),
+])
+def test_step_counts_no_run_can_take_are_refused(name, override, key, capsys):
+    assert cli_main(["validate", str(SCENARIO_DIR / name), "--override", override]) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: {key} (1) is 1e+300 steps of 1e-300, more than the "
+        f"{MAX_STEPS} a grid may take\n")
+
+
+def test_sample_strides_longer_than_any_grid_are_refused(capsys):
+    # a stride of 10**400 steps ended validate in an OverflowError
+    args = ["validate", str(SCENARIO_DIR / "ou_hermite_decay.yaml"),
+            "--override", f"numerics.sample_stride={10 ** 400}"]
+    assert cli_main(args) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: numerics.sample_stride must be between 1 and {MAX_STEPS}\n")
+
+
+def test_the_step_bound_is_counted_before_anything_is_allocated():
+    assert whole_steps(1.0, 1.0 / MAX_STEPS, "t_end") == MAX_STEPS
+    for steps, count in ((MAX_STEPS + 1, "10000001"), (10 ** 9, "1e+09"), (10 ** 18, "1e+18")):
+        with pytest.raises(ValidationError, match=re.escape(f"t_end (1) is {count} steps of ")):
+            whole_steps(1.0, 1.0 / steps, "t_end")
+
+
+# each of these validated, and the run exited 3: Newton inversion did not converge
+@pytest.mark.parametrize("name, override", [
+    ("ou_ep2_ada.yaml", "initial.eta=[0.5, 0.2]"),
+    ("ou_hermite_decay.yaml",
+     "initial={eta: [0.5, -0.9], density: {type: gaussian, mean: 0.0, var: 1.0}}"),
+], ids=["EP(2)-ada-ef", "hermite(1,2)-decay"])
+def test_eta_starts_that_no_gaussian_has_are_refused(name, override, capsys):
+    assert cli_main(["validate", str(SCENARIO_DIR / name), "--override", override]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: initial.eta: no Gaussian has these moments; the variance they "
+        "give must be positive and finite\n")
+
+
+@pytest.mark.parametrize("override, key", [
+    ("outputs.trajectory=../x.csv", "outputs.trajectory"),
+    ("outputs.trajectory=sub/x.csv", "outputs.trajectory"),
+    ("outputs.trajectory=.", "outputs.trajectory"),
+    ("outputs.decay=..", "outputs.decay"),
+    # a NUL ended the run in a ValueError traceback when the file was opened
+    ('outputs.trajectory="a\\0b.csv"', "outputs.trajectory"),
+    ("name=../escaped", "scenario.name"),
+    ("name=..", "scenario.name"),
+])
+def test_output_names_are_single_path_components(tmp_path, capsys, override, key):
+    # outputs.trajectory=../x.csv wrote x.csv next to the run directory
+    out = tmp_path / "run"
+    args = ["run", str(SCENARIO_DIR / "ou_ep2_ada.yaml"), "--override", override,
+            "--override", "numerics.t_end=0.05", "--output-dir", str(out), "--quiet"]
+    assert cli_main(args) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: {key} must be a file name")
+    assert not list(tmp_path.rglob("*"))
+
+
+def test_plain_output_names_still_run(tmp_path):
+    out = tmp_path / "runs"
+    args = ["run-all", str(tmp_path / "in"), "--output-dir", str(out), "--quiet"]
+    raw = yaml.safe_load((SCENARIO_DIR / "ou_ep2_ada.yaml").read_text())
+    raw["name"] = "plain.name"
+    raw["numerics"]["t_end"] = 0.05
+    raw["outputs"] = {"trajectory": "moments..csv"}
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "scenario.yaml").write_text(yaml.safe_dump(raw))
+    assert cli_main(args) == 0
+    assert [p.relative_to(out) for p in out.rglob("*")] == [
+        Path("plain.name"), Path("plain.name/moments..csv")]
 
 
 # each of these validated, and the run ignored the key
@@ -487,6 +565,44 @@ def test_cli_presets_listing():
     assert res.returncode == 0
     for token in (*METHODS, *MODELS, *FAMILIES, *DENSITIES):
         assert token in res.stdout
+
+
+def test_presets_list_names_every_preset_and_the_methods_of_each_family(capsys):
+    assert cli_main(["presets", "list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for title, table in (("models", MODELS), ("families", FAMILIES),
+                         ("initial densities", DENSITIES)):
+        start = lines.index(f"{title}:")
+        listed = lines[start + 1:start + 1 + len(table)]
+        assert [line.split(":")[0] for line in listed] == [f"  {kind}" for kind in table]
+        for kind, line in zip(table, listed):
+            family = table[kind].family
+            assert (family is not None) == (title == "families")
+            if family is not None:
+                assert line.endswith(f"; methods {', '.join(family.methods)}")
+    assert lines[-2:] == ["methods:", "  " + ", ".join(METHODS)]
+
+
+def test_mixture_metric_projection_clamps_weights_off_the_simplex(tmp_path, capsys):
+    # the L2 projection of a narrow Gaussian onto these three components puts
+    # negative weight on the outer ones, so every snapshot is clamped
+    family = {"type": "gaussian-mixture", "means": [-1.0, 0.0, 1.0],
+              "variances": [0.5, 0.5, 0.5]}
+    overrides = [f"family={json.dumps(family)}",
+                 "initial.density={type: gaussian, mean: 0.0, var: 0.1}",
+                 "numerics.t_end=0.2", "outputs.density_times=[0.0]"]
+    run_scenario(load_scenario(SCENARIO_DIR / "ou_metric_projection.yaml", overrides),
+                 tmp_path, quiet=False)
+    assert capsys.readouterr().out == "ou_metric_projection: projected 3 snapshots, 3 clamped\n"
+    rows = list(csv.reader((tmp_path / "trajectory.csv").read_text().splitlines()))
+    assert [row[-1] for row in rows[1:]] == ["1", "1", "1"]
+    fam = gaussian_mixture_family(family["means"], family["variances"])
+    for row in rows[1:]:
+        theta = np.array(row[1:3], dtype=float)
+        assert fam.is_admissible(theta)
+        assert np.max(np.abs(fam.expectation_params(theta) - np.array(row[3:5], dtype=float))) \
+            <= 1e-15
+    assert (tmp_path / "density_t0.csv").exists()
 
 
 def test_cli_run_writes_outputs(tmp_path):

@@ -605,6 +605,29 @@ def test_block_stepping_stops_growing_where_the_powers_overflow():
     _assert_rows_close(traj.states, states, 1e-12)
 
 
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("method", ["tangent-mix", "ada-mix", "galerkin"])
+def test_clamp_events_carry_the_thetas_of_their_rows(method, stride):
+    # the boundary flow of test_mixture_methods_clamp_at_the_simplex_boundary:
+    # a clamped row's theta is its event's weights, not the weights mapped
+    # back from the state, which on ada-mix differ from them by round-off
+    fam = gaussian_mixture_family([-1.3514, -0.2091, 1.2055], [0.6652, 0.5867, 0.3426])
+    model = ornstein_uhlenbeck(kappa=1.4602, sigma=1.3115317762067376)
+    ode = make_ode(fam, model, method)
+    traj = integrate_ode(ode, _start(fam, method, np.array([0.2189, 0.3573])), t_end=0.5,
+                         dt=1e-3, sample_stride=stride)
+    steps = [event.step for event in traj.clamp_events]
+    assert len(steps) == 133 and np.array_equal(np.flatnonzero(traj.clamped), steps)
+    row = {k: i for i, k in enumerate(traj.rows)}
+    recorded = [event for event in traj.clamp_events if event.step in row]
+    assert len(recorded) == len([k for k in steps if k % stride == 0 or k == 500])
+    for event in traj.clamp_events:
+        assert fam.is_admissible(event.weights)
+        assert np.array_equal(traj.states[event.step], _start(fam, method, event.weights))
+    for event in recorded:
+        assert np.array_equal(traj.thetas[row[event.step]], event.weights)
+
+
 @pytest.mark.parametrize("excess, period", [(1e-11, 2), (5e-12, 4)])
 @pytest.mark.parametrize("method", ["tangent-mix", "ada-mix", "galerkin"])
 def test_block_stepping_restarts_after_each_clamp(excess, period, method):
@@ -635,8 +658,9 @@ def test_ada_ef_start_on_the_gaussians_builds_no_fisher_matrix(fam, monkeypatch)
     theta = np.array([0.4, -0.7])
     eta = fam.expectation_params(theta)
     builds = []
-    fisher = fam.fisher_matrix
-    monkeypatch.setattr(fam, "fisher_matrix", lambda t: builds.append(1) or fisher(t))
+    init = fpkproj.expfamily._Cholesky.__init__
+    monkeypatch.setattr(fpkproj.expfamily._Cholesky, "__init__",
+                        lambda self, g: builds.append(1) or init(self, g))
     state, got = ProjectedOde(fam, OU, "ada-ef").prepare_initial(eta)
     assert not builds
     assert np.array_equal(state, eta)
@@ -651,8 +675,9 @@ def test_ada_ef_seeds_on_the_gaussians_build_no_fisher_matrix(fam, monkeypatch):
     theta = np.array([0.4, -0.7])
     eta = fam.expectation_params(theta)
     builds = []
-    fisher = fam.fisher_matrix
-    monkeypatch.setattr(fam, "fisher_matrix", lambda t: builds.append(1) or fisher(t))
+    init = fpkproj.expfamily._Cholesky.__init__
+    monkeypatch.setattr(fpkproj.expfamily._Cholesky, "__init__",
+                        lambda self, g: builds.append(1) or init(self, g))
     seed = ProjectedOde(fam, OU, "ada-ef").newton_seeds(eta, theta)
     assert seed(eta + 0.01) is theta
     assert not builds
