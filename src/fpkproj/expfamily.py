@@ -21,6 +21,7 @@ theta_n < 0) two algebraic facts are used heavily:
 
 import math
 from functools import cache, cached_property
+from operator import mul
 
 import numpy as np
 
@@ -34,7 +35,15 @@ from .errors import (
     NonIntegrable,
 )
 from .functions import DifferentiableFn, hermite_fn, monomial_fn
-from .quadrature import QuadratureRule, Statistics, default_domain, embedded_gap, trapezoid_rule
+from .quadrature import (
+    QuadratureRule,
+    Statistics,
+    combine_rows,
+    default_domain,
+    embedded_gap,
+    sup_norm,
+    trapezoid_rule,
+)
 
 ADMISSIBILITY_MARGIN = 1e-12
 GRAM_EIGENVALUE_FLOOR = 1e-10
@@ -43,6 +52,8 @@ RECURSION_DEGENERACY_FLOOR = 1e-8
 CLOSURE_TOL = 1e-10
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 80
+# sum |theta_i| max |c_i| at most this: no node of theta . c, nor theta . c - max, overflows
+_PRODUCT_BOUND = 0.5 * np.finfo(float).max
 
 
 @cache
@@ -104,20 +115,20 @@ class _Cholesky:
         self.lower = factor(g)
 
     def solve(self, b) -> np.ndarray:
-        """x with g x = b for a length-n array b."""
-        return np.array(self._solve(self.lower, b.tolist()))
+        """x with g x = b for a list b of n floats."""
+        return np.array(self._solve(self.lower, b))
 
 
 class _Moments:
-    """One moment pass: log-partition, m = R e / z, its eta part, density values and w * p."""
+    """One moment pass: log-partition, m = R e / z as a list of floats (eta is
+    m[1:n + 1]), density values and w * p."""
 
-    __slots__ = ("key", "psi", "m", "eta", "pvals", "wp")
+    __slots__ = ("key", "psi", "m", "pvals", "wp")
 
-    def __init__(self, key, psi, m, eta, pvals, wp):
+    def __init__(self, key, psi, m, pvals, wp):
         self.key = key
         self.psi = psi
         self.m = m
-        self.eta = eta
         self.pvals = pvals
         self.wp = wp
 
@@ -145,6 +156,7 @@ class ExpFamily(Statistics):
         if not np.all(np.isfinite(self._C)):
             raise ValueError("statistics must be finite at the quadrature nodes")
         self._memo = None
+        self._reach = np.abs(self._C).max(axis=1).tolist()
         with np.errstate(over="ignore", invalid="ignore"):
             gram = self.gram()
         # a finite Gram bounds the row stack, so no moment pass overflows:
@@ -234,38 +246,48 @@ class ExpFamily(Statistics):
         """Embedded estimate at theta: T_L against T_{L-1} on the even nodes, over eta
         and E[c c'], from the moment pass and one product on half the nodes."""
         mom = self._moments(theta)
-        coarse = self._coarse_stack @ mom.pvals[::2]
-        if not coarse[0] > 0:
-            return np.inf  # the density underflows at every even node
-        return embedded_gap(mom.m[1:], coarse[1:] / coarse[0])
+        coarse = (self._coarse_stack @ mom.pvals[::2]).tolist()
+        z = coarse[0]
+        if not z > 0:
+            return math.inf  # the density underflows at every even node
+        return embedded_gap(mom.m[1:], [v / z for v in coarse[1:]])
 
     def integrals_error(self, values) -> float:
         """The embedded estimate on the integrals of values, a function at the nodes,
         times 1, c and c c'."""
         values = np.asarray(values, dtype=float)
-        return embedded_gap(self.row_stack @ values, self._coarse_stack @ values[::2])
+        return embedded_gap((self.row_stack @ values).tolist(),
+                            (self._coarse_stack @ values[::2]).tolist())
 
     def _pass(self, theta, rows):
-        """(shift, z, e, rows @ e / z) at an admissible theta: one exp and one product.
+        """(shift, z, e, m) at an admissible theta: one exp and one product.
 
-        e = exp(theta . c - shift) with shift = max theta . c, and z = w . e
-        is the product with the first row, which must be w.
+        e = exp(theta . c - shift) with shift = max theta . c, z = w . e the
+        product with the first row, which must be w, and m = rows @ e / z as a
+        list of floats.  The n-sized work is in floats: when sum |theta_i|
+        max |c_i| is within _PRODUCT_BOUND, theta . c and theta . c - shift are
+        finite at every node and nothing can overflow; only above it is the
+        product taken under np.errstate and refused (NonIntegrable) when its
+        max or min is not finite, which catches NaN, +inf and -inf nodes.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
+        if sum(map(mul, map(abs, theta.tolist()), self._reach)) <= _PRODUCT_BOUND:
             s = theta @ self._C
-        if not np.isfinite(s).all():
-            raise NonIntegrable("log-density is not finite at the quadrature nodes")
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = theta @ self._C
+            if not (math.isfinite(s.max()) and math.isfinite(s.min())):
+                raise NonIntegrable("log-density is not finite at the quadrature nodes")
         shift = s.max()
-        e = np.exp(s - shift)
-        m = rows @ e
+        s -= shift
+        e = np.exp(s, out=s)
+        m = (rows @ e).tolist()
         z = m[0]
-        return shift, z, e, m / z
+        return shift, z, e, [v / z for v in m]
 
     def _fisher(self, m) -> _Cholesky:
-        """The factor of g = Cov(c) = E[c c'] - eta eta', read in floats from a pass
-        through the row stack, so g is symmetric by construction; DegenerateFisher
-        unless g is positive definite."""
-        m = m.tolist()
+        """The factor of g = Cov(c) = E[c c'] - eta eta', read from the float list m
+        of a pass through the row stack, so g is symmetric by construction;
+        DegenerateFisher unless g is positive definite."""
         return _Cholesky([m[k] - m[i] * m[j] for k, i, j in self._fisher_terms])
 
     def _moments(self, theta) -> _Moments:
@@ -281,8 +303,7 @@ class ExpFamily(Statistics):
             return memo
         shift, z, e, m = self._pass(theta, self.row_stack)
         pvals = e / z
-        memo = _Moments(key, shift + np.log(z), m, m[1:self.n + 1], pvals,
-                        self.rule.weights * pvals)
+        memo = _Moments(key, shift + np.log(z), m, pvals, self.rule.weights * pvals)
         self._memo = memo
         return memo
 
@@ -319,6 +340,17 @@ class ExpFamily(Statistics):
 
         return DifferentiableFn(value, d1, d2)
 
+    def density_at(self, x, theta, psi=None) -> np.ndarray:
+        """`density(theta, psi)(x)` bit for bit, read off the statistics table
+        `values_at(x)`, so the members at many thetas on one grid evaluate no
+        statistic again."""
+        theta = np.array(theta, dtype=float)
+        if psi is None:
+            psi = self._moments(theta).psi
+        else:
+            self.require_admissible(theta)
+        return np.exp(combine_rows(theta.tolist(), self.values_at(x)) - psi)
+
     def _monomial_rows(self, count: int) -> np.ndarray:
         x = self.rule.nodes
         return np.vstack([x ** i for i in range(1, count + 1)])
@@ -331,7 +363,7 @@ class ExpFamily(Statistics):
         """
         mom = self._moments(theta)
         if count is None or count == self.n:
-            return mom.eta.copy()
+            return np.array(mom.m[1:self.n + 1])
         if count < self.n:
             raise ValueError("count must be at least n")
         if self.kind != "ep":
@@ -388,9 +420,10 @@ class ExpFamily(Statistics):
             raise ValueError(
                 f"expected {self.n} (or {2 * self.n} for the polynomial family) moments")
         theta = self._newton_start(eta, initial)
-        scale = 1.0 + float(np.max(np.abs(eta)))
-        res = self.expectation_params(theta) - eta
-        best = float(np.max(np.abs(res)))
+        target = eta.tolist()
+        scale = 1.0 + sup_norm(target)
+        res = self._residual(theta, target)
+        best = sup_norm(res)
         for _ in range(NEWTON_MAX_ITER):
             if best <= NEWTON_TOL * scale:
                 return theta
@@ -399,8 +432,8 @@ class ExpFamily(Statistics):
             while t >= 2.0 ** -30:
                 cand = theta + t * step
                 if self.is_admissible(cand):
-                    cand_res = self.expectation_params(cand) - eta
-                    cand_norm = float(np.max(np.abs(cand_res)))
+                    cand_res = self._residual(cand, target)
+                    cand_norm = sup_norm(cand_res)
                     if cand_norm < best * (1.0 - 0.25 * t) or cand_norm <= NEWTON_TOL * scale:
                         theta, res, best = cand, cand_res, cand_norm
                         break
@@ -414,18 +447,27 @@ class ExpFamily(Statistics):
         raise InadmissibleRecovery(
             f"Newton inversion did not converge (residual {best:.3e})", value=theta)
 
+    def _residual(self, theta, target) -> list:
+        """eta(theta) - target in floats, target a list of n floats."""
+        return [a - b for a, b in zip(self._moments(theta).m[1:self.n + 1], target)]
+
     def gaussian_start(self, eta):
         """On the Gaussians, the admissible theta of the Gaussian with eta's mean and
-        variance, in closed form; None on other families or when there is none."""
+        variance, in closed form; None on other families or when there is none.  The
+        2 x 2 products are in floats, in the order numpy's matvec adds them."""
         fit = self.gaussian_fit
         if fit is None:
             return None
-        mean, second = fit[0] @ eta + fit[1]  # (E x, E x^2) = A eta + b
-        var = second - mean * mean
+        (a00, a01), (a10, a11) = fit[0].tolist()
+        b0, b1 = fit[1].tolist()
+        e0, e1 = np.asarray(eta, dtype=float).tolist()
+        mean = a00 * e0 + a01 * e1 + b0  # (E x, E x^2) = A eta + b
+        var = a10 * e0 + a11 * e1 + b1 - mean * mean
         if not var > 0:
             return None
         # theta' . (x, x^2) = theta' . (A c + b) = (A' theta') . c + const
-        theta = fit[0].T @ np.array([mean / var, -0.5 / var])
+        t0, t1 = mean / var, -0.5 / var
+        theta = np.array([a00 * t0 + a10 * t1, a01 * t0 + a11 * t1])
         return theta if self.is_admissible(theta) else None
 
     def _newton_start(self, eta, initial) -> np.ndarray:

@@ -33,6 +33,7 @@ from .quadrature import (
     Domain,
     QuadratureRule,
     Statistics,
+    combine_rows,
     default_domain,
     embedded_gap,
     trapezoid_rule,
@@ -71,7 +72,7 @@ class MixtureFamily(Statistics):
             raise ValidationError("components must be nonnegative densities")
         coarse = rule.embedded_weights()
         masses = q @ rule.weights
-        mass_error = embedded_gap(masses, q[:, ::2] @ coarse)
+        mass_error = embedded_gap(masses.tolist(), (q[:, ::2] @ coarse).tolist())
         worst = float(np.max(np.abs(masses - 1.0)))
         if worst > COMPONENT_MASS_TOL:
             error = UnderResolvedQuadrature if mass_error > QUADRATURE_TOL else ValidationError
@@ -83,8 +84,8 @@ class MixtureFamily(Statistics):
                          values=q[:-1] - q[-1])
         self.gamma, self.beta = self.gamma_and_beta()
         even = self._C[:, ::2]
-        self._quadrature_error = max(mass_error,
-                                     embedded_gap(self.gamma, (even * coarse) @ even.T))
+        self._quadrature_error = max(mass_error, embedded_gap(
+            self.gamma.ravel().tolist(), ((even * coarse) @ even.T).ravel().tolist()))
         if np.linalg.eigvalsh(self.gamma).min() <= METRIC_EIGENVALUE_FLOOR:
             raise DegenerateMixtureMetric("mixture metric is numerically singular")
         self.gamma_inv = np.linalg.inv(self.gamma)
@@ -154,6 +155,13 @@ class MixtureFamily(Statistics):
         theta = self.require_admissible(theta)
         terms = [float(w) * comp for w, comp in zip(self.theta_hat(theta), self.components)]
         return sum(terms[1:], terms[0])
+
+    def density_at(self, x, theta) -> np.ndarray:
+        """`density(theta)(x)` bit for bit, read off a table of the components at x
+        kept as `values_at` keeps the statistics."""
+        theta = self.require_admissible(theta)
+        return combine_rows(self.theta_hat(theta).tolist(),
+                            self._table("components", self.components, x))
 
     def expectation_params(self, theta) -> np.ndarray:
         theta = self.require_admissible(theta)

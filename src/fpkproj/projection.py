@@ -198,11 +198,11 @@ def residual_terms(fam: ExpFamily, model: SdeModel, theta, values=None) -> dict:
     if not np.all(np.isfinite(ratio)):
         bad = int(np.flatnonzero(~np.isfinite(ratio))[0])
         raise NonFiniteIntegrand("adjoint ratio is not finite", node=float(x[bad]), index=bad)
-    wp, eta = mom.wp, mom.eta
+    wp, eta = mom.wp, np.array(mom.m[1:fam.n + 1])
     w_norm_sq = float(wp @ (ratio * ratio)) / 4.0
     centered = fam.stat_values() - eta[:, None]
     b = (centered * wp) @ ratio / 4.0
-    coeff = fam._fisher(mom.m).solve(b)
+    coeff = fam._fisher(mom.m).solve(b.tolist())
     proj_norm_sq = 4.0 * float(b @ coeff)
     tangent = coeff @ centered
     proj_pointwise_sq = float(wp @ (tangent * tangent))
@@ -348,7 +348,7 @@ class ProjectedOde:
         factor = fam._fisher(fam._moments(theta).m)
 
         def seed(near):
-            guess = theta + factor.solve(near - state)
+            guess = theta + factor.solve((near - state).tolist())
             return guess if fam.is_admissible(guess) else theta
 
         return seed
@@ -391,21 +391,34 @@ def _step_failure(err: FpkprojError, k: int) -> TrajectoryExit:
     return TrajectoryExit(f"rhs failed at step {k}: {err}", step=k)
 
 
+def _axpy(a, h: float, b) -> np.ndarray:
+    """a + h b for lists of floats a and b, as numpy's `a + h * b` rounds it."""
+    return np.array([u + h * v for u, v in zip(a, b)])
+
+
 def _step_stages(ode: ProjectedOde, states, dt: float, theta, rows) -> list:
-    """RK4 through the field's stages (tangent-ef, open ada-ef); thetas at `rows`."""
+    """RK4 through the field's stages (tangent-ef, open ada-ef); thetas at `rows`.
+
+    The stage states and the step are combined in Python floats, in the order of
+    operations of y + (dt / 2) k1, ..., y + dt / 6 ((k1 + 2 (k2 + k3)) + k4), so
+    they are bitwise those of the numpy expressions without their calls on n-vectors.
+    """
     thetas = [theta]
     y = states[0]
+    half, sixth = 0.5 * dt, dt / 6.0
     for k in range(1, states.shape[0]):
         try:
             seed = ode.newton_seeds(y, theta)
-            k1 = ode.rhs(y, theta)
-            y2 = y + 0.5 * dt * k1
-            k2 = ode.rhs(y2, seed(y2))
-            y3 = y + 0.5 * dt * k2
-            k3 = ode.rhs(y3, seed(y3))
-            y4 = y + dt * k3
-            k4 = ode.rhs(y4, seed(y4))
-            raw = y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+            y0 = y.tolist()
+            k1 = ode.rhs(y, theta).tolist()
+            y2 = _axpy(y0, half, k1)
+            k2 = ode.rhs(y2, seed(y2)).tolist()
+            y3 = _axpy(y0, half, k2)
+            k3 = ode.rhs(y3, seed(y3)).tolist()
+            y4 = _axpy(y0, dt, k3)
+            k4 = ode.rhs(y4, seed(y4)).tolist()
+            raw = np.array([a + sixth * ((b + 2.0 * (c + d)) + e)
+                            for a, b, c, d, e in zip(y0, k1, k2, k3, k4)])
             y, theta, _ = ode.constrain(raw, seed(raw))
         except FpkprojError as err:
             raise _step_failure(err, k) from err

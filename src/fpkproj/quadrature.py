@@ -13,6 +13,7 @@ estimate the families report (`embedded_gap`); under geometric
 convergence it is about the error of T_{L-1}, far above that of T_L.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -136,7 +137,7 @@ class Statistics:
                 values = np.vstack([np.asarray(c(rule.nodes), dtype=float) for c in self.stats])
         self._C = values
         self._derivatives = None
-        self._grid_values = None
+        self._tables = {}
 
     @property
     def domain(self):
@@ -155,13 +156,18 @@ class Statistics:
         return self._derivatives
 
     def values_at(self, x) -> np.ndarray:
-        """(n, len(x)) statistics at the points x, read-only; the values at the last
-        x are kept, keyed on its identity, so a shared read-only grid costs one evaluation."""
-        memo = self._grid_values
+        """(n, len(x)) statistics at the points x, read-only, from `_table`."""
+        return self._table("stats", self.stats, x)
+
+    def _table(self, name: str, fns, x) -> np.ndarray:
+        """The functions fns at the points x, one read-only row each; the table at the
+        last x is kept under `name`, keyed on the identity of x, so a shared read-only
+        grid costs one evaluation."""
+        memo = self._tables.get(name)
         if memo is None or memo[0] is not x:
-            values = np.vstack([c(x) for c in self.stats])
+            values = np.vstack([f(x) for f in fns])
             values.setflags(write=False)
-            memo = self._grid_values = (x, values)
+            memo = self._tables[name] = (x, values)
         return memo[1]
 
     def gram(self) -> np.ndarray:
@@ -172,7 +178,7 @@ class Statistics:
     def _problem(self, theta):
         if theta.shape != (self.n,):
             return f"theta must have length {self.n}, got shape {theta.shape}"
-        if not np.isfinite(theta).all():
+        if not all(map(math.isfinite, theta.tolist())):
             return "theta must be finite"
         return self._violation(theta)
 
@@ -205,10 +211,25 @@ def require_resolved(rule: QuadratureRule, error: float, where: str, density=Non
             f"{QUADRATURE_TOL:g} at level {level} ({rule.npoints} nodes); {advice}")
 
 
+def sup_norm(values) -> float:
+    """max |v| over a list of floats; NaN when one is NaN, as numpy's max gives it."""
+    return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
+
+
+def combine_rows(coeffs, rows) -> np.ndarray:
+    """sum_i coeffs[i] rows[i], added left to right as the function algebra adds
+    `sum(terms[1:], terms[0])`, so a member read off a table of its terms is
+    bitwise the value of its function."""
+    total = coeffs[0] * rows[0]
+    for c, row in zip(coeffs[1:], rows[1:]):
+        total += c * row
+    return total
+
+
 def embedded_gap(fine, coarse) -> float:
-    """max |T_L - T_{L-1}| / max(1, |T_L|) over the entries of two integral arrays."""
-    fine = np.asarray(fine)
-    return float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
+    """max |T_L - T_{L-1}| / max(1, |T_L|) over two equal-length lists of integrals,
+    in floats."""
+    return sup_norm([abs(f - c) / max(1.0, abs(f)) for f, c in zip(fine, coarse)])
 
 
 @lru_cache(maxsize=16)

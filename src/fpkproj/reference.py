@@ -116,7 +116,12 @@ def grid_density(domain: Domain, nx: int, fn) -> GridDensity:
 
 
 def fpk_operator(model: SdeModel, domain: Domain, nx: int):
-    """Tridiagonal bands (lower, diag, upper) of the discrete adjoint generator."""
+    """Tridiagonal bands (lower, diag, upper) of the discrete adjoint generator.
+
+    The bands are computed without floating-point warnings; where one is not
+    finite, as when the drift overflows a flux, SchemeInstability names the
+    bands and the first cell face x where that happens.
+    """
     if nx < 3:
         raise ValidationError("nx must be at least 3")
     x, vol = trapezoid_grid(domain, nx)
@@ -125,23 +130,33 @@ def fpk_operator(model: SdeModel, domain: Domain, nx: int):
     d_face = 0.5 * np.asarray(model.diffusion(xf), dtype=float)
     if np.min(d_face) <= 0:
         raise ValueError("diffusion must stay positive at the cell faces")
-    f_face = np.asarray(model.drift(xf), dtype=float) - 0.5 * np.asarray(
-        model.diffusion.d1(xf), dtype=float)
-    peclet = f_face * h / d_face
     # J_{j+1/2} = alpha_j p_j + beta_j p_{j+1}; zero flux through the boundary faces.
     # Scharfetter-Gummel: alpha = (D/h) B(-Pe), beta = -(D/h) B(Pe) with the positive
     # Bernoulli function B(x) = x / (e^x - 1), B(0) = 1; expm1 overflows to inf
     # above 709, where B has underflowed to 0 anyway
-    pe = np.stack((-peclet, peclet))
     with np.errstate(over="ignore", invalid="ignore"):
+        f_face = np.asarray(model.drift(xf), dtype=float) - 0.5 * np.asarray(
+            model.diffusion.d1(xf), dtype=float)
+        peclet = f_face * h / d_face
+        pe = np.stack((-peclet, peclet))
         bern = d_face / h * np.where(pe == 0.0, 1.0, pe / np.expm1(pe))
-    alpha, beta = bern[0], -bern[1]
-    lower = alpha / vol[1:]
-    upper = -beta / vol[:-1]
-    diag = np.empty(nx)
-    diag[0] = -alpha[0] / vol[0]
-    diag[-1] = beta[-1] / vol[-1]
-    diag[1:-1] = (beta[:-1] - alpha[1:]) / vol[1:-1]
+        alpha, beta = bern[0], -bern[1]
+        lower = alpha / vol[1:]
+        upper = -beta / vol[:-1]
+        diag = np.empty(nx)
+        diag[0] = -alpha[0] / vol[0]
+        diag[-1] = beta[-1] / vol[-1]
+        diag[1:-1] = (beta[:-1] - alpha[1:]) / vol[1:-1]
+    finite = {name: np.isfinite(band) for name, band in
+              (("lower", lower), ("diag", diag), ("upper", upper))}
+    if not all(ok.all() for ok in finite.values()):
+        bad = ", ".join(name for name, ok in finite.items() if not ok.all())
+        # face j joins nodes j and j + 1
+        faces = finite["lower"] & finite["upper"] & finite["diag"][:-1] & finite["diag"][1:]
+        first = xf[np.flatnonzero(~faces)[0]]
+        raise SchemeInstability(
+            f"the reference operator's bands ({bad}) are not finite, first at the face "
+            f"x = {first:.6g}: the drift overflows the Scharfetter-Gummel fluxes")
     return lower, diag, upper
 
 

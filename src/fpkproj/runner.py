@@ -85,7 +85,8 @@ def _divergences(snap, family, theta, psi=None):
     is the log-partition of an exponential-family member when a trajectory carries it."""
     if snap is None:
         return None, None, None
-    q = (family.density(theta) if psi is None else family.density(theta, psi))(snap.x)
+    q = (family.density_at(snap.x, theta) if psi is None
+         else family.density_at(snap.x, theta, psi))
     return divergence_kl(snap, q), divergence_hellinger(snap, q), divergence_l2(snap, q)
 
 

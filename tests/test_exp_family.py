@@ -220,9 +220,8 @@ def test_other_families_start_newton_at_an_admissible_guess(monkeypatch):
     eta = fam.expectation_params(theta)
     initial = np.array([0.05, 0.25, -0.02, -0.25])
     starts = []
-    params = fam.expectation_params
-    monkeypatch.setattr(fam, "expectation_params",
-                        lambda t: starts.append(np.array(t)) or params(t))
+    moments = fam._moments
+    monkeypatch.setattr(fam, "_moments", lambda t: starts.append(np.array(t)) or moments(t))
     back = fam.expectation_to_canonical(eta, initial=initial)
     assert np.array_equal(starts[0], initial)
     assert np.max(np.abs(back - theta)) <= 1e-9
@@ -483,3 +482,48 @@ def test_density_function_has_consistent_derivatives(fam, theta):
     assert check_derivatives(p, fam.domain) <= 1e-5
     values = fam.density_values(theta)
     assert np.max(np.abs(p(fam.rule.nodes) - values)) <= 1e-13 * values.max()
+
+
+@pytest.mark.parametrize("fam", [ep_family(2), hermite_family([1, 2])],
+                         ids=["EP(2)", "hermite(1,2)"])
+def test_gaussian_start_in_floats_is_the_numpy_matvec_bit_for_bit(fam):
+    a, b = fam.gaussian_fit
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        theta = np.array([rng.normal(), -rng.uniform(0.05, 3.0)])
+        for eta in (fam.expectation_params(theta), fam.expectation_params(theta) - [0.0, 50.0]):
+            mean, second = a @ eta + b
+            var = second - mean * mean
+            got = fam.gaussian_start(eta)
+            if not var > 0:
+                assert got is None
+                continue
+            want = a.T @ np.array([mean / var, -0.5 / var])
+            assert got.tobytes() == want.tobytes()
+
+
+def test_newton_keeps_a_nan_moment_from_passing_its_residual_check():
+    # the residual at the default start is exactly 0 except for the NaN entry;
+    # a float max that dropped the NaN would return the start as the answer
+    fam = ep_family(4)
+    eta = fam.expectation_params(fam.default_initial_theta())
+    eta[1] = np.nan
+    with pytest.raises(InadmissibleRecovery,
+                       match="^Newton inversion stalled outside the admissible set$"):
+        fam.expectation_to_canonical(eta)
+
+
+@pytest.mark.parametrize("fam, theta", [
+    (ep_family(2), [0.4, -0.7]),
+    (hermite_family([1, 2]), [0.4, -0.7]),
+    (ep_family(4), [0.1, 0.3, -0.05, -0.2]),
+], ids=["EP(2)", "hermite(1,2)", "EP(4)"])
+def test_density_at_is_the_density_function_bit_for_bit(fam, theta):
+    x = np.linspace(-12.0, 12.0, 1201)
+    x.setflags(write=False)
+    psi = fam.log_partition(theta)
+    assert fam.density_at(x, theta).tobytes() == fam.density(theta)(x).tobytes()
+    assert fam.density_at(x, theta, psi).tobytes() == fam.density(theta, psi)(x).tobytes()
+    assert fam.values_at(x) is fam.values_at(x)  # one table per grid
+    with pytest.raises(InadmissibleParameter):
+        fam.density_at(x, [0.4, 0.7] if fam.n == 2 else [0.1, 0.3, -0.05, 0.2], psi)

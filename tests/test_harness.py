@@ -28,7 +28,7 @@ from fpkproj.cli import main as cli_main
 from fpkproj.errors import ValidationError
 from fpkproj.expfamily import ExpFamily
 from fpkproj.functions import cosine_series_pdf_fn
-from fpkproj.mixture import gaussian_mixture_family
+from fpkproj.mixture import MixtureFamily, gaussian_mixture_family
 from fpkproj.projection import MAX_STEPS, whole_steps
 from fpkproj.quadrature import MIN_LEVEL
 from fpkproj.reference import GridDensity
@@ -207,6 +207,48 @@ def test_negative_reference_density_names_the_step_size(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("SchemeInstability: density dropped to ")
     assert "at step 1 with dt = 0.001; reduce numerics.pde_dt" in err
+
+
+def test_overflowing_reference_bands_exit_3_without_warnings(tmp_path, capsys):
+    # the Scharfetter-Gummel bands of f = -1e306 x overflow in alpha / vol; the run
+    # printed five RuntimeWarnings (a traceback under -W error::RuntimeWarning, as
+    # here) before a singular Crank-Nicolson matrix
+    args = ["run", str(SCENARIO_DIR / "ou_metric_projection.yaml"),
+            "--override", "model={type: polynomial-drift, coefficients: [0, -1e306], "
+                          "diffusion: 2.0}",
+            "--output-dir", str(tmp_path), "--quiet"]
+    assert cli_main(args) == 3
+    err = capsys.readouterr().err
+    assert err == ("SchemeInstability: the reference operator's bands (lower, diag, upper) are "
+                   "not finite, first at the face x = -11.99: the drift overflows the "
+                   "Scharfetter-Gummel fluxes\n")
+
+
+@pytest.mark.parametrize("name", ["gauss_mix_tangent.yaml", "ou_metric_projection.yaml"])
+def test_reference_rows_read_the_member_off_the_grid_table(name, tmp_path, monkeypatch):
+    # the divergence columns take each row's member from the family's table of its
+    # statistics or components on the reference grid, not from a function tree, and
+    # write the bytes that the function tree gives
+    scenario = load_scenario(SCENARIO_DIR / name)
+    ef_density, mix_density = ExpFamily.density, MixtureFamily.density
+    with monkeypatch.context() as patch:
+        patch.setattr(ExpFamily, "density_at",
+                      lambda self, x, theta, psi=None: ef_density(self, theta, psi)(x))
+        patch.setattr(MixtureFamily, "density_at",
+                      lambda self, x, theta: mix_density(self, theta)(x))
+        run_scenario(scenario, tmp_path / "functions", quiet=True)
+
+    def refuse(*args):
+        raise AssertionError("a row built its member as a function")
+
+    monkeypatch.setattr(ExpFamily, "density", refuse)
+    monkeypatch.setattr(MixtureFamily, "density", refuse)
+    run_scenario(scenario, tmp_path / "tables", quiet=True)
+    written = sorted(path.name for path in (tmp_path / "tables").iterdir())
+    assert written == sorted(path.name for path in (tmp_path / "functions").iterdir())
+    for file_name in written:
+        assert ((tmp_path / "tables" / file_name).read_bytes()
+                == (tmp_path / "functions" / file_name).read_bytes())
 
 
 # each of these passed `fpkproj validate` and then failed `fpkproj run`

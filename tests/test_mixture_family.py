@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fpkproj import (
+    DifferentiableFn,
     check_derivatives,
     cosine_circle_family,
     default_domain,
@@ -196,3 +197,23 @@ def test_at_least_two_components_required():
 def test_cosine_family_requires_positive_harmonics():
     with pytest.raises(ValueError):
         cosine_circle_family([0, 1])
+
+
+@pytest.mark.parametrize("fam, theta", [
+    (gaussian_mixture_family(MEANS, VARS), [0.3, 0.45]),
+    (cosine_circle_family([1, 2]), [0.2, 0.1]),
+], ids=["gaussian", "cosine"])
+def test_density_at_is_the_density_function_bit_for_bit_from_one_table(fam, theta):
+    calls = []
+    # components that count their evaluations; their values are the originals'
+    fam.components = tuple(DifferentiableFn(lambda x, c=c: calls.append(1) or c(x))
+                           for c in fam.components)
+    x = np.linspace(fam.domain.lower, fam.domain.upper, 801)
+    x.setflags(write=False)
+    want = fam.density(theta)(x)
+    calls.clear()
+    for _ in range(3):
+        assert fam.density_at(x, theta).tobytes() == want.tobytes()
+    assert len(calls) == len(fam.components)  # the table is built once per grid
+    with pytest.raises(InadmissibleWeights):
+        fam.density_at(x, [0.7, 0.7])

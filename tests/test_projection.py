@@ -52,7 +52,7 @@ from fpkproj.errors import (
     ValidationError,
 )
 import fpkproj.projection
-from fpkproj.expfamily import ExpFamily
+from fpkproj.expfamily import ExpFamily, _Cholesky
 from fpkproj.mixture import MixtureFamily
 from fpkproj.projection import METHODS, ProjectedOde, rk4_propagator, sample_steps
 
@@ -786,3 +786,131 @@ def test_non_finite_weights_end_an_affine_run_at_the_step(method):
     with pytest.raises(TrajectoryExit) as info:
         integrate_ode(ode, np.asarray(y0), t_end=0.1, dt=1e-2)
     assert info.value.step == 1
+
+
+# -- the tangent-ef stage and its RK4 step in Python floats -------------------
+
+CUBIC = polynomial_drift([0.1, -0.3, 0.0, -0.8], diffusion=1.3)
+
+
+def _numpy_pass(fam, rows, theta):
+    """The moment pass in the numpy formulation the float stage replaced:
+    (psi, m = rows @ e / z, p at the nodes), with m an array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = theta @ fam.stat_values()
+    if not np.isfinite(s).all():
+        raise NonIntegrable("log-density is not finite at the quadrature nodes")
+    shift = s.max()
+    e = np.exp(s - shift)
+    m = rows @ e
+    z = m[0]
+    return shift + np.log(z), m / z, e / z
+
+
+def _numpy_stage(fam, rows, theta):
+    """g(theta)^-1 E[L c] from `_numpy_pass` through the stacked rows of the stage."""
+    m = _numpy_pass(fam, rows, theta)[1].tolist()
+    return _Cholesky([m[k] - m[i] * m[j] for k, i, j in fam._fisher_terms]).solve(m[-fam.n:])
+
+
+STAGE_FAMILIES = [ep_family(2), ep_family(4), ep_family(6), hermite_family([1, 2])]
+
+
+@pytest.mark.parametrize("model", [OU, CUBIC], ids=["OU", "cubic"])
+@pytest.mark.parametrize("fam", STAGE_FAMILIES, ids=[fam.name for fam in STAGE_FAMILIES])
+def test_float_stage_is_the_numpy_stage_bit_for_bit(fam, model):
+    ode = ProjectedOde(fam, model, "tangent-ef")
+    rng = np.random.default_rng(20 + fam.n)
+    base = {2: [0.3, -0.6], 4: [0.1, 0.3, -0.05, -0.2], 6: [0.1, 0.2, 0.0, -0.1, 0.0, -0.01]}
+    for _ in range(25):
+        theta = np.array(base[fam.n]) * rng.uniform(0.5, 2.0, size=fam.n)
+        assert ode.rhs(theta).tobytes() == _numpy_stage(fam, ode._rows, theta).tobytes()
+        psi, m, pvals = _numpy_pass(fam, fam.row_stack, theta)
+        assert fam.log_partition(theta) == float(psi)
+        assert fam.expectation_params(theta).tobytes() == m[1:fam.n + 1].tobytes()
+        assert fam.density_values(theta).tobytes() == pvals.tobytes()
+        coarse = fam._coarse_stack @ pvals[::2]
+        fine = m[1:]
+        gap = np.abs(fine - coarse[1:] / coarse[0]) / np.maximum(1.0, np.abs(fine))
+        assert fam.quadrature_error(theta) == float(np.max(gap))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta, error, message", [
+    # -inf at the outer nodes, a finite max
+    ([0.0, -1e307], NonIntegrable, "log-density is not finite at the quadrature nodes"),
+    ([np.nan, -1.0], InadmissibleParameter, "theta must be finite"),
+    ([0.0, -np.inf], InadmissibleParameter, "theta must be finite"),
+], ids=["minus-inf-nodes", "nan", "minus-inf-theta"])
+@pytest.mark.parametrize("fam", [ep_family(2), hermite_family([1, 2])],
+                         ids=["EP(2)", "hermite(1,2)"])
+def test_float_stage_refuses_with_the_class_and_message_of_the_numpy_stage(
+        fam, theta, error, message):
+    theta = np.array(theta)
+    if error is NonIntegrable:
+        with np.errstate(over="ignore"):
+            s = theta @ fam.stat_values()
+        assert np.isfinite(s.max()) and s[0] == s[-1] == -np.inf
+    ode = ProjectedOde(fam, OU, "tangent-ef")
+    for call in (ode.rhs, fam.expectation_params):
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                call(theta)
+            assert type(info.value) is error
+            assert str(info.value) == message
+
+
+def test_tangent_ef_stages_enter_no_errstate_where_the_product_cannot_overflow(monkeypatch):
+    fam = ep_family(2)
+    ode = ProjectedOde(fam, OU, "tangent-ef")
+    entered = []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+    integrate_ode(ode, np.array([0.5, -0.5]), t_end=0.02, dt=1e-3, record_residual=True)
+    assert entered == []
+    # sum |theta_i| max |c_i| overflows here: only the product is taken under errstate
+    with pytest.raises(NonIntegrable):
+        ode.rhs(np.array([0.0, -1e307]))
+    assert entered == [{"over": "ignore", "invalid": "ignore"}]
+
+
+@pytest.mark.parametrize("fam, model, theta0, method", [
+    (ep_family(2), OU, [0.5, -0.5], "tangent-ef"),
+    (ep_family(4), CUBIC, [0.1, 0.3, -0.05, -0.2], "tangent-ef"),
+    (ep_family(6), CUBIC, [0.1, -0.3, 0.05, -0.2, 0.0, -0.1], "tangent-ef"),
+    (hermite_family([1, 2]), CUBIC, [-0.2, -0.9], "tangent-ef"),
+    (ep_family(2), CUBIC, [0.3, -0.6], "ada-ef"),  # open: Newton-seeded stages
+], ids=["EP(2)-OU", "EP(4)-cubic", "EP(6)-cubic", "hermite(1,2)-cubic", "EP(2)-cubic-ada-ef"])
+def test_float_rk4_steps_are_the_numpy_rk4_loop_bit_for_bit(fam, model, theta0, method):
+    ode = ProjectedOde(fam, model, method)
+    assert ode.affine is None
+    theta0 = np.array(theta0)
+    start = fam.expectation_params(theta0) if method == "ada-ef" else theta0
+    dt = 1e-3
+    y, theta = ode.prepare_initial(start)
+    want = [y]
+    for _ in range(20):
+        seed = ode.newton_seeds(y, theta)
+        k1 = ode.rhs(y, theta)
+        y2 = y + 0.5 * dt * k1
+        k2 = ode.rhs(y2, seed(y2))
+        y3 = y + 0.5 * dt * k2
+        k3 = ode.rhs(y3, seed(y3))
+        y4 = y + dt * k3
+        k4 = ode.rhs(y4, seed(y4))
+        raw = y + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        y, theta, _ = ode.constrain(raw, seed(raw))
+        want.append(y)
+    traj = integrate_ode(ode, start, t_end=20 * dt, dt=dt)
+    assert traj.states.tobytes() == np.array(want).tobytes()
+    assert traj.times.tobytes() == (dt * np.arange(21)).tobytes()
+
+
+def test_float_rk4_steps_leave_the_family_at_the_step_of_the_numpy_loop():
+    # OU drives EP(6)'s theta_6 up to 0; a stage of step 19 crosses it
+    ode = ProjectedOde(ep_family(6), OU, "tangent-ef")
+    with pytest.raises(TrajectoryExit) as info:
+        integrate_ode(ode, np.array([0.1, -0.3, 0.05, -0.2, 0.0, -0.1]), t_end=0.02, dt=1e-3)
+    assert info.value.step == 19
+    assert str(info.value) == ("rhs failed at step 19: leading coefficient must be negative, "
+                               "got theta_n = 0.0006385094497688919")

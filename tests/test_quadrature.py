@@ -221,3 +221,25 @@ def test_embedded_estimate_bounds_the_true_error(make, theta):
         fam = make(trapezoid_rule(default_domain(), level))
         true = embedded_gap(fam._moments(theta).m[1:], want[1:])
         assert true <= fam.quadrature_error(theta) + 1e-14
+
+
+@pytest.mark.parametrize("fine, coarse", [
+    ([0.3, -2.5, 1e-20, 4.0], [0.3000001, -2.4999, 0.0, 4.0]),
+    ([1.0, np.nan, 2.0], [1.0, 2.0, 2.5]),      # NaN past the first entry
+    ([1.0, 2.0, 2.5], [1.0, 2.0, np.nan]),
+    ([1.0, np.inf, 2.0], [1.0, 3.0, 2.5]),      # inf / inf
+    ([1.0, 3.0, 2.0], [1.0, np.inf, 2.5]),
+], ids=["finite", "nan-fine", "nan-coarse", "inf-fine", "inf-coarse"])
+def test_embedded_gap_in_floats_is_the_numpy_max(fine, coarse):
+    fine, coarse = np.array(fine), np.array(coarse)
+    with np.errstate(invalid="ignore"):
+        want = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
+    got = embedded_gap(fine.tolist(), coarse.tolist())
+    assert type(got) is float
+    assert got == want or (np.isnan(got) and np.isnan(want))
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        fine = rng.normal(size=6) * 10.0 ** rng.integers(-3, 3, size=6)
+        coarse = fine * (1.0 + 1e-9 * rng.normal(size=6))
+        want = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
+        assert embedded_gap(fine.tolist(), coarse.tolist()) == want

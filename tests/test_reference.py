@@ -148,6 +148,20 @@ def test_operator_of_a_stiff_drift_is_finite_without_overflow_warnings():
     assert _symmetrizer(lower, upper) is None
 
 
+@pytest.mark.parametrize("coefficients, bands, face", [
+    ([0.0, -1e306], "lower, diag, upper", "-11.994"),   # |f| overflows the fluxes at both ends
+    ([1e307], "lower, diag", "-11.994"),                # a constant push to the right
+    ([1.2e306, 1e305], "lower, diag", "9.57"),          # f grows from 0 at the left end
+], ids=["linear", "constant", "right-part"])
+def test_operator_whose_bands_overflow_is_refused_without_warnings(coefficients, bands, face):
+    # warnings are errors here: the bands are computed under np.errstate
+    with pytest.raises(SchemeInstability) as info:
+        fpk_operator(polynomial_drift(coefficients, diffusion=2.0), DOM, 2001)
+    assert str(info.value) == (
+        f"the reference operator's bands ({bands}) are not finite, first at the face "
+        f"x = {face}: the drift overflows the Scharfetter-Gummel fluxes")
+
+
 def test_negative_density_stops_the_run_at_the_step_it_appears():
     # a spike of variance 1e-3 with dt = 0.5 sends Crank-Nicolson's stiff
     # modes below zero in the first step
