@@ -266,19 +266,22 @@ class ExpFamily(Statistics):
         product with the first row, which must be w, and m = rows @ e / z as a
         list of floats.  The n-sized work is in floats: when sum |theta_i|
         max |c_i| is within _PRODUCT_BOUND, theta . c and theta . c - shift are
-        finite at every node and nothing can overflow; only above it is the
-        product taken under np.errstate and refused (NonIntegrable) when its
-        max or min is not finite, which catches NaN, +inf and -inf nodes.
+        finite at every node and nothing can overflow; only above it are the
+        product and the shift taken under np.errstate, the product refused
+        (NonIntegrable) when its max or min is not finite, which catches NaN,
+        +inf and -inf nodes, and a node whose shift overflows left at -inf, e = 0.
         """
         if sum(map(mul, map(abs, theta.tolist()), self._reach)) <= _PRODUCT_BOUND:
             s = theta @ self._C
+            shift = s.max()
+            s -= shift
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 s = theta @ self._C
-            if not (math.isfinite(s.max()) and math.isfinite(s.min())):
-                raise NonIntegrable("log-density is not finite at the quadrature nodes")
-        shift = s.max()
-        s -= shift
+                shift = s.max()
+                if not (math.isfinite(shift) and math.isfinite(s.min())):
+                    raise NonIntegrable("log-density is not finite at the quadrature nodes")
+                s -= shift
         e = np.exp(s, out=s)
         m = (rows @ e).tolist()
         z = m[0]
@@ -315,16 +318,11 @@ class ExpFamily(Statistics):
         """Normalized density at the quadrature nodes."""
         return self._moments(theta).pvals.copy()
 
-    def density(self, theta, psi=None) -> DifferentiableFn:
+    def density(self, theta) -> DifferentiableFn:
         """The density exp(log p), log p = theta . c - psi built by the function algebra;
-        p' = (log p)' p and p'' = ((log p)'' + (log p)'^2) p.  `psi` is the log-partition
-        at theta when the caller has it (a trajectory carries it at its rows), else it
-        comes from a moment pass."""
+        p' = (log p)' p and p'' = ((log p)'' + (log p)'^2) p."""
         theta = np.array(theta, dtype=float)
-        if psi is None:
-            psi = self._moments(theta).psi
-        else:
-            self.require_admissible(theta)
+        psi = self._moments(theta).psi
         terms = [float(t) * c for t, c in zip(theta, self.stats)]
         log_p = sum(terms[1:], terms[0]) - psi
 
@@ -341,9 +339,10 @@ class ExpFamily(Statistics):
         return DifferentiableFn(value, d1, d2)
 
     def density_at(self, x, theta, psi=None) -> np.ndarray:
-        """`density(theta, psi)(x)` bit for bit, read off the statistics table
-        `values_at(x)`, so the members at many thetas on one grid evaluate no
-        statistic again."""
+        """`density(theta)(x)` bit for bit, read off the statistics table `values_at(x)`,
+        so the members at many thetas on one grid evaluate no statistic again.  `psi`
+        is the log-partition at theta when the caller has it (a trajectory carries it
+        at its rows), else it comes from a moment pass."""
         theta = np.array(theta, dtype=float)
         if psi is None:
             psi = self._moments(theta).psi
@@ -411,7 +410,8 @@ class ExpFamily(Statistics):
         A length-2n moment vector for the polynomial family is inverted
         algebraically; a length-n vector is inverted by damped Newton
         iteration on grad psi(theta) = eta to NEWTON_TOL, started from
-        `_newton_start(eta, initial)`.
+        `_newton_start(eta, initial)`.  Non-finite moments are refused
+        (IllConditionedMoments), as no residual can be measured against them.
         """
         eta = np.asarray(eta, dtype=float)
         if self.kind == "ep" and eta.shape == (2 * self.n,):
@@ -419,8 +419,10 @@ class ExpFamily(Statistics):
         if eta.shape != (self.n,):
             raise ValueError(
                 f"expected {self.n} (or {2 * self.n} for the polynomial family) moments")
-        theta = self._newton_start(eta, initial)
         target = eta.tolist()
+        if not all(map(math.isfinite, target)):
+            raise IllConditionedMoments("moments must be finite")
+        theta = self._newton_start(eta, initial)
         scale = 1.0 + sup_norm(target)
         res = self._residual(theta, target)
         best = sup_norm(res)

@@ -82,7 +82,7 @@ class MixtureFamily(Statistics):
         last = self.components[-1]
         super().__init__((c - last for c in self.components[:-1]), rule, kind, name,
                          values=q[:-1] - q[-1])
-        self.gamma, self.beta = self.gamma_and_beta()
+        self.gamma, self.beta = self.gram(), (self._C * rule.weights) @ q[-1]
         even = self._C[:, ::2]
         self._quadrature_error = max(mass_error, embedded_gap(
             self.gamma.ravel().tolist(), ((even * coarse) @ even.T).ravel().tolist()))
@@ -94,10 +94,6 @@ class MixtureFamily(Statistics):
     def component_values(self) -> np.ndarray:
         """(n+1, m) component densities at the quadrature nodes."""
         return self._Q
-
-    def gamma_and_beta(self):
-        """Recompute the constant metric and offset from scratch."""
-        return self.gram(), (self._C * self.rule.weights) @ self._Q[-1]
 
     def quadrature_error(self, theta=None) -> float:
         """The family's embedded estimate, the same at every member."""

@@ -231,7 +231,6 @@ class ClampEvent:
     clamped weights, the trajectory's thetas at that step."""
 
     step: int
-    time: float
     raw_state: tuple
     weights: tuple
 
@@ -240,8 +239,9 @@ class ClampEvent:
 class Trajectory:
     """Record of an integrated projected flow.
 
-    `times`, `states` (in the method's own coordinates) and `clamped` cover
-    every step, and `clamp_events` holds one `ClampEvent` per clamped step; `thetas` (canonical/weight coordinates), `expectations`
+    `times` and `states` (in the method's own coordinates) cover every step,
+    and `clamp_events` holds one `ClampEvent` per clamped step; `thetas`
+    (canonical/weight coordinates), `expectations`
     (eta or m), the embedded quadrature estimates `quadrature_errors`,
     `residuals` and, on an exponential family, the log-partitions
     `log_partitions` cover the sampled steps `rows` only.
@@ -252,10 +252,8 @@ class Trajectory:
     thetas: np.ndarray
     expectations: np.ndarray
     rows: np.ndarray
-    coordinates: str
     quadrature_errors: np.ndarray
     residuals: np.ndarray | None = None
-    clamped: np.ndarray | None = None
     clamp_events: list = field(default_factory=list)
     log_partitions: np.ndarray | None = None
 
@@ -458,7 +456,10 @@ def _step_affine(ode: ProjectedOde, states, dt: float):
                     powers = np.concatenate([powers, more])
                 else:
                     longest = length = powers.shape[0]
-            block = powers[:length, :-1] @ np.append(y, 1.0)
+            # a finite power times a finite state can still overflow: a closed
+            # ada-ef flow then ends at its next row's inversion, a mixture's at its clamp
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = powers[:length, :-1] @ np.append(y, 1.0)
             good = length
             if mixture:
                 flags = np.flatnonzero(ode.family.needs_clamp(ode.weights(block)))
@@ -478,8 +479,7 @@ def _step_affine(ode: ProjectedOde, states, dt: float):
         states[k] = y
         length = 2
         if plain:
-            events.append(ClampEvent(step=k, time=k * dt, raw_state=tuple(raw),
-                                     weights=tuple(theta)))
+            events.append(ClampEvent(step=k, raw_state=tuple(raw), weights=tuple(theta)))
     return events
 
 
@@ -521,7 +521,6 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
     y, theta = ode.prepare_initial(initial_state)
     times = dt * np.arange(nsteps + 1)
     states = np.empty((nsteps + 1, ode.dim))
-    clamped = np.zeros(nsteps + 1, dtype=bool)
     states[0] = y
     events = []
     if ode.affine is None:
@@ -532,7 +531,6 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
     else:
         events = _step_affine(ode, states, dt)
         clamps = {event.step: np.array(event.weights) for event in events}
-        clamped[list(clamps)] = True
         weights = ode.weights(states[rows[1:]])
         thetas = [theta, *(clamps.get(k, w) for k, w in zip(rows[1:], weights))]
 
@@ -555,7 +553,6 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
             raise _step_failure(err, k) from err
     return Trajectory(times=times, states=states, thetas=np.array(recorded), rows=np.array(rows),
                       expectations=np.array(expectations) if canonical else states[rows],
-                      coordinates=ode.coordinates, quadrature_errors=np.array(errors),
-                      clamped=clamped, clamp_events=events,
+                      quadrature_errors=np.array(errors), clamp_events=events,
                       residuals=np.array(residuals) if record_residual else None,
                       log_partitions=np.array(psis) if exponential else None)

@@ -368,7 +368,6 @@ class DecayReport:
 
     times: np.ndarray
     epsilon: np.ndarray          # (samples, n)
-    reference_moments: np.ndarray
     ode_moments: np.ndarray
     eigenvalues: np.ndarray
     fitted_rates: list
@@ -440,7 +439,6 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
     return DecayReport(
         times=times,
         epsilon=epsilon,
-        reference_moments=ref_moments,
         ode_moments=traj.expectations,
         eigenvalues=lambdas,
         fitted_rates=rates,

@@ -114,8 +114,9 @@ def _run_trajectory_method(scenario: Scenario, model, family, p0, start) -> _Out
     missing = [None] * len(traj.rows)
     residuals = missing if traj.residuals is None else traj.residuals.tolist()
     psis = missing if traj.log_partitions is None else traj.log_partitions
+    clamped = {event.step for event in traj.clamp_events}
     rows = [(float(traj.times[k]), *map(float, theta), *map(float, coords), res,
-             *_divergences(snap, family, theta, psi), bool(traj.clamped[k]))
+             *_divergences(snap, family, theta, psi), k in clamped)
             for k, theta, coords, res, psi, snap in zip(
                 traj.rows, traj.thetas, traj.expectations, residuals, psis, snapshots,
                 strict=True)]

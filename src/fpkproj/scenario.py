@@ -24,7 +24,8 @@ import yaml
 from .errors import FpkprojError, UnderResolvedQuadrature, ValidationError
 from .expfamily import ExpFamily, custom_poly_family, ep_family, hermite_family
 from .functions import DifferentiableFn, cosine_series_pdf_fn, gaussian_mixture_pdf_fn, gaussian_pdf_fn
-from .mixture import MixtureFamily, cosine_circle_family, gaussian_mixture_family
+from .mixture import COMPONENT_MASS_TOL, MixtureFamily
+from .mixture import cosine_circle_family, gaussian_mixture_family
 from .projection import MAX_STEPS, sample_steps, whole_steps
 from .projection import METHODS as ODE_METHODS
 from .quadrature import (
@@ -33,6 +34,7 @@ from .quadrature import (
     Domain,
     default_domain,
     require_resolved,
+    trapezoid_grid,
     trapezoid_rule,
 )
 from .reference import GridDensity, grid_density, snapshot_index
@@ -327,14 +329,13 @@ def build_run(scenario: Scenario):
     """Build what a run builds and check the step grids it will walk; validation
     and `run_scenario` both call this.  Returns (model, family, p0, start): p0 the
     initial density on the reference grid, or None when no reference is solved,
-    and start the flow's start from `_flow_start`, which `build_family` has already
-    checked at the level it chose."""
+    and start the flow's start, which `build_family` built and checked at the level
+    it chose."""
     num = scenario.numerics
     method = scenario.method
     domain = _built("numerics.domain", scenario_domain, scenario)
     model = _built("model", build_model, scenario, domain)
-    family = _built("family", build_family, scenario, domain)
-    start = _flow_start(scenario, family)
+    family, start = _built("family", build_family, scenario, domain)
     if method != "metric-projection":
         whole_steps(num.t_end, num.ode_dt, "numerics.t_end")
     if method == "decay-experiment":
@@ -461,16 +462,16 @@ def build_model(scenario: Scenario, domain: Domain):
 
 
 def build_family(scenario: Scenario, domain: Domain):
-    """The family on the trapezoid rule at numerics.quadrature_level or, when that is
-    absent, at the smallest level in MIN_LEVEL..MAX_LEVEL whose embedded estimate is
-    within QUADRATURE_TOL at the start (`_flow_start`).  UnderResolvedQuadrature when
-    the given level, or the largest, is not."""
+    """(family, start): the family on the trapezoid rule at numerics.quadrature_level
+    or, when that is absent, at the smallest level in MIN_LEVEL..MAX_LEVEL whose
+    embedded estimate is within QUADRATURE_TOL at the start, and that start
+    (`_flow_start`).  UnderResolvedQuadrature when the given level, or the largest,
+    is not."""
     level = scenario.numerics.quadrature_level
     for level in range(MIN_LEVEL, MAX_LEVEL + 1) if level is None else (level,):
         try:
             family = _build(FAMILIES, scenario.family, rule=trapezoid_rule(domain, level))
-            _flow_start(scenario, family)
-            return family
+            return family, _flow_start(scenario, family)
         except UnderResolvedQuadrature as err:
             failure = err
     raise failure
@@ -481,9 +482,19 @@ def build_initial_density(spec: dict) -> DifferentiableFn:
 
 
 def build_reference_start(scenario: Scenario, model) -> GridDensity:
-    """The initial density sampled on the reference grid."""
+    """The initial density sampled on the reference grid, whose trapezoid mass must be
+    within COMPONENT_MASS_TOL of 1: the normalized samples of a start that lies partly
+    outside the domain, or that the grid does not resolve, are not the start."""
     density = build_initial_density(scenario.initial["density"])
-    return grid_density(model.domain, scenario.numerics.pde_nx, density)
+    nx = scenario.numerics.pde_nx
+    p0 = grid_density(model.domain, nx, density)
+    x, w = trapezoid_grid(model.domain, nx)
+    mass = float(w @ density(x))
+    if not abs(mass - 1.0) <= COMPONENT_MASS_TOL:
+        raise ValidationError(f"mass {mass:.6g} on the {nx}-node reference grid misses 1 by "
+                              f"more than {COMPONENT_MASS_TOL:g}; widen numerics.domain or "
+                              "raise numerics.pde_nx")
+    return p0
 
 
 def reference_stride(scenario: Scenario) -> int:

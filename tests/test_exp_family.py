@@ -461,6 +461,19 @@ def test_errors_are_raised_on_every_call(theta, error):
         assert fam.fisher_matrix(good).tobytes() == want.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_shift_beyond_the_float_range_leaves_its_nodes_at_zero():
+    # theta . c is finite at every node, about -9.1e307 at x = -12 and 9.1e307 at
+    # x = 12, but theta . c minus its max overflows at the low nodes (a RuntimeWarning,
+    # a test error here): they get e = 0, and the member sits on the node x = 12
+    fam = ep_family(2)
+    theta = np.array([7.6e306, -1.0])
+    assert fam.expectation_params(theta).tolist() == [12.0, 144.0]
+    assert fam.log_partition(theta) == pytest.approx(9.12e307)
+    with pytest.raises(DegenerateFisher):
+        fam.fisher_matrix(theta)
+
+
 def test_moment_integrals_that_overflow_raise_on_every_call():
     # on [-1e80, 1e80] the weighted products w x^4 overflow, so every moment
     # pass would be NaN; the family is refused at construction, where its
@@ -508,9 +521,16 @@ def test_newton_keeps_a_nan_moment_from_passing_its_residual_check():
     fam = ep_family(4)
     eta = fam.expectation_params(fam.default_initial_theta())
     eta[1] = np.nan
-    with pytest.raises(InadmissibleRecovery,
-                       match="^Newton inversion stalled outside the admissible set$"):
+    with pytest.raises(IllConditionedMoments, match="^moments must be finite$"):
         fam.expectation_to_canonical(eta)
+
+
+def test_newton_refuses_an_infinite_moment():
+    # an infinite moment made the residual tolerance NEWTON_TOL (1 + max |eta|)
+    # infinite, so the first check passed and the seed came back as the answer
+    fam = ep_family(4)
+    with pytest.raises(IllConditionedMoments, match="^moments must be finite$"):
+        fam.expectation_to_canonical([0.0, np.inf, 0.0, 3.0])
 
 
 @pytest.mark.parametrize("fam, theta", [
@@ -523,7 +543,7 @@ def test_density_at_is_the_density_function_bit_for_bit(fam, theta):
     x.setflags(write=False)
     psi = fam.log_partition(theta)
     assert fam.density_at(x, theta).tobytes() == fam.density(theta)(x).tobytes()
-    assert fam.density_at(x, theta, psi).tobytes() == fam.density(theta, psi)(x).tobytes()
+    assert fam.density_at(x, theta, psi).tobytes() == fam.density(theta)(x).tobytes()
     assert fam.values_at(x) is fam.values_at(x)  # one table per grid
     with pytest.raises(InadmissibleParameter):
         fam.density_at(x, [0.4, 0.7] if fam.n == 2 else [0.1, 0.3, -0.05, 0.2], psi)

@@ -24,6 +24,7 @@ from fpkproj import (
     solve_fpk,
     validate_scenario,
 )
+from fpkproj import scenario as scenario_module
 from fpkproj.cli import main as cli_main
 from fpkproj.errors import ValidationError
 from fpkproj.expfamily import ExpFamily
@@ -41,6 +42,7 @@ from fpkproj.scenario import (
     apply_overrides,
     build_family,
     build_initial_density,
+    build_run,
     scenario_domain,
 )
 
@@ -128,7 +130,7 @@ def test_all_shipped_scenarios_validate():
         sc = load_scenario(path)
         assert sc.name == path.stem
         # every shipped start is resolved on the smallest level
-        assert build_family(sc, scenario_domain(sc)).rule.npoints == 2 ** MIN_LEVEL + 1
+        assert build_family(sc, scenario_domain(sc))[0].rule.npoints == 2 ** MIN_LEVEL + 1
 
 
 GAUSS = {"type": "ep", "n": 2}
@@ -150,7 +152,26 @@ def test_quadrature_level_is_the_smallest_that_resolves_the_start(method, family
     raw = {"name": "narrow", "method": method, "model": {"type": "ou"}, "family": family,
            "numerics": {"t_end": 0.01}, "initial": initial}
     sc = validate_scenario(raw)
-    assert build_family(sc, scenario_domain(sc)).rule.npoints == 2 ** level + 1
+    assert build_family(sc, scenario_domain(sc))[0].rule.npoints == 2 ** level + 1
+
+
+@pytest.mark.parametrize("theta, calls", [
+    (None, 1),  # the shipped start, resolved on the smallest level
+    ([0.0, -25.0], 2),  # variance 0.02: level 9
+])
+def test_build_run_builds_the_start_once_per_level_tried(theta, calls, monkeypatch):
+    raw = yaml.safe_load((SCENARIO_DIR / "ou_ep2_tangent.yaml").read_text())
+    if theta is not None:
+        raw["initial"] = {"theta": theta}
+    sc = validate_scenario(raw)
+    made = []
+    flow_start = scenario_module._flow_start
+    monkeypatch.setattr(scenario_module, "_flow_start",
+                        lambda *args: made.append(args) or flow_start(*args))
+    _, family, _, start = build_run(sc)
+    assert len(made) == calls and made[-1][1] is family
+    assert family.rule.npoints == 2 ** (MIN_LEVEL + calls - 1) + 1
+    assert start.tolist() == (theta or raw["initial"]["theta"])
 
 
 @pytest.mark.parametrize("command, overrides, code", [
@@ -209,6 +230,35 @@ def test_negative_reference_density_names_the_step_size(tmp_path, capsys):
     assert "at step 1 with dt = 0.001; reduce numerics.pde_dt" in err
 
 
+def test_a_reference_start_partly_outside_the_domain_is_refused(tmp_path, capsys):
+    # 16% of N(11, 1) lies beyond x = 12, and the reference normalized the rest: every
+    # divergence compared the flow with that truncated start
+    args = ["run", str(SCENARIO_DIR / "gauss_mix_tangent.yaml"),
+            "--override", "initial.density={type: gaussian, mean: 11.0, var: 1.0}",
+            "--output-dir", str(tmp_path), "--quiet"]
+    assert cli_main(args) == 2
+    assert capsys.readouterr().err == (
+        "validation error: initial.density: mass 0.841337 on the 1201-node reference grid "
+        "misses 1 by more than 1e-08; widen numerics.domain or raise numerics.pde_nx\n")
+    assert not (tmp_path / "trajectory.csv").exists()
+    assert cli_main([*args, "--override", "numerics.domain=[-12, 20]"]) == 0
+
+
+def test_unstable_closed_ada_ef_flow_exits_3_without_warnings(tmp_path, capsys):
+    # RK4 at dt = 1e-3 on the drift 400 x multiplies eta_2 about 2.2-fold a step, so
+    # the moments overflow before t = 1: the block product warned, and the row at
+    # t = 1 was written with eta = (-inf, inf) and the start's theta
+    args = ["run", str(SCENARIO_DIR / "ou_ep2_ada.yaml"),
+            "--override", "model={type: polynomial-drift, coefficients: [0, 400], "
+                          "diffusion: 2.0}",
+            "--override", "numerics.sample_stride=1000",
+            "--output-dir", str(tmp_path), "--quiet"]
+    assert cli_main(args) == 3
+    assert capsys.readouterr().err == ("TrajectoryExit: rhs failed at step 1000: "
+                                       "moments must be finite\n")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_overflowing_reference_bands_exit_3_without_warnings(tmp_path, capsys):
     # the Scharfetter-Gummel bands of f = -1e306 x overflow in alpha / vol; the run
     # printed five RuntimeWarnings (a traceback under -W error::RuntimeWarning, as
@@ -233,7 +283,7 @@ def test_reference_rows_read_the_member_off_the_grid_table(name, tmp_path, monke
     ef_density, mix_density = ExpFamily.density, MixtureFamily.density
     with monkeypatch.context() as patch:
         patch.setattr(ExpFamily, "density_at",
-                      lambda self, x, theta, psi=None: ef_density(self, theta, psi)(x))
+                      lambda self, x, theta, psi=None: ef_density(self, theta)(x))
         patch.setattr(MixtureFamily, "density_at",
                       lambda self, x, theta: mix_density(self, theta)(x))
         run_scenario(scenario, tmp_path / "functions", quiet=True)

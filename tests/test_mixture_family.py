@@ -90,13 +90,6 @@ def test_stats_are_the_component_differences(fam):
         assert check_derivatives(c, fam.domain, rng=np.random.default_rng(7)) <= 1e-5
 
 
-def test_recomputed_metric_agrees_with_cached():
-    fam = gaussian_mixture_family(MEANS, VARS)
-    gamma, beta = fam.gamma_and_beta()
-    assert np.array_equal(gamma, fam.gamma)
-    assert np.array_equal(beta, fam.beta)
-
-
 def test_affine_coordinate_roundtrip():
     fam = gaussian_mixture_family(MEANS, VARS)
     rng = np.random.default_rng(21)
