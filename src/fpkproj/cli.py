@@ -65,9 +65,18 @@ def _cmd_run_all(args) -> int:
     files = sorted(directory.glob("*.yaml")) + sorted(directory.glob("*.yml"))
     if not files:
         raise ValidationError(f"no scenario files found in {directory}")
-    parent = Path(args.output_dir) if args.output_dir else Path("runs")
+    # every file is loaded before anything runs: two scenarios of one name
+    # would write into one directory, the second over the first
+    loaded = {}
     for path in files:
         scenario = load_scenario(path)
+        if scenario.name in loaded:
+            raise ValidationError(
+                f"{loaded[scenario.name][0].name} and {path.name} both name the scenario "
+                f"{scenario.name!r}")
+        loaded[scenario.name] = path, scenario
+    parent = Path(args.output_dir) if args.output_dir else Path("runs")
+    for _, scenario in loaded.values():
         run_scenario(scenario, parent / scenario.name, quiet=args.quiet)
     if not args.quiet:
         print(f"ran {len(files)} scenarios into {parent}")

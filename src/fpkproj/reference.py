@@ -18,6 +18,10 @@ family's own inversion of E_p[stats], computed on the grid by
 `MixtureFamily.expectations_to_weights` (a constant linear solve).
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -45,6 +49,7 @@ EIGEN_RESIDUAL_TOL = 1e-8
 DECAY_FLOOR = 1e-8
 FLIP_SKIP = 2
 MAX_LOG_SPAN = 600.0
+_FLAPACK = "scipy.linalg._flapack"
 
 
 @dataclass(frozen=True)
@@ -177,6 +182,45 @@ def _symmetrizer(lower: np.ndarray, upper: np.ndarray):
     return np.exp(log_d - 0.5 * (low + high))
 
 
+def _flapack_alone():
+    """scipy's f2py LAPACK extension, loaded without the scipy.linalg package.
+
+    `import scipy` runs the package's own library set-up; the extension is
+    then found in scipy/linalg/ and registered in sys.modules under its
+    own name, so that a later `import scipy.linalg` reuses it instead of
+    initialising it a second time.  None when it is not there or does not
+    load.
+    """
+    import scipy
+
+    spec = importlib.machinery.PathFinder.find_spec(
+        _FLAPACK, [os.path.join(path, "linalg") for path in scipy.__path__])
+    if spec is None:
+        return None
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        return None
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+def _tridiagonal_lapack():
+    """LAPACK's (dgttrf, dgttrs, dpttrf, dpttrs) for `solve_fpk`.
+
+    They come from the extension `scipy.linalg._flapack`, the one already
+    loaded or else `_flapack_alone`, which spares a reference run the
+    import of all of scipy.linalg (about 0.2 s and 23 MB).  The extension
+    is private, so where it cannot be loaded alone the routines come from
+    `scipy.linalg.lapack`, which re-exports the same objects.
+    """
+    lapack = sys.modules.get(_FLAPACK) or _flapack_alone()
+    if lapack is None:
+        from scipy.linalg import lapack
+    return lapack.dgttrf, lapack.dgttrs, lapack.dpttrf, lapack.dpttrs
+
+
 def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
               sample_stride: int = 1) -> list[GridDensity]:
     """Crank-Nicolson evolution of the grid density; returns sampled snapshots.
@@ -199,8 +243,7 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
     raises SchemeInstability when M is singular or a solve fails, on
     negative densities beyond round-off or on loss of mass conservation.
     """
-    # imported here so that importing the package does not load scipy.linalg
-    from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+    dgttrf, dgttrs, dpttrf, dpttrs = _tridiagonal_lapack()
 
     nsteps = whole_steps(t_end, dt, "t_end")
     recorded = set(sample_steps(nsteps, sample_stride))

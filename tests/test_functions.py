@@ -107,9 +107,9 @@ def test_spline_tracks_samples_and_slope():
 
 def test_package_import_leaves_interpolation_unloaded():
     # spline_fn imports scipy.interpolate on first use, and the reference
-    # solver imports LAPACK's tridiagonal routines when it runs; importing
-    # the package must pay for none of scipy.interpolate, scipy.sparse and
-    # scipy.linalg
+    # solver loads the LAPACK extension scipy.linalg._flapack when it runs
+    # (scipy.linalg itself stays unloaded even then); importing the package
+    # must pay for none of scipy.interpolate, scipy.sparse and scipy.linalg
     code = ("import sys, fpkproj; "
             "print([m for m in ('scipy.interpolate', 'scipy.sparse', 'scipy.linalg')"
             " if m in sys.modules])")

@@ -425,6 +425,21 @@ def test_plain_output_names_still_run(tmp_path):
         Path("plain.name"), Path("plain.name/moments..csv")]
 
 
+def test_run_all_refuses_two_files_that_name_one_scenario(tmp_path, capsys):
+    # run-all ran both and left the tangent-ef results in ou_ep2_ada/, over
+    # the ada-ef ones, and exited 0
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "a.yaml").write_text((SCENARIO_DIR / "ou_ep2_ada.yaml").read_text())
+    raw = yaml.safe_load((SCENARIO_DIR / "ou_ep2_tangent.yaml").read_text())
+    raw["name"] = "ou_ep2_ada"
+    (tmp_path / "in" / "b.yaml").write_text(yaml.safe_dump(raw))
+    out = tmp_path / "runs"
+    assert cli_main(["run-all", str(tmp_path / "in"), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "validation error: a.yaml and b.yaml both name the scenario 'ou_ep2_ada'\n")
+    assert not out.exists()
+
+
 # each of these validated, and the run ignored the key
 @pytest.mark.parametrize("name, overrides, message", [
     ("ou_metric_projection.yaml", ["initial.theta=[0.5,-0.5]"], "does not read initial.theta"),

@@ -9,6 +9,12 @@ Closed forms used as oracles:
   * squared L2 distance: (1 - exp(-dm^2/4)) / sqrt(pi) for v = 1
 """
 
+import importlib.machinery
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,7 +52,10 @@ from fpkproj.errors import (
 )
 from fpkproj.functions import gaussian_mixture_pdf_fn
 from fpkproj.quadrature import trapezoid_rule
+from fpkproj import reference
 from fpkproj.reference import _symmetrizer, fpk_operator, stat_expectations
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 DOM = default_domain(1.0)
 OU = ornstein_uhlenbeck(kappa=1.0, sigma=np.sqrt(2.0))
@@ -431,3 +440,86 @@ def test_fit_handles_underflowed_channels():
     rates = fit_decay_rates(times, eps, window=(0.0, 1.0))
     assert rates[0] is None
     assert abs(rates[1] - 1.0) <= 1e-9
+
+
+# -- where LAPACK comes from ------------------------------------------
+
+
+def _python(code: str, *args) -> str:
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_reference_runs_leave_scipy_linalg_unloaded(tmp_path):
+    # a metric projection, a decay experiment and a trajectory with an attached
+    # reference load the one LAPACK extension and nothing else of scipy.linalg
+    names = ["ou_metric_projection", "ou_hermite_decay", "gauss_mix_tangent"]
+    code = (
+        "import sys\n"
+        "from fpkproj.runner import run_scenario\n"
+        "from fpkproj.scenario import load_scenario\n"
+        f"for name in {names!r}:\n"
+        f"    scenario = load_scenario({str(SCENARIO_DIR)!r} + '/' + name + '.yaml')\n"
+        "    assert name != 'gauss_mix_tangent' or scenario.numerics.attach_reference\n"
+        f"    run_scenario(scenario, {str(tmp_path)!r} + '/' + name, quiet=True)\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy.linalg')))\n")
+    assert _python(code) == "['scipy.linalg._flapack']"
+
+
+def test_a_later_scipy_linalg_import_reuses_the_loaded_routines():
+    code = (
+        "import sys\n"
+        "from fpkproj.reference import _tridiagonal_lapack\n"
+        "routines = _tridiagonal_lapack()\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "from scipy.linalg import lapack\n"
+        "assert lapack._flapack is sys.modules['scipy.linalg._flapack']\n"
+        "print(routines == (lapack.dgttrf, lapack.dgttrs, lapack.dpttrf, lapack.dpttrs)\n"
+        "      and all(a is b for a, b in zip(routines, _tridiagonal_lapack())))\n")
+    assert _python(code) == "True"
+
+
+def test_the_fallback_through_scipy_linalg_gives_the_same_snapshots(tmp_path):
+    # OU steps q = d p with dpttrs; on [-12, 12] log d of the drift -60 x spans
+    # more than MAX_LOG_SPAN, so that solve steps p with dgttrs
+    stiff = polynomial_drift([0.0, -60.0])
+    lower, _, upper = fpk_operator(stiff, default_domain(), 1201)
+    assert _symmetrizer(lower, upper) is None
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from fpkproj import (default_domain, gaussian_pdf_fn, grid_density,\n"
+        "                     ornstein_uhlenbeck, polynomial_drift, reference)\n"
+        "if sys.argv[2] == 'fallback':\n"
+        "    reference._flapack_alone = lambda: None\n"
+        "p0 = grid_density(default_domain(), 1201, gaussian_pdf_fn(0.5, 0.3))\n"
+        "snaps = [s.values for model in (ornstein_uhlenbeck(1.0, 2.0 ** 0.5),\n"
+        "                                polynomial_drift([0.0, -60.0]))\n"
+        "         for s in reference.solve_fpk(model, p0, 5e-3, 1e-4, 10)]\n"
+        "np.save(sys.argv[1], np.stack(snaps))\n"
+        "print('scipy.linalg' in sys.modules)\n")
+    assert _python(code, str(tmp_path / "alone.npy"), "alone") == "False"
+    assert _python(code, str(tmp_path / "fallback.npy"), "fallback") == "True"
+    alone, fallback = np.load(tmp_path / "alone.npy"), np.load(tmp_path / "fallback.npy")
+    assert alone.shape == (12, 1201)
+    assert alone.tobytes() == fallback.tobytes()
+
+
+def test_an_extension_that_is_missing_or_does_not_load_is_not_loaded_alone(monkeypatch):
+    # scipy and the extension are loaded first; the patched lookups then make
+    # _flapack_alone return before it loads anything, so the extension is
+    # never initialised twice
+    reference._tridiagonal_lapack()
+    loaded = sys.modules["scipy.linalg._flapack"]
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    assert reference._flapack_alone() is None
+    monkeypatch.undo()
+
+    def refuse(spec):
+        raise ImportError(f"cannot load {spec.name}")
+
+    monkeypatch.setattr(importlib.util, "module_from_spec", refuse)
+    assert reference._flapack_alone() is None
+    assert sys.modules["scipy.linalg._flapack"] is loaded
