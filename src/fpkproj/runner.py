@@ -29,7 +29,7 @@ from .reference import (
     snapshot_index,
     solve_fpk,
 )
-from .scenario import Scenario, build_run, reference_stride
+from .scenario import Scenario, reference_stride
 
 @dataclass
 class ResultTable:
@@ -168,10 +168,11 @@ def _run_decay(scenario: Scenario, model, family, p0, start) -> _Outcome:
 
 
 def run_scenario(scenario: Scenario, output_dir, quiet: bool = False) -> ResultTable:
-    """Execute a scenario, built as validation builds it, and write its output files."""
+    """Execute a scenario with the build validation made (`Scenario.built`) and write
+    its output files."""
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    model, family, p0, start = build_run(scenario)
+    model, family, p0, start = scenario.built
     execute = {"metric-projection": _run_metric_projection,
                "decay-experiment": _run_decay}.get(scenario.method, _run_trajectory_method)
     out = execute(scenario, model, family, p0, start)

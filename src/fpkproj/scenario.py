@@ -7,16 +7,27 @@ that builds it; parsing, construction and `presets list` all read it.
 
 Validation parses every field, rejecting unknown keys by name and naming
 missing required fields by their full path, and then builds the model,
-family and initial density with `build_run`, the function a run builds
-with.  Value constraints are therefore checked once, by the factories, and
-a construction failure is reported as a ValidationError that names its
-section.
+family and initial density with `build_run`.  Value constraints are
+therefore checked once, by the factories, and a construction failure is
+reported as a ValidationError that names its section.
+
+The build is kept on the validated `Scenario` (`Scenario.built`), and its
+runs reuse it instead of building again, so a run cannot drift from its
+validation.  That is safe because nothing it was built from can change: a
+validated scenario's sections are read-only mappings of numbers and
+tuples, the start and the reference start it holds are read-only arrays,
+and the family's caches are exact, so every run of one scenario writes the
+same bits.  A scenario made another way, by `dataclasses.replace` for one,
+builds on its first run.
 """
 
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import yaml
@@ -105,7 +116,7 @@ def _list_of(item):
     def parse(value, path):
         if not isinstance(value, (list, tuple)):
             raise ValidationError(f"{path} must be a list")
-        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
     return parse
 
 
@@ -114,7 +125,7 @@ def _interval(floor):
         bounds = _list_of(_number)(value, path)
         if len(bounds) != 2 or not floor <= bounds[0] < bounds[1]:
             raise ValidationError(f"{path} must be [lower, upper] with {floor:g} <= lower < upper")
-        return tuple(bounds)
+        return bounds
     return parse
 
 
@@ -205,7 +216,8 @@ def _parse_typed(spec, table, path):
     kind = _require_mapping(spec, path).get("type")
     if not isinstance(kind, str) or kind not in table:
         raise ValidationError(f"{path}.type must be one of {sorted(table)}, got {kind!r}")
-    return {"type": kind, **_parse_fields(spec, table[kind].fields, path, extra=("type",))}
+    return MappingProxyType(
+        {"type": kind, **_parse_fields(spec, table[kind].fields, path, extra=("type",))})
 
 
 def _build(table, spec, **context):
@@ -247,12 +259,23 @@ _OUTPUTS = {
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    model: dict
-    family: dict
+    model: Mapping
+    family: Mapping
     method: str
     numerics: Numerics
-    initial: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
+    initial: Mapping = field(default_factory=dict)
+    outputs: Mapping = field(default_factory=dict)
+
+    @cached_property
+    def built(self):
+        """`build_run(self)`, built on first use and kept: validation builds it, and
+        every run of this scenario reuses it.  Its start and reference start are
+        read-only, so that no run can change what the next one starts from."""
+        model, family, p0, start = build_run(self)
+        for values in (start, None if p0 is None else p0.values):
+            if values is not None:
+                values.setflags(write=False)
+        return model, family, p0, start
 
 
 class _Placed(ValidationError):
@@ -327,10 +350,10 @@ def _flow_start(scenario: Scenario, family):
 
 def build_run(scenario: Scenario):
     """Build what a run builds and check the step grids it will walk; validation
-    and `run_scenario` both call this.  Returns (model, family, p0, start): p0 the
-    initial density on the reference grid, or None when no reference is solved,
-    and start the flow's start, which `build_family` built and checked at the level
-    it chose."""
+    builds with this, once per scenario, through `Scenario.built`.  Returns
+    (model, family, p0, start): p0 the initial density on the reference grid, or
+    None when no reference is solved, and start the flow's start, which
+    `build_family` built and checked at the level it chose."""
     num = scenario.numerics
     method = scenario.method
     domain = _built("numerics.domain", scenario_domain, scenario)
@@ -367,10 +390,11 @@ def validate_scenario(raw: dict, name: str = "scenario") -> Scenario:
         raise ValidationError(f"method/family mismatch: {family['type']} families take "
                               f"{', '.join(family_class.methods)}, got {method}")
     numerics = Numerics(**_parse_fields(raw["numerics"], _NUMERICS, "numerics"))
-    initial = {key: value for key, value
-               in _parse_fields(raw.get("initial") or {}, _INITIAL, "initial").items()
-               if value is not None}
-    outputs = _parse_fields(raw.get("outputs") or {}, _OUTPUTS, "outputs")
+    initial = MappingProxyType({
+        key: value for key, value
+        in _parse_fields(raw.get("initial") or {}, _INITIAL, "initial").items()
+        if value is not None})
+    outputs = MappingProxyType(_parse_fields(raw.get("outputs") or {}, _OUTPUTS, "outputs"))
     starts = _start_keys(method, family_class)
     reference = method in REFERENCE_METHODS or numerics.attach_reference
     for key in initial:
@@ -398,7 +422,7 @@ def validate_scenario(raw: dict, name: str = "scenario") -> Scenario:
     scenario_name = _file_name(raw.get("name", name), "scenario.name")
     scenario = Scenario(name=scenario_name, model=model, family=family, method=method,
                         numerics=numerics, initial=initial, outputs=outputs)
-    build_run(scenario)
+    scenario.built  # the build is the last check, and the runs reuse it
     return scenario
 
 

@@ -1,6 +1,7 @@
 """Scenario schema, overrides, runner outputs, and the command line."""
 
 import csv
+import dataclasses
 import json
 import re
 import subprocess
@@ -440,6 +441,78 @@ def test_run_all_refuses_two_files_that_name_one_scenario(tmp_path, capsys):
     assert not out.exists()
 
 
+def _count_build_run(monkeypatch):
+    """The list that every call of `build_run` appends to, through whichever module's
+    binding it is called."""
+    calls = []
+    original = scenario_module.build_run
+
+    def counted(scenario):
+        calls.append(scenario.name)
+        return original(scenario)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fpkproj") and getattr(module, "build_run", None) is original:
+            monkeypatch.setattr(module, "build_run", counted)
+    return calls
+
+
+def test_a_run_builds_once_what_validation_built(tmp_path, monkeypatch):
+    # validation built the run and the run built it again: 2 builds per run
+    calls = _count_build_run(monkeypatch)
+    args = ["--output-dir", str(tmp_path / "one"), "--quiet"]
+    assert cli_main(["run", str(SCENARIO_DIR / "ou_ep2_ada.yaml"), *args]) == 0
+    assert calls == ["ou_ep2_ada"]
+    (tmp_path / "in").mkdir()
+    for name in ("gauss_mix_tangent.yaml", "ou_metric_projection.yaml"):
+        (tmp_path / "in" / name).write_text((SCENARIO_DIR / name).read_text())
+    calls.clear()
+    out = tmp_path / "all"
+    assert cli_main(["run-all", str(tmp_path / "in"), "--output-dir", str(out), "--quiet"]) == 0
+    assert calls == ["gauss_mix_tangent", "ou_metric_projection"]
+
+
+def test_scenario_sections_are_read_only(tmp_path):
+    sc = load_scenario(SCENARIO_DIR / "ou_ep2_tangent.yaml", ["numerics.t_end=0.1"])
+    for section, key in ((sc.model, "kappa"), (sc.family, "n"), (sc.initial, "theta"),
+                         (sc.outputs, "trajectory")):
+        with pytest.raises(TypeError):
+            section[key] = section[key]
+    with pytest.raises(TypeError):
+        sc.initial["theta"][0] = 2.0
+    # a replaced scenario runs with its own build, on its own quadrature level
+    replaced = dataclasses.replace(sc, numerics=sc.numerics._replace(t_end=0.2,
+                                                                      quadrature_level=9))
+    run_scenario(sc, tmp_path / "old", quiet=True)
+    table = run_scenario(replaced, tmp_path / "new", quiet=True)
+    assert sc.built[1].rule.npoints == 2 ** MIN_LEVEL + 1
+    assert replaced.built[1].rule.npoints == 2 ** 9 + 1
+    assert [row[0] for row in table.rows] == pytest.approx([0.05 * k for k in range(5)])
+
+
+def test_runs_reuse_the_build_and_write_the_same_bytes(tmp_path):
+    names = ["ou_ep2_tangent", "gauss_mix_tangent", "ou_metric_projection"]
+    scenarios = {name: load_scenario(SCENARIO_DIR / f"{name}.yaml") for name in names}
+    scenarios["ou_ep2_tangent"] = load_scenario(SCENARIO_DIR / "ou_ep2_tangent.yaml", [
+        "numerics.attach_reference=true",
+        "initial.density={type: gaussian, mean: 0.5, var: 1.0}"])
+    _, _, p0, start = scenarios["ou_ep2_tangent"].built
+    for values in (start, p0.values):
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+    # each second run follows another scenario's, which shares nothing with it
+    for i, name in enumerate(names):
+        run_scenario(scenarios[name], tmp_path / "first" / name, quiet=True)
+        other = names[(i + 1) % len(names)]
+        run_scenario(scenarios[other], tmp_path / "other" / other, quiet=True)
+        run_scenario(scenarios[name], tmp_path / "second" / name, quiet=True)
+        files = sorted(p.name for p in (tmp_path / "first" / name).iterdir())
+        assert files and files == sorted(p.name for p in (tmp_path / "second" / name).iterdir())
+        for file in files:
+            assert ((tmp_path / "first" / name / file).read_bytes()
+                    == (tmp_path / "second" / name / file).read_bytes()), (name, file)
+
+
 # each of these validated, and the run ignored the key
 @pytest.mark.parametrize("name, overrides, message", [
     ("ou_metric_projection.yaml", ["initial.theta=[0.5,-0.5]"], "does not read initial.theta"),
@@ -523,11 +596,9 @@ def test_divergence_rows_use_the_snapshot_at_their_own_time(tmp_path):
 
 
 def test_trajectory_rows_take_one_moment_pass_each(tmp_path, monkeypatch):
-    # the start's pass when the run is built, then one per later row; the
-    # divergences read the log-partition the trajectory carries at its rows
-    sc = load_scenario(SCENARIO_DIR / "ou_ep2_tangent.yaml", [
-        "numerics.record_residual=false", "numerics.attach_reference=true",
-        "initial.density={type: gaussian, mean: 0.5, var: 1.0}"])
+    # the start's pass when the scenario is validated, which builds the run,
+    # then one per later row; the divergences read the log-partition the
+    # trajectory carries at its rows
     passes = []
     original = ExpFamily._pass
 
@@ -537,6 +608,9 @@ def test_trajectory_rows_take_one_moment_pass_each(tmp_path, monkeypatch):
         return original(self, theta, rows)
 
     monkeypatch.setattr(ExpFamily, "_pass", counted)
+    sc = load_scenario(SCENARIO_DIR / "ou_ep2_tangent.yaml", [
+        "numerics.record_residual=false", "numerics.attach_reference=true",
+        "initial.density={type: gaussian, mean: 0.5, var: 1.0}"])
     table = run_scenario(sc, tmp_path, quiet=True)
     assert len(table.rows) == 21
     assert all(row[6] is not None for row in table.rows)
