@@ -1,8 +1,6 @@
 """Scalar functions carrying analytic first and second derivatives."""
 
 import numpy as np
-from numpy.polynomial import Polynomial
-from numpy.polynomial.hermite_e import HermiteE
 
 from .errors import DerivativeUnavailable
 from .quadrature import Domain
@@ -94,26 +92,68 @@ def constant_fn(c: float) -> DifferentiableFn:
     )
 
 
+# numpy.polynomial's series classes map x into their window, 0.0 + 1.0 * x, before
+# evaluating; adding this zero does the same, and so turns -0.0 into +0.0
+_WINDOW_ORIGIN = np.float64(0.0)
+
+
+def _power_series(x, c):
+    """sum_k c[k] x**k by Horner's rule, in numpy's `polyval` order."""
+    x = _WINDOW_ORIGIN + x
+    value = c[-1] + x * 0
+    for k in range(len(c) - 2, -1, -1):
+        value = c[k] + value * x
+    return value
+
+
+def _hermite_series(x, c):
+    """sum_k c[k] He_k(x) by the backward recurrence of numpy's `hermeval`."""
+    x = _WINDOW_ORIGIN + x
+    c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
+    for k in range(len(c) - 2, 0, -1):
+        c0, c1 = c[k - 1] - c1 * k, c0 + c1 * x
+    return c0 + c1 * x
+
+
+def _derivative(c, order):
+    """Coefficients of the order-th derivative, as numpy's `polyder` and `hermeder`
+    form them: j * c[j], one order at a time (x^j and He_j both differentiate so)."""
+    if order >= len(c):
+        return c[:1] * 0
+    for _ in range(order):
+        c = np.array([j * c[j] for j in range(1, len(c))])
+    return c
+
+
+def _series_fn(series, coeffs, representation) -> DifferentiableFn:
+    c = np.array(coeffs, dtype=float, ndmin=1)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coefficients must be a nonempty list of numbers")
+    d1, d2 = _derivative(c, 1), _derivative(c, 2)
+    return DifferentiableFn(lambda x: series(x, c), lambda x: series(x, d1),
+                            lambda x: series(x, d2), representation=representation)
+
+
 def polynomial_fn(coeffs) -> DifferentiableFn:
-    """Polynomial with ascending coefficients: coeffs[k] multiplies x**k."""
-    p = Polynomial(np.asarray(coeffs, dtype=float))
-    return DifferentiableFn(p, p.deriv(1), p.deriv(2), representation="polynomial")
+    """Polynomial with ascending coefficients: coeffs[k] multiplies x**k.
+
+    Values and derivatives are those of numpy's `Polynomial`, bit for bit,
+    without importing numpy.polynomial.
+    """
+    return _series_fn(_power_series, coeffs, "polynomial")
 
 
 def monomial_fn(power: int) -> DifferentiableFn:
     if power < 0:
         raise ValueError("power must be nonnegative")
-    coeffs = np.zeros(power + 1)
-    coeffs[power] = 1.0
-    return polynomial_fn(coeffs)
+    return polynomial_fn(np.eye(power + 1)[power])
 
 
 def hermite_fn(index: int) -> DifferentiableFn:
-    """Probabilists' Hermite polynomial He_index."""
+    """Probabilists' Hermite polynomial He_index, evaluated as numpy's `HermiteE`."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    h = HermiteE.basis(index)
-    return DifferentiableFn(h, h.deriv(1), h.deriv(2), representation="hermite-combination")
+    return _series_fn(_hermite_series, np.eye(index + 1)[index], "hermite-combination")
 
 
 def cosine_fn(harmonic: int, amplitude: float = 1.0, offset: float = 0.0) -> DifferentiableFn:

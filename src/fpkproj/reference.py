@@ -222,11 +222,16 @@ def _tridiagonal_lapack():
 
 
 def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
-              sample_stride: int = 1) -> list[GridDensity]:
+              sample_stride: int = 1, reduce=None) -> list:
     """Crank-Nicolson evolution of the grid density; returns sampled snapshots.
 
     Snapshots are taken every sample_stride steps and at the final step
-    (see `sample_steps`).  With M = I - (dt/2) L, the step
+    (see `sample_steps`), and returned as `GridDensity`s.  Given
+    `reduce`, a function of one snapshot, the solve applies it to each
+    snapshot as soon as the step that makes it finishes and returns the
+    list of its results instead, keeping nothing else of the snapshot: a
+    caller that needs a few numbers per snapshot then holds no more than
+    one grid vector at a time.  With M = I - (dt/2) L, the step
     p <- M^-1 (I + (dt/2) L) p equals p <- 2 M^-1 p - p, since
     I + (dt/2) L = 2I - M: one LAPACK solve per step on a factorization of
     M made once.  The off-diagonal bands of L are positive multiples of
@@ -262,7 +267,8 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
     weights = p0.trapezoid_weights / d
     floor = -NEGATIVITY_TOL * d
     q = d * p0.values
-    snapshots = [GridDensity(domain=p0.domain, values=p0.values, time=0.0)]
+    keep = (lambda snap: snap) if reduce is None else reduce
+    snapshots = [keep(GridDensity(domain=p0.domain, values=p0.values, time=0.0))]
     prev_mass = float(weights @ q)
     for k in range(1, nsteps + 1):
         y, info = solve(*factors, q)
@@ -281,8 +287,8 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
                 f"mass drifted by {mass - prev_mass} in step {k}")
         prev_mass = mass
         if k in recorded:
-            snapshots.append(GridDensity(
-                domain=p0.domain, values=np.maximum(q / d, 0.0), time=float(k * dt)))
+            snapshots.append(keep(GridDensity(
+                domain=p0.domain, values=np.maximum(q / d, 0.0), time=float(k * dt))))
     return snapshots
 
 
@@ -467,16 +473,20 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
     epsilon exactly and the fitted rates should match the eigenvalues.
     `start` optionally sets the projection's initial expectation
     coordinates; by default they are matched to p0, making epsilon(0) = 0.
+    The reference solve keeps only each snapshot's time and E_p[stats],
+    reduced as the snapshot is made, so the experiment never holds more
+    than one reference density at a time.
     """
     ode = ProjectedOde(family, model, family.expectation_method)
     lambdas = _eigenvalues_for(family, ode.lc)
     # every snapshot must fall on an ODE step
     ode_stride = whole_steps(sample_stride * pde_dt, ode_dt, "sample_stride * pde_dt")
-    snapshots = solve_fpk(model, p0, t_end, pde_dt, sample_stride=sample_stride)
-    ref_moments = np.vstack([stat_expectations(snap, family) for snap in snapshots])
+    moments = solve_fpk(model, p0, t_end, pde_dt, sample_stride=sample_stride,
+                        reduce=lambda snap: (snap.time, stat_expectations(snap, family)))
+    times = np.array([t for t, _ in moments])
+    ref_moments = np.vstack([eta for _, eta in moments])
     y0 = ref_moments[0] if start is None else np.asarray(start, dtype=float)
     traj = integrate_ode(ode, y0, t_end, ode_dt, sample_stride=ode_stride)
-    times = np.array([snap.time for snap in snapshots])
     epsilon = ref_moments - traj.expectations
     rates = fit_decay_rates(times, epsilon, window=fit_window)
     return DecayReport(

@@ -30,7 +30,6 @@ from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
-import yaml
 
 from .errors import FpkprojError, UnderResolvedQuadrature, ValidationError
 from .expfamily import ExpFamily, custom_poly_family, ep_family, hermite_family
@@ -428,6 +427,8 @@ def validate_scenario(raw: dict, name: str = "scenario") -> Scenario:
 
 def apply_overrides(raw: dict, overrides) -> dict:
     """Apply dotted key=value overrides onto the raw mapping."""
+    import yaml  # YAML text is parsed only here and in load_scenario
+
     for item in overrides or []:
         if "=" not in item:
             raise ValidationError(f"override {item!r} must look like section.key=value")
@@ -454,6 +455,8 @@ def apply_overrides(raw: dict, overrides) -> dict:
 
 def load_scenario(path, overrides=None) -> Scenario:
     """Read, override, and validate a scenario file."""
+    import yaml
+
     path = Path(path)
     try:
         text = path.read_text()

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial import HermiteE, Polynomial
 
 from fpkproj import (
     DifferentiableFn,
@@ -46,6 +47,40 @@ def test_hermite_polynomials_match_monic_forms():
     assert np.allclose(hermite_fn(2)(X), X**2 - 1.0, atol=1e-12)
     assert np.allclose(hermite_fn(3)(X), X**3 - 3.0 * X, atol=1e-12)
     assert np.allclose(hermite_fn(3).d1(X), 3.0 * X**2 - 3.0, atol=1e-12)
+
+
+def _series_cases():
+    """(name, function, numpy.polynomial reference) for degrees 0-8 and two drifts."""
+    rng = np.random.default_rng(5)
+    # a negative constant makes the second derivative of a line -0.0, whose sum
+    # with x * 0 at x = -0.0 depends on the window map
+    drifts = {"ou-drift": [0.0, -1.3], "shifted-ou-drift": [-0.5, -1.3],
+              "cubic-drift": [0.0, 0.0, 0.0, -1.0]}
+    cases = [(name, polynomial_fn(c), Polynomial(c)) for name, c in drifts.items()]
+    for degree in range(9):
+        coeffs = rng.uniform(-2.0, 2.0, degree + 1)
+        cases.append((f"poly{degree}", polynomial_fn(coeffs), Polynomial(coeffs)))
+        cases.append((f"mono{degree}", monomial_fn(degree), Polynomial.basis(degree)))
+        cases.append((f"he{degree}", hermite_fn(degree), HermiteE.basis(degree)))
+    return cases
+
+
+SERIES_POINTS = np.concatenate(([0.0, -0.0, 12.0, -12.0],
+                                np.random.default_rng(8).uniform(-12.0, 12.0, 101)))
+
+
+@pytest.mark.parametrize("fn, reference", [case[1:] for case in _series_cases()],
+                         ids=[case[0] for case in _series_cases()])
+def test_polynomials_equal_numpy_polynomial_bitwise(fn, reference):
+    # numpy.polynomial is the reference; the package evaluates in its order of
+    # operations without importing it, so values, d1 and d2 agree in every bit,
+    # the sign of zero included, for arrays and for scalars
+    pairs = [(fn, reference), (fn.d1, reference.deriv(1)), (fn.d2, reference.deriv(2))]
+    for x in (SERIES_POINTS, SERIES_POINTS.reshape(15, 7), *SERIES_POINTS[:6].tolist()):
+        for got, want in pairs:
+            got, want = got(x), want(x)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_cosine_harmonic_and_offset():

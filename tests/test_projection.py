@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from scipy.linalg import expm
 
 from fpkproj import (
@@ -761,6 +762,30 @@ def test_ode_runs_leave_scipy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_runs_of_a_validated_mapping_leave_yaml_and_numpy_polynomial_unloaded(tmp_path):
+    # yaml parses YAML text only (load_scenario, apply_overrides), and the package
+    # evaluates its polynomials itself: a decay experiment, a metric projection
+    # and a trajectory with an attached reference, validated from mappings, load
+    # neither; loading a scenario file still parses it with yaml
+    names = ["ou_hermite_decay", "ou_metric_projection", "gauss_mix_tangent"]
+    raws = {name: yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text()) for name in names}
+    assert raws["gauss_mix_tangent"]["numerics"]["attach_reference"]
+    code = (
+        "import sys\n"
+        "from fpkproj.runner import run_scenario\n"
+        "from fpkproj.scenario import load_scenario, validate_scenario\n"
+        "loaded = lambda: [m for m in ('yaml', 'numpy.polynomial') if m in sys.modules]\n"
+        f"for name, raw in {raws!r}.items():\n"
+        f"    run_scenario(validate_scenario(raw, name), {str(tmp_path)!r} + '/' + name,\n"
+        "                 quiet=True)\n"
+        "print(loaded())\n"
+        f"print(load_scenario({str(SCENARIO_DIR / 'ou_ep2_tangent.yaml')!r}).name, loaded())\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "ou_ep2_tangent ['yaml']"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -13,6 +13,7 @@ import importlib.machinery
 import importlib.util
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,7 @@ from fpkproj.functions import gaussian_mixture_pdf_fn
 from fpkproj.quadrature import trapezoid_rule
 from fpkproj import reference
 from fpkproj.reference import _symmetrizer, fpk_operator, stat_expectations
+from fpkproj.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -424,6 +426,46 @@ def test_decay_experiment_applies_the_generator_once(monkeypatch):
     p0 = grid_density(DOM, 801, gaussian_pdf_fn(0.3, 0.5))
     decay_experiment(OU, hermite_family([1, 2]), p0, t_end=0.1)
     assert len(calls) == 1
+
+
+def test_decay_experiment_keeps_moments_not_snapshots():
+    # circle_decay's reference: 201 snapshots of 1201 nodes, 1.9 MB of densities
+    # if the solve kept them; the experiment reads only each one's E_p[stats]
+    scenario = load_scenario(SCENARIO_DIR / "circle_decay.yaml")
+    model, fam, p0, start = scenario.built
+    num = scenario.numerics
+
+    def run():
+        return decay_experiment(model, fam, p0, num.t_end, pde_dt=num.pde_dt,
+                                ode_dt=num.ode_dt, sample_stride=num.sample_stride,
+                                start=start, fit_window=num.fit_window)
+
+    first = run()  # loads LAPACK and fills the family's per-grid tables
+    assert first.times.size == 201 and p0.nx == 1201
+    tracemalloc.start()
+    try:
+        report = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+    assert report.epsilon.tobytes() == first.epsilon.tobytes()
+
+
+@pytest.mark.parametrize("model", [OU, polynomial_drift([0.0, -60.0])], ids=["dpttrs", "dgttrs"])
+def test_a_reducer_sees_the_snapshots_the_solve_returns(model):
+    # OU steps q = d p with dpttrs; the drift -60 x has no symmetrizer in floats
+    # at nx 1201 (log d spans more than MAX_LOG_SPAN) and steps p with dgttrs
+    p0 = grid_density(default_domain(), 1201, gaussian_pdf_fn(0.5, 0.3))
+    lower, _, upper = fpk_operator(model, p0.domain, p0.nx)
+    assert (_symmetrizer(lower, upper) is None) == (model is not OU)
+
+    def reduce(snap):
+        return snap.time, snap.values.tobytes()
+
+    kept = solve_fpk(model, p0, 5e-3, 1e-4, 10)
+    assert solve_fpk(model, p0, 5e-3, 1e-4, 10, reduce=reduce) == [reduce(s) for s in kept]
+    assert all(isinstance(s, GridDensity) for s in kept) and len(kept) == 6
 
 
 def test_fit_recovers_synthetic_rates():
