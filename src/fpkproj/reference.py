@@ -292,6 +292,43 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
     return snapshots
 
 
+# the last problem `reference_solution` solved: at most one entry, key -> results
+_solved = {}
+
+
+def _problem_key(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
+                 sample_stride: int, reduce_key) -> tuple:
+    """Exact bytes of everything `solve_fpk` reads: the operator's bands (all it
+    reads of the model), the start on its grid, the steps and the reducer's key."""
+    bands = fpk_operator(model, p0.domain, p0.nx)
+    return (*(band.tobytes() for band in bands), p0.values.tobytes(),
+            np.array([p0.domain.lower, p0.domain.upper, t_end, dt], dtype=float).tobytes(),
+            p0.domain.kind, p0.nx, sample_stride, reduce_key)
+
+
+def reference_solution(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
+                       sample_stride: int = 1, reduce=None, reduce_key=None) -> list:
+    """`solve_fpk`'s result, solved once for consecutive calls on one problem.
+
+    The memo holds only the last problem solved, keyed on the exact bytes
+    of what the solve reads (`_problem_key`); a new problem drops it
+    before solving, and a solve that raises stores nothing.  A reduced
+    solve is memoized only under `reduce_key`, the caller's bytes of all
+    that `reduce` reads besides the snapshot; a reducer without a key
+    always solves.  Each call gets a new list; the snapshots' values are
+    read-only, and so must be whatever a reducer returns.
+    """
+    if reduce is None:
+        reduce_key = None
+    elif reduce_key is None:
+        return solve_fpk(model, p0, t_end, dt, sample_stride, reduce=reduce)
+    key = _problem_key(model, p0, t_end, dt, sample_stride, reduce_key)
+    if key not in _solved:
+        _solved.clear()
+        _solved[key] = solve_fpk(model, p0, t_end, dt, sample_stride, reduce=reduce)
+    return list(_solved[key])
+
+
 def snapshot_index(times, t: float) -> int:
     """Index of the snapshot taken at time t; ValidationError if none is."""
     times = np.asarray(times, dtype=float)
@@ -475,14 +512,23 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
     coordinates; by default they are matched to p0, making epsilon(0) = 0.
     The reference solve keeps only each snapshot's time and E_p[stats],
     reduced as the snapshot is made, so the experiment never holds more
-    than one reference density at a time.
+    than one reference density at a time.  The statistics at the grid
+    nodes are all that the reduction reads of the family, so their bytes
+    key the memo of `reference_solution`: two experiments on one reference
+    problem and one family's statistics, with different starts, solve once.
     """
     ode = ProjectedOde(family, model, family.expectation_method)
     lambdas = _eigenvalues_for(family, ode.lc)
     # every snapshot must fall on an ODE step
     ode_stride = whole_steps(sample_stride * pde_dt, ode_dt, "sample_stride * pde_dt")
-    moments = solve_fpk(model, p0, t_end, pde_dt, sample_stride=sample_stride,
-                        reduce=lambda snap: (snap.time, stat_expectations(snap, family)))
+
+    def reduce(snap):
+        eta = stat_expectations(snap, family)
+        eta.setflags(write=False)
+        return snap.time, eta
+
+    moments = reference_solution(model, p0, t_end, pde_dt, sample_stride=sample_stride,
+                                 reduce=reduce, reduce_key=family.values_at(p0.x).tobytes())
     times = np.array([t for t, _ in moments])
     ref_moments = np.vstack([eta for _, eta in moments])
     y0 = ref_moments[0] if start is None else np.asarray(start, dtype=float)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import json
 import re
 import subprocess
@@ -511,6 +512,68 @@ def test_runs_reuse_the_build_and_write_the_same_bytes(tmp_path):
         for file in files:
             assert ((tmp_path / "first" / name / file).read_bytes()
                     == (tmp_path / "second" / name / file).read_bytes()), (name, file)
+
+
+SHARED_DIR = Path(__file__).resolve().parent / "shared_reference"
+
+
+def _shared_raw(name):
+    """A file of SHARED_DIR on a smaller grid: 201 nodes, 100 steps."""
+    raw = yaml.safe_load((SHARED_DIR / f"{name}.yaml").read_text())
+    raw["numerics"].update(t_end=0.1, pde_nx=201, sample_stride=10)
+    raw["outputs"]["density_times"] = [0.0, 0.1]
+    return raw
+
+
+def _up(value):
+    """The next float above value: its last bit changed."""
+    return float(np.nextafter(value, np.inf))
+
+
+@pytest.mark.parametrize("change", [
+    lambda raw: raw["model"].update(kappa=_up(1.0)),
+    lambda raw: raw["initial"]["density"].update(weights=[_up(0.5), 0.5]),
+    lambda raw: raw["numerics"].update(pde_dt=_up(1e-3)),
+    lambda raw: raw["numerics"].update(sample_stride=11),
+    lambda raw: raw["numerics"].update(pde_nx=203),
+    lambda raw: raw["numerics"].update(domain=[-12.0, _up(12.0)]),
+    lambda raw: raw["numerics"].update(t_end=_up(0.1)),
+], ids=["model", "start", "pde_dt", "stride", "pde_nx", "domain", "t_end"])
+def test_scenarios_share_a_reference_solve_only_on_the_same_problem(change, solves, tmp_path):
+    # the three families of one problem solve once; a change to any part of
+    # the problem solves it again
+    for name in ("ou_shared_ep2", "ou_shared_hermite12", "ou_shared_mix3"):
+        run_scenario(validate_scenario(_shared_raw(name)), tmp_path / name, quiet=True)
+    assert len(solves) == 1
+    raw = _shared_raw("ou_shared_ep2")
+    change(raw)
+    run_scenario(validate_scenario(raw), tmp_path / "changed", quiet=True)
+    assert len(solves) == 2
+
+
+def _files(directory: Path) -> dict:
+    return {p.relative_to(directory): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_run_all_writes_the_same_bytes_in_every_order_and_alone(tmp_path):
+    # the scenarios share one reference solve: whichever runs first solves it
+    files = sorted(SHARED_DIR.glob("*.yaml"))
+    assert len(files) == 3
+    alone = tmp_path / "alone"
+    for path in files:
+        subprocess.run([sys.executable, "-m", "fpkproj", "run", str(path), "--quiet",
+                        "--output-dir", str(alone / path.stem)], check=True)
+    expected = _files(alone)
+    assert len(expected) == 9
+    for k, order in enumerate(itertools.permutations(files)):
+        directory = tmp_path / f"order{k}"
+        directory.mkdir()
+        for i, path in enumerate(order):
+            (directory / f"{i}_{path.name}").write_text(path.read_text())
+        out = tmp_path / f"runs{k}"
+        assert cli_main(["run-all", str(directory), "--output-dir", str(out), "--quiet"]) == 0
+        assert _files(out) == expected, [path.stem for path in order]
 
 
 # each of these validated, and the run ignored the key

@@ -52,7 +52,7 @@ from fpkproj.errors import (
     ValidationError,
 )
 from fpkproj.functions import gaussian_mixture_pdf_fn
-from fpkproj.quadrature import trapezoid_rule
+from fpkproj.quadrature import Domain, trapezoid_rule
 from fpkproj import reference
 from fpkproj.reference import _symmetrizer, fpk_operator, stat_expectations
 from fpkproj.scenario import load_scenario
@@ -428,26 +428,29 @@ def test_decay_experiment_applies_the_generator_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_decay_experiment_keeps_moments_not_snapshots():
+def test_decay_experiment_keeps_moments_not_snapshots(solves):
     # circle_decay's reference: 201 snapshots of 1201 nodes, 1.9 MB of densities
     # if the solve kept them; the experiment reads only each one's E_p[stats]
     scenario = load_scenario(SCENARIO_DIR / "circle_decay.yaml")
     model, fam, p0, start = scenario.built
     num = scenario.numerics
 
-    def run():
-        return decay_experiment(model, fam, p0, num.t_end, pde_dt=num.pde_dt,
+    def run(t_end=num.t_end):
+        return decay_experiment(model, fam, p0, t_end, pde_dt=num.pde_dt,
                                 ode_dt=num.ode_dt, sample_stride=num.sample_stride,
                                 start=start, fit_window=num.fit_window)
 
     first = run()  # loads LAPACK and fills the family's per-grid tables
     assert first.times.size == 201 and p0.nx == 1201
+    run(num.t_end / 2)  # another problem, so that the measured run solves
+    assert len(solves) == 2
     tracemalloc.start()
     try:
         report = run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(solves) == 3
     assert peak < 0.5e6
     assert report.epsilon.tobytes() == first.epsilon.tobytes()
 
@@ -466,6 +469,86 @@ def test_a_reducer_sees_the_snapshots_the_solve_returns(model):
     kept = solve_fpk(model, p0, 5e-3, 1e-4, 10)
     assert solve_fpk(model, p0, 5e-3, 1e-4, 10, reduce=reduce) == [reduce(s) for s in kept]
     assert all(isinstance(s, GridDensity) for s in kept) and len(kept) == 6
+
+
+def test_a_memoized_problem_solves_once_and_each_call_gets_a_new_list(solves):
+    p0 = grid_density(DOM, 201, gaussian_pdf_fn(0.5, 0.3))
+    first = reference.reference_solution(OU, p0, 0.05, 1e-3, 10)
+    assert len(first) == 6
+    first.clear()
+    second = reference.reference_solution(OU, p0, 0.05, 1e-3, 10)
+    second.append(None)
+    third = reference.reference_solution(OU, p0, 0.05, 1e-3, 10)
+    assert len(solves) == 1 and len(second) == 7 and len(third) == 6
+    assert third == solves[0] and third is not solves[0]
+    for snap in third:
+        with pytest.raises(ValueError):
+            snap.values[0] = 1.0
+
+
+def test_an_unreduced_and_a_reduced_solve_of_one_problem_solve_twice(solves):
+    p0 = grid_density(DOM, 201, gaussian_pdf_fn(0.5, 0.3))
+
+    def reduce(snap):
+        return snap.time
+
+    for _ in range(2):
+        snaps = reference.reference_solution(OU, p0, 0.05, 1e-3, 10)
+        times = reference.reference_solution(OU, p0, 0.05, 1e-3, 10,
+                                             reduce=reduce, reduce_key=b"")
+        assert times == [s.time for s in snaps]
+    # one entry: each call replaced the other's
+    assert len(solves) == 4
+
+
+def test_a_reducer_without_a_key_always_solves(solves):
+    p0 = grid_density(DOM, 201, gaussian_pdf_fn(0.5, 0.3))
+    for _ in range(2):
+        reference.reference_solution(OU, p0, 0.05, 1e-3, 10, reduce=lambda snap: snap.time)
+    assert len(solves) == 2
+
+
+def test_domains_of_one_width_do_not_share_a_solve(solves):
+    # no drift and a constant diffusion: the bands and the start's values are
+    # the same bytes on every domain of width 2, and only the domain tells them apart
+    model = polynomial_drift([0.0], diffusion=1.0)
+    domains = [Domain(-1.0, 1.0), Domain(0.0, 2.0), Domain(0.0, 2.0, kind="bounded-reflecting")]
+    for domain in domains:
+        p0 = GridDensity(domain=domain, values=np.full(201, 0.5))
+        snaps = reference.reference_solution(model, p0, 0.01, 1e-3)
+        assert {snap.domain for snap in snaps} == {domain}
+    assert len(solves) == 3
+
+
+def test_a_solve_that_raises_stores_nothing(solves):
+    # the spike of test_negative_density_stops_the_run_at_the_step_it_appears
+    p0 = grid_density(DOM, 2001, gaussian_pdf_fn(0.0, 1e-3))
+    for _ in range(2):
+        with pytest.raises(SchemeInstability, match="at step 1 "):
+            reference.reference_solution(ornstein_uhlenbeck(1.0, 1.0), p0, 1.0, 0.5)
+    assert solves == [None, None]
+
+
+def test_decay_experiments_share_a_solve_only_with_the_same_statistics(solves):
+    # harmonics [1, 2] from two different starts solve once; [1, 3] reads another moment,
+    # so it solves again and gets its own
+    model = circle_diffusion(2.0)
+    p0 = grid_density(model.domain, 401, lambda x: (1.0 + 0.4 * np.cos(x)
+                                                    + 0.2 * np.cos(3 * x)) / (2.0 * np.pi))
+    reports = []
+    for harmonics, scale in (([1, 2], None), ([1, 2], 0.5), ([1, 3], None)):
+        fam = cosine_circle_family(harmonics)
+        start = None if scale is None else scale * stat_expectations(p0, fam)
+        report = decay_experiment(model, fam, p0, t_end=0.1, sample_stride=10, start=start)
+        moments = np.vstack([stat_expectations(s, fam)
+                             for s in solve_fpk(model, p0, 0.1, 1e-3, sample_stride=10)])
+        assert report.epsilon.tobytes() == (moments - report.ode_moments).tobytes()
+        reports.append(report)
+    assert len(solves) == 2
+    for eta in (eta for solve in solves for _, eta in solve):
+        with pytest.raises(ValueError):
+            eta[0] = 1.0
+    assert reports[0].epsilon[:, 1].tobytes() != reports[2].epsilon[:, 1].tobytes()
 
 
 def test_fit_recovers_synthetic_rates():
