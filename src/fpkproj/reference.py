@@ -225,8 +225,11 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
               sample_stride: int = 1, reduce=None) -> list:
     """Crank-Nicolson evolution of the grid density; returns sampled snapshots.
 
-    Snapshots are taken every sample_stride steps and at the final step
-    (see `sample_steps`), and returned as `GridDensity`s.  Given
+    Every call solves.  Runs solve through `ReferenceProblem.solve`, which
+    calls this function for each solve it makes and hands back the last
+    problem's result when asked for it again.  Snapshots are taken every
+    sample_stride steps and at the final step (see `sample_steps`), and
+    returned as `GridDensity`s.  Given
     `reduce`, a function of one snapshot, the solve applies it to each
     snapshot as soon as the step that makes it finishes and returns the
     list of its results instead, keeping nothing else of the snapshot: a
@@ -292,41 +295,51 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
     return snapshots
 
 
-# the last problem `reference_solution` solved: at most one entry, key -> results
+# the last problem `ReferenceProblem.solve` solved: at most one entry, key -> results
 _solved = {}
 
 
-def _problem_key(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
-                 sample_stride: int, reduce_key) -> tuple:
-    """Exact bytes of everything `solve_fpk` reads: the operator's bands (all it
-    reads of the model), the start on its grid, the steps and the reducer's key."""
-    bands = fpk_operator(model, p0.domain, p0.nx)
-    return (*(band.tobytes() for band in bands), p0.values.tobytes(),
-            np.array([p0.domain.lower, p0.domain.upper, t_end, dt], dtype=float).tobytes(),
-            p0.domain.kind, p0.nx, sample_stride, reduce_key)
+@dataclass(frozen=True)
+class ReferenceProblem:
+    """The reference solve `solve_fpk(model, p0, t_end, dt, stride)` as one value."""
 
+    model: SdeModel
+    p0: GridDensity
+    t_end: float
+    dt: float
+    stride: int
 
-def reference_solution(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
-                       sample_stride: int = 1, reduce=None, reduce_key=None) -> list:
-    """`solve_fpk`'s result, solved once for consecutive calls on one problem.
+    @property
+    def key(self) -> tuple:
+        """Exact bytes of everything the solve reads: the operator's bands (all it
+        reads of the model), the start on its grid and the steps."""
+        p0 = self.p0
+        bands = fpk_operator(self.model, p0.domain, p0.nx)
+        floats = np.array([p0.domain.lower, p0.domain.upper, self.t_end, self.dt], dtype=float)
+        return (*(band.tobytes() for band in bands), p0.values.tobytes(), floats.tobytes(),
+                p0.domain.kind, p0.nx, self.stride)
 
-    The memo holds only the last problem solved, keyed on the exact bytes
-    of what the solve reads (`_problem_key`); a new problem drops it
-    before solving, and a solve that raises stores nothing.  A reduced
-    solve is memoized only under `reduce_key`, the caller's bytes of all
-    that `reduce` reads besides the snapshot; a reducer without a key
-    always solves.  Each call gets a new list; the snapshots' values are
-    read-only, and so must be whatever a reducer returns.
-    """
-    if reduce is None:
-        reduce_key = None
-    elif reduce_key is None:
-        return solve_fpk(model, p0, t_end, dt, sample_stride, reduce=reduce)
-    key = _problem_key(model, p0, t_end, dt, sample_stride, reduce_key)
-    if key not in _solved:
-        _solved.clear()
-        _solved[key] = solve_fpk(model, p0, t_end, dt, sample_stride, reduce=reduce)
-    return list(_solved[key])
+    def solve(self, reduce=None, reduce_key=None) -> list:
+        """`solve_fpk`'s result, solved once for consecutive calls on one problem.
+
+        The memo holds only the last problem solved, keyed on `key`; a new
+        problem drops it before solving, and a solve that raises stores
+        nothing.  A reduced solve is memoized only under `reduce_key`, the
+        caller's bytes of all that `reduce` reads besides the snapshot; a
+        reducer without a key always solves.  Each call gets a new list; the
+        snapshots' values are read-only, and so must be whatever a reducer
+        returns.
+        """
+        if reduce is None:
+            reduce_key = None
+        elif reduce_key is None:
+            return solve_fpk(self.model, self.p0, self.t_end, self.dt, self.stride, reduce=reduce)
+        key = (*self.key, reduce_key)
+        if key not in _solved:
+            _solved.clear()
+            _solved[key] = solve_fpk(self.model, self.p0, self.t_end, self.dt, self.stride,
+                                     reduce=reduce)
+        return list(_solved[key])
 
 
 def snapshot_index(times, t: float) -> int:
@@ -514,8 +527,9 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
     reduced as the snapshot is made, so the experiment never holds more
     than one reference density at a time.  The statistics at the grid
     nodes are all that the reduction reads of the family, so their bytes
-    key the memo of `reference_solution`: two experiments on one reference
-    problem and one family's statistics, with different starts, solve once.
+    key the memo of `ReferenceProblem.solve`: two experiments on one
+    reference problem and one family's statistics, with different starts,
+    solve once.
     """
     ode = ProjectedOde(family, model, family.expectation_method)
     lambdas = _eigenvalues_for(family, ode.lc)
@@ -527,8 +541,8 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
         eta.setflags(write=False)
         return snap.time, eta
 
-    moments = reference_solution(model, p0, t_end, pde_dt, sample_stride=sample_stride,
-                                 reduce=reduce, reduce_key=family.values_at(p0.x).tobytes())
+    moments = ReferenceProblem(model, p0, t_end, pde_dt, sample_stride).solve(
+        reduce, reduce_key=family.values_at(p0.x).tobytes())
     times = np.array([t for t, _ in moments])
     ref_moments = np.vstack([eta for _, eta in moments])
     y0 = ref_moments[0] if start is None else np.asarray(start, dtype=float)

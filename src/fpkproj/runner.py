@@ -26,11 +26,10 @@ from .reference import (
     divergence_l2,
     metric_project_ef,
     metric_project_mix,
-    reference_solution,
     snapshot_index,
     solve_fpk,  # noqa: F401  bound here: bench/selftest.py traces runner.solve_fpk
 )
-from .scenario import Scenario, reference_stride
+from .scenario import Scenario
 
 @dataclass
 class ResultTable:
@@ -91,19 +90,12 @@ def _divergences(snap, family, theta, psi=None):
     return divergence_kl(snap, q), divergence_hellinger(snap, q), divergence_l2(snap, q)
 
 
-def _reference_snapshots(scenario: Scenario, model, p0):
-    """Solve the grid reference, or reuse the last solve of the same problem; a
-    trajectory method gets one snapshot per row."""
-    return reference_solution(model, p0, scenario.numerics.t_end, scenario.numerics.pde_dt,
-                              sample_stride=reference_stride(scenario))
-
-
 # what an executor computes: the trajectory rows, the summary after the
 # scenario's name, the reference snapshots and a decay report, if any
 _Outcome = namedtuple("_Outcome", "rows summary snapshots report", defaults=((), None))
 
 
-def _run_trajectory_method(scenario: Scenario, model, family, p0, start) -> _Outcome:
+def _run_trajectory_method(scenario: Scenario, model, family, problem, start) -> _Outcome:
     num = scenario.numerics
     traj = integrate_ode(ProjectedOde(family, model, scenario.method), start, num.t_end,
                          num.ode_dt, record_residual=num.record_residual,
@@ -111,8 +103,8 @@ def _run_trajectory_method(scenario: Scenario, model, family, p0, start) -> _Out
     for k, theta, error in zip(traj.rows, traj.thetas, traj.quadrature_errors):
         require_resolved(family.rule, error, f"row t = {traj.times[k]:g}",
                          lambda: family.density_values(theta))
-    snapshots = ([None] * len(traj.rows) if p0 is None
-                 else _reference_snapshots(scenario, model, p0))
+    # the problem's stride puts one snapshot on each row
+    snapshots = [None] * len(traj.rows) if problem is None else problem.solve()
     missing = [None] * len(traj.rows)
     residuals = missing if traj.residuals is None else traj.residuals.tolist()
     psis = missing if traj.log_partitions is None else traj.log_partitions
@@ -128,8 +120,8 @@ def _run_trajectory_method(scenario: Scenario, model, family, p0, start) -> _Out
                           f"final state [{final}]{clamps}", snapshots)
 
 
-def _run_metric_projection(scenario: Scenario, model, family, p0, start) -> _Outcome:
-    snapshots = _reference_snapshots(scenario, model, p0)
+def _run_metric_projection(scenario: Scenario, model, family, problem, start) -> _Outcome:
+    snapshots = problem.solve()
     rows = []
     clamp_count = 0
     for snap in snapshots:
@@ -152,11 +144,11 @@ def _run_metric_projection(scenario: Scenario, model, family, p0, start) -> _Out
     return _Outcome(rows, f"projected {len(rows)} snapshots{clamps}", snapshots)
 
 
-def _run_decay(scenario: Scenario, model, family, p0, start) -> _Outcome:
+def _run_decay(scenario: Scenario, model, family, problem, start) -> _Outcome:
     num = scenario.numerics
     report = decay_experiment(
-        model, family, p0, num.t_end, pde_dt=num.pde_dt, ode_dt=num.ode_dt,
-        sample_stride=num.sample_stride, start=start, fit_window=num.fit_window)
+        model, family, problem.p0, problem.t_end, pde_dt=problem.dt, ode_dt=num.ode_dt,
+        sample_stride=problem.stride, start=start, fit_window=num.fit_window)
     rows = [
         (float(t), *[None] * family.n, *map(float, report.ode_moments[i]),
          None, None, None, None, False)
@@ -174,10 +166,10 @@ def run_scenario(scenario: Scenario, output_dir, quiet: bool = False) -> ResultT
     its output files."""
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    model, family, p0, start = scenario.built
+    model, family, problem, start = scenario.built
     execute = {"metric-projection": _run_metric_projection,
                "decay-experiment": _run_decay}.get(scenario.method, _run_trajectory_method)
-    out = execute(scenario, model, family, p0, start)
+    out = execute(scenario, model, family, problem, start)
     table = ResultTable(header=trajectory_header(family.n), rows=out.rows)
     write_csv(output_dir / scenario.outputs["trajectory"], table)
     for t in scenario.outputs["density_times"]:

@@ -7,18 +7,20 @@ that builds it; parsing, construction and `presets list` all read it.
 
 Validation parses every field, rejecting unknown keys by name and naming
 missing required fields by their full path, and then builds the model,
-family and initial density with `build_run`.  Value constraints are
-therefore checked once, by the factories, and a construction failure is
-reported as a ValidationError that names its section.
+the family, the flow's start and the reference problem with `build_run`.
+Value constraints are therefore checked once, by the factories, and a
+construction failure is reported as a ValidationError that names its
+section.
 
 The build is kept on the validated `Scenario` (`Scenario.built`), and its
 runs reuse it instead of building again, so a run cannot drift from its
 validation.  That is safe because nothing it was built from can change: a
 validated scenario's sections are read-only mappings of numbers and
-tuples, the start and the reference start it holds are read-only arrays,
-and the family's caches are exact, so every run of one scenario writes the
-same bits.  A scenario made another way, by `dataclasses.replace` for one,
-builds on its first run.
+tuples, the start it holds is a read-only array, its reference problem is
+a frozen `ReferenceProblem` whose start is read-only, and the family's
+caches are exact, so every run of one scenario writes the same bits.  A
+scenario made another way, by `dataclasses.replace` for one, builds on its
+first run.
 """
 
 import math
@@ -47,7 +49,7 @@ from .quadrature import (
     trapezoid_grid,
     trapezoid_rule,
 )
-from .reference import GridDensity, grid_density, snapshot_index
+from .reference import GridDensity, ReferenceProblem, grid_density, snapshot_index
 from .sde import circle_diffusion, ornstein_uhlenbeck, polynomial_drift
 
 REFERENCE_METHODS = ("metric-projection", "decay-experiment")
@@ -268,13 +270,13 @@ class Scenario:
     @cached_property
     def built(self):
         """`build_run(self)`, built on first use and kept: validation builds it, and
-        every run of this scenario reuses it.  Its start and reference start are
-        read-only, so that no run can change what the next one starts from."""
-        model, family, p0, start = build_run(self)
-        for values in (start, None if p0 is None else p0.values):
-            if values is not None:
-                values.setflags(write=False)
-        return model, family, p0, start
+        every run of this scenario reuses it.  Its start is read-only, and so is its
+        frozen `ReferenceProblem`'s start, so that no run can change what the next
+        one starts from."""
+        model, family, problem, start = build_run(self)
+        if start is not None:
+            start.setflags(write=False)
+        return model, family, problem, start
 
 
 class _Placed(ValidationError):
@@ -350,9 +352,11 @@ def _flow_start(scenario: Scenario, family):
 def build_run(scenario: Scenario):
     """Build what a run builds and check the step grids it will walk; validation
     builds with this, once per scenario, through `Scenario.built`.  Returns
-    (model, family, p0, start): p0 the initial density on the reference grid, or
-    None when no reference is solved, and start the flow's start, which
-    `build_family` built and checked at the level it chose."""
+    (model, family, problem, start): problem the `ReferenceProblem` the run
+    solves, or None when no reference is solved, and start the flow's start,
+    which `build_family` built and checked at the level it chose.  The
+    reference stride counts Crank-Nicolson steps: a trajectory method counts
+    sample_stride in ODE steps, so that its snapshots fall on the rows."""
     num = scenario.numerics
     method = scenario.method
     domain = _built("numerics.domain", scenario_domain, scenario)
@@ -367,10 +371,12 @@ def build_run(scenario: Scenario):
         return model, family, None, start
     p0 = _built("initial.density", build_reference_start, scenario, model)
     nsteps = whole_steps(num.t_end, num.pde_dt, "numerics.t_end")
-    times = [k * num.pde_dt for k in sample_steps(nsteps, reference_stride(scenario))]
+    stride = num.sample_stride if method in REFERENCE_METHODS else whole_steps(
+        num.sample_stride * num.ode_dt, num.pde_dt, "numerics.sample_stride * numerics.ode_dt")
+    times = [k * num.pde_dt for k in sample_steps(nsteps, stride)]
     for t in scenario.outputs["density_times"]:
         _built("outputs.density_times", snapshot_index, times, t)
-    return model, family, p0, start
+    return model, family, ReferenceProblem(model, p0, num.t_end, num.pde_dt, stride), start
 
 
 def validate_scenario(raw: dict, name: str = "scenario") -> Scenario:
@@ -522,20 +528,6 @@ def build_reference_start(scenario: Scenario, model) -> GridDensity:
                               f"more than {COMPONENT_MASS_TOL:g}; widen numerics.domain or "
                               "raise numerics.pde_nx")
     return p0
-
-
-def reference_stride(scenario: Scenario) -> int:
-    """Crank-Nicolson steps between reference snapshots.
-
-    Trajectory methods count sample_stride in ODE steps, so their
-    snapshots fall on the trajectory rows; metric projection and decay
-    experiments count it in PDE steps.
-    """
-    num = scenario.numerics
-    if scenario.method not in ODE_METHODS:
-        return num.sample_stride
-    return whole_steps(num.sample_stride * num.ode_dt, num.pde_dt,
-                       "numerics.sample_stride * numerics.ode_dt")
 
 
 def presets_text() -> str:

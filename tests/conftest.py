@@ -7,7 +7,7 @@ from fpkproj import reference
 
 @pytest.fixture
 def solves(monkeypatch):
-    """An empty memo for `reference.reference_solution`, and one entry per
+    """An empty memo for `reference.ReferenceProblem.solve`, and one entry per
     `solve_fpk` call it makes: the call's result, or None while it runs and
     after it raises."""
     monkeypatch.setattr(reference, "_solved", {})

@@ -497,10 +497,18 @@ def test_runs_reuse_the_build_and_write_the_same_bytes(tmp_path):
     scenarios["ou_ep2_tangent"] = load_scenario(SCENARIO_DIR / "ou_ep2_tangent.yaml", [
         "numerics.attach_reference=true",
         "initial.density={type: gaussian, mean: 0.5, var: 1.0}"])
-    _, _, p0, start = scenarios["ou_ep2_tangent"].built
-    for values in (start, p0.values):
+    _, _, problem, start = scenarios["ou_ep2_tangent"].built
+    for values in (start, problem.p0.values):
         with pytest.raises(ValueError):
             values[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.p0 = None
+    # a metric projection counts sample_stride in PDE steps, whatever ode_dt is;
+    # a trajectory in ODE steps, here of the same size
+    metric = scenarios["ou_metric_projection"]
+    coarse = dataclasses.replace(metric, numerics=metric.numerics._replace(ode_dt=0.002))
+    assert metric.built[2].stride == coarse.built[2].stride == 100
+    assert problem.stride == scenarios["gauss_mix_tangent"].built[2].stride == 50
     # each second run follows another scenario's, which shares nothing with it
     for i, name in enumerate(names):
         run_scenario(scenarios[name], tmp_path / "first" / name, quiet=True)
@@ -647,7 +655,10 @@ def test_reference_snapshots_must_fall_on_trajectory_rows():
 
 
 def test_divergence_rows_use_the_snapshot_at_their_own_time(tmp_path):
-    table = run_scenario(validate_scenario(attached_ou_ep2(0.005)), tmp_path, quiet=True)
+    scenario = validate_scenario(attached_ou_ep2(0.005))
+    # 50 ODE steps of 0.001 are 10 PDE steps of 0.005
+    assert scenario.built[2].stride == 10
+    table = run_scenario(scenario, tmp_path, quiet=True)
     row = table.rows[1]
     assert row[0] == pytest.approx(0.05)
     p0 = grid_density(ornstein_uhlenbeck().domain, 2001, gaussian_pdf_fn(0.5, 0.25))

@@ -54,7 +54,7 @@ from fpkproj.errors import (
 from fpkproj.functions import gaussian_mixture_pdf_fn
 from fpkproj.quadrature import Domain, trapezoid_rule
 from fpkproj import reference
-from fpkproj.reference import _symmetrizer, fpk_operator, stat_expectations
+from fpkproj.reference import ReferenceProblem, _symmetrizer, fpk_operator, stat_expectations
 from fpkproj.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -432,8 +432,8 @@ def test_decay_experiment_keeps_moments_not_snapshots(solves):
     # circle_decay's reference: 201 snapshots of 1201 nodes, 1.9 MB of densities
     # if the solve kept them; the experiment reads only each one's E_p[stats]
     scenario = load_scenario(SCENARIO_DIR / "circle_decay.yaml")
-    model, fam, p0, start = scenario.built
-    num = scenario.numerics
+    model, fam, problem, start = scenario.built
+    p0, num = problem.p0, scenario.numerics
 
     def run(t_end=num.t_end):
         return decay_experiment(model, fam, p0, t_end, pde_dt=num.pde_dt,
@@ -473,12 +473,12 @@ def test_a_reducer_sees_the_snapshots_the_solve_returns(model):
 
 def test_a_memoized_problem_solves_once_and_each_call_gets_a_new_list(solves):
     p0 = grid_density(DOM, 201, gaussian_pdf_fn(0.5, 0.3))
-    first = reference.reference_solution(OU, p0, 0.05, 1e-3, 10)
+    first = ReferenceProblem(OU, p0, 0.05, 1e-3, 10).solve()
     assert len(first) == 6
     first.clear()
-    second = reference.reference_solution(OU, p0, 0.05, 1e-3, 10)
+    second = ReferenceProblem(OU, p0, 0.05, 1e-3, 10).solve()
     second.append(None)
-    third = reference.reference_solution(OU, p0, 0.05, 1e-3, 10)
+    third = ReferenceProblem(OU, p0, 0.05, 1e-3, 10).solve()
     assert len(solves) == 1 and len(second) == 7 and len(third) == 6
     assert third == solves[0] and third is not solves[0]
     for snap in third:
@@ -492,10 +492,10 @@ def test_an_unreduced_and_a_reduced_solve_of_one_problem_solve_twice(solves):
     def reduce(snap):
         return snap.time
 
+    problem = ReferenceProblem(OU, p0, 0.05, 1e-3, 10)
     for _ in range(2):
-        snaps = reference.reference_solution(OU, p0, 0.05, 1e-3, 10)
-        times = reference.reference_solution(OU, p0, 0.05, 1e-3, 10,
-                                             reduce=reduce, reduce_key=b"")
+        snaps = problem.solve()
+        times = problem.solve(reduce, reduce_key=b"")
         assert times == [s.time for s in snaps]
     # one entry: each call replaced the other's
     assert len(solves) == 4
@@ -504,7 +504,7 @@ def test_an_unreduced_and_a_reduced_solve_of_one_problem_solve_twice(solves):
 def test_a_reducer_without_a_key_always_solves(solves):
     p0 = grid_density(DOM, 201, gaussian_pdf_fn(0.5, 0.3))
     for _ in range(2):
-        reference.reference_solution(OU, p0, 0.05, 1e-3, 10, reduce=lambda snap: snap.time)
+        ReferenceProblem(OU, p0, 0.05, 1e-3, 10).solve(lambda snap: snap.time)
     assert len(solves) == 2
 
 
@@ -515,7 +515,7 @@ def test_domains_of_one_width_do_not_share_a_solve(solves):
     domains = [Domain(-1.0, 1.0), Domain(0.0, 2.0), Domain(0.0, 2.0, kind="bounded-reflecting")]
     for domain in domains:
         p0 = GridDensity(domain=domain, values=np.full(201, 0.5))
-        snaps = reference.reference_solution(model, p0, 0.01, 1e-3)
+        snaps = ReferenceProblem(model, p0, 0.01, 1e-3, 1).solve()
         assert {snap.domain for snap in snaps} == {domain}
     assert len(solves) == 3
 
@@ -525,7 +525,7 @@ def test_a_solve_that_raises_stores_nothing(solves):
     p0 = grid_density(DOM, 2001, gaussian_pdf_fn(0.0, 1e-3))
     for _ in range(2):
         with pytest.raises(SchemeInstability, match="at step 1 "):
-            reference.reference_solution(ornstein_uhlenbeck(1.0, 1.0), p0, 1.0, 0.5)
+            ReferenceProblem(ornstein_uhlenbeck(1.0, 1.0), p0, 1.0, 0.5, 1).solve()
     assert solves == [None, None]
 
 
