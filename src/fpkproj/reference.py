@@ -24,6 +24,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -50,6 +51,13 @@ DECAY_FLOOR = 1e-8
 FLIP_SKIP = 2
 MAX_LOG_SPAN = 600.0
 _FLAPACK = "scipy.linalg._flapack"
+
+
+@lru_cache(maxsize=16)
+def _density_template(domain, nx: int) -> str:
+    """A density slice of the grid with its nodes rendered: one "%.17g" left per value."""
+    # "%.17g" renders a float exactly as runner.format_value does
+    return "x,p\n" + "%.17g,%%.17g\n" * nx % tuple(trapezoid_grid(domain, nx)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,16 @@ class GridDensity:
     @property
     def trapezoid_weights(self) -> np.ndarray:
         return trapezoid_grid(self.domain, self.nx)[1]
+
+    @cached_property
+    def csv_text(self) -> str:
+        """The slice as CSV text: "x,p", then one "%.17g,%.17g" row per node.
+
+        Rendered on first use and kept on this object (its values are
+        read-only), so every scenario that writes a snapshot of one memoized
+        reference solve writes the text the first one rendered.
+        """
+        return _density_template(self.domain, self.nx) % tuple(self.values.tolist())
 
     def mass(self) -> float:
         return float(self.trapezoid_weights @ self.values)

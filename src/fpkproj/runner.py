@@ -8,7 +8,6 @@ than filled with sentinels.
 import json
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .errors import InadmissibleRecovery
 from .expfamily import ExpFamily
 from .projection import ProjectedOde, integrate_ode
-from .quadrature import require_resolved, trapezoid_grid
+from .quadrature import require_resolved
 from .reference import (
     DecayReport,
     GridDensity,
@@ -29,7 +28,7 @@ from .reference import (
     snapshot_index,
     solve_fpk,  # noqa: F401  bound here: bench/selftest.py traces runner.solve_fpk
 )
-from .scenario import Scenario
+from .scenario import Scenario, density_file
 
 @dataclass
 class ResultTable:
@@ -68,16 +67,8 @@ def write_decay_json(path, report: DecayReport):
         json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n", newline="\n")
 
 
-@lru_cache(maxsize=16)
-def _density_template(domain, nx: int) -> str:
-    """A density slice of the grid with its nodes rendered: one "%.17g" left per value."""
-    # "%.17g" renders a float exactly as format_value does
-    return "x,p\n" + "%.17g,%%.17g\n" * nx % tuple(trapezoid_grid(domain, nx)[0].tolist())
-
-
 def write_density_csv(path, snap: GridDensity):
-    text = _density_template(snap.domain, snap.nx) % tuple(snap.values.tolist())
-    Path(path).write_text(text, newline="\n")
+    Path(path).write_text(snap.csv_text, newline="\n")
 
 
 def _divergences(snap, family, theta, psi=None):
@@ -104,7 +95,7 @@ def _run_trajectory_method(scenario: Scenario, model, family, problem, start) ->
         require_resolved(family.rule, error, f"row t = {traj.times[k]:g}",
                          lambda: family.density_values(theta))
     # the problem's stride puts one snapshot on each row
-    snapshots = [None] * len(traj.rows) if problem is None else problem.solve()
+    snapshots = () if problem is None else problem.solve()
     missing = [None] * len(traj.rows)
     residuals = missing if traj.residuals is None else traj.residuals.tolist()
     psis = missing if traj.log_partitions is None else traj.log_partitions
@@ -112,8 +103,8 @@ def _run_trajectory_method(scenario: Scenario, model, family, problem, start) ->
     rows = [(float(traj.times[k]), *map(float, theta), *map(float, coords), res,
              *_divergences(snap, family, theta, psi), k in clamped)
             for k, theta, coords, res, psi, snap in zip(
-                traj.rows, traj.thetas, traj.expectations, residuals, psis, snapshots,
-                strict=True)]
+                traj.rows, traj.thetas, traj.expectations, residuals, psis,
+                snapshots or missing, strict=True)]
     final = ", ".join(format(v, ".6g") for v in traj.states[-1])
     clamps = f", {len(traj.clamp_events)} clamps" if traj.clamp_events else ""
     return _Outcome(rows, f"{scenario.method} reached t={num.t_end:g}, "
@@ -172,10 +163,9 @@ def run_scenario(scenario: Scenario, output_dir, quiet: bool = False) -> ResultT
     out = execute(scenario, model, family, problem, start)
     table = ResultTable(header=trajectory_header(family.n), rows=out.rows)
     write_csv(output_dir / scenario.outputs["trajectory"], table)
+    times = [snap.time for snap in out.snapshots]
     for t in scenario.outputs["density_times"]:
-        times = [snap.time for snap in out.snapshots]
-        write_density_csv(output_dir / f"density_t{format(float(t), 'g')}.csv",
-                          out.snapshots[snapshot_index(times, t)])
+        write_density_csv(output_dir / density_file(t), out.snapshots[snapshot_index(times, t)])
     if out.report is not None:
         write_decay_json(output_dir / scenario.outputs["decay"], out.report)
     if not quiet:

@@ -349,6 +349,11 @@ def _flow_start(scenario: Scenario, family):
     return start
 
 
+def density_file(t) -> str:
+    """The file the density slice at time t is written to: density_t<format(t, 'g')>.csv."""
+    return f"density_t{format(float(t), 'g')}.csv"
+
+
 def build_run(scenario: Scenario):
     """Build what a run builds and check the step grids it will walk; validation
     builds with this, once per scenario, through `Scenario.built`.  Returns
@@ -374,8 +379,14 @@ def build_run(scenario: Scenario):
     stride = num.sample_stride if method in REFERENCE_METHODS else whole_steps(
         num.sample_stride * num.ode_dt, num.pde_dt, "numerics.sample_stride * numerics.ode_dt")
     times = [k * num.pde_dt for k in sample_steps(nsteps, stride)]
+    # slices that share a file name must be one slice, or the last would overwrite the rest
+    written = {}
     for t in scenario.outputs["density_times"]:
-        _built("outputs.density_times", snapshot_index, times, t)
+        k = _built("outputs.density_times", snapshot_index, times, t)
+        first, j = written.setdefault(density_file(t), (t, k))
+        if j != k:
+            raise ValidationError(f"outputs.density_times: {first:.17g} and {t:.17g} are "
+                                  f"different snapshots but both write {density_file(t)}")
     return model, family, ReferenceProblem(model, p0, num.t_end, num.pde_dt, stride), start
 
 

@@ -2,11 +2,13 @@
 
 import csv
 import dataclasses
+import gc
 import itertools
 import json
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,8 @@ from fpkproj import (
     solve_fpk,
     validate_scenario,
 )
+from fpkproj import reference as reference_module
+from fpkproj import runner as runner_module
 from fpkproj import scenario as scenario_module
 from fpkproj.cli import main as cli_main
 from fpkproj.errors import ValidationError
@@ -584,6 +588,68 @@ def test_run_all_writes_the_same_bytes_in_every_order_and_alone(tmp_path):
         assert _files(out) == expected, [path.stem for path in order]
 
 
+def _count_density_writes(monkeypatch):
+    """Patch the runner's density writer and the slice template's `%`; returns the
+    written snapshots and the number of renders, one list each."""
+    writes, renders = [], []
+    write = runner_module.write_density_csv
+    template = reference_module._density_template
+
+    class Template(str):
+        def __mod__(self, values):
+            renders.append(None)
+            return str.__mod__(self, values)
+
+    def counted(path, snap):
+        writes.append(snap)
+        write(path, snap)
+
+    monkeypatch.setattr(runner_module, "write_density_csv", counted)
+    monkeypatch.setattr(reference_module, "_density_template",
+                        lambda domain, nx: Template(template(domain, nx)))
+    return writes, renders
+
+
+def test_run_all_renders_each_shared_density_slice_once(solves, monkeypatch, tmp_path):
+    # three files of one reference problem write two slices each: the first
+    # writer renders each snapshot, the other two write its text
+    writes, renders = _count_density_writes(monkeypatch)
+    assert cli_main(["run-all", str(SHARED_DIR), "--output-dir", str(tmp_path / "all"),
+                     "--quiet"]) == 0
+    assert len(solves) == 1
+    assert len(writes) == 6 and len({id(snap) for snap in writes}) == 2
+    assert len(renders) == 2
+    # each file is still the bytes of its own run, solved and rendered afresh
+    for path in sorted(SHARED_DIR.glob("*.yaml")):
+        reference_module._solved.clear()
+        sc = load_scenario(path)
+        run_scenario(sc, tmp_path / "alone" / sc.name, quiet=True)
+        assert _files(tmp_path / "alone" / sc.name) == _files(tmp_path / "all" / sc.name)
+        assert "csv_text" not in sc.built[2].p0.__dict__
+    assert len(solves) == 4 and len(renders) == 8
+
+
+def test_rendered_slices_go_with_their_solve(monkeypatch, tmp_path):
+    # the text is kept on the snapshot, so it lives as long as the memo holds
+    # the solve, and goes when the memo moves to another problem
+    monkeypatch.setattr(reference_module, "_solved", {})
+    writes, _ = _count_density_writes(monkeypatch)
+    sc = validate_scenario(_shared_raw("ou_shared_ep2"))
+    run_scenario(sc, tmp_path / "first", quiet=True)
+    assert all("csv_text" in snap.__dict__ for snap in writes)
+    assert "csv_text" not in sc.built[2].p0.__dict__
+    written = [weakref.ref(snap) for snap in writes]
+    writes.clear()
+    gc.collect()
+    assert all(ref() is not None for ref in written)
+    raw = _shared_raw("ou_shared_ep2")
+    raw["numerics"].update(sample_stride=5)
+    run_scenario(validate_scenario(raw), tmp_path / "other", quiet=True)
+    writes.clear()
+    gc.collect()
+    assert all(ref() is None for ref in written)
+
+
 # each of these validated, and the run ignored the key
 @pytest.mark.parametrize("name, overrides, message", [
     ("ou_metric_projection.yaml", ["initial.theta=[0.5,-0.5]"], "does not read initial.theta"),
@@ -608,6 +674,23 @@ def test_density_times_must_be_snapshot_times():
         validate_scenario(raw)
     raw["outputs"]["density_times"] = [0.0, 0.3, 1.0]
     validate_scenario(raw)
+
+
+def test_density_times_that_name_one_file_are_refused(capsys):
+    # format(t, 'g') keeps six digits, so 2000000 and 2000001 both name
+    # density_t2e+06.csv: the second slice overwrote the first
+    overrides = ["numerics.t_end=2000001", "numerics.pde_dt=1",
+                 "numerics.sample_stride=1000000", "numerics.pde_nx=201",
+                 "outputs.density_times=[2000000, 2000001]"]
+    args = [arg for item in overrides for arg in ("--override", item)]
+    path = str(SCENARIO_DIR / "ou_metric_projection.yaml")
+    assert cli_main(["validate", path, *args]) == 2
+    err = capsys.readouterr().err
+    assert "outputs.density_times" in err and "2000000 and 2000001" in err
+    assert "density_t2e+06.csv" in err
+    # one snapshot named twice writes the same file twice, as before
+    args[-1] = "outputs.density_times=[2000000, 2000000.01, 0]"
+    assert cli_main(["validate", path, *args]) == 0
 
 
 def test_negative_initial_density_is_rejected(capsys):
