@@ -132,7 +132,8 @@ class MixtureFamily(Statistics):
     def needs_clamp(self, thetas) -> np.ndarray:
         """Rows of weights that `clamp_weights` would move, or that are not finite."""
         thetas = np.asarray(thetas, dtype=float)
-        total = thetas.sum(axis=-1)
+        with np.errstate(invalid="ignore"):  # inf - inf: a total that is not finite
+            total = thetas.sum(axis=-1)
         return ((thetas < 0.0).any(axis=-1) | (total > 1.0 - WEIGHT_MARGIN)
                 | (total < WEIGHT_MARGIN) | ~np.isfinite(total))
 

@@ -337,26 +337,24 @@ class ReferenceProblem:
         return (*(band.tobytes() for band in bands), p0.values.tobytes(), floats.tobytes(),
                 p0.domain.kind, p0.nx, self.stride)
 
-    def solve(self, reduce=None, reduce_key=None) -> list:
+    def solve(self, family=None) -> list:
         """`solve_fpk`'s result, solved once for consecutive calls on one problem.
 
-        The memo holds only the last problem solved, keyed on `key`; a new
-        problem drops it before solving, and a solve that raises stores
-        nothing.  A reduced solve is memoized only under `reduce_key`, the
-        caller's bytes of all that `reduce` reads besides the snapshot; a
-        reducer without a key always solves.  Each call gets a new list; the
-        snapshots' values are read-only, and so must be whatever a reducer
-        returns.
+        Without a family, the snapshots; with one, `(time, E_p[stats])` per
+        snapshot, reduced by `_moments` as the solve makes it, so that no more
+        than one grid vector is held at a time.  The memo holds only the last
+        problem solved, keyed on `key` and, for a family, on the bytes of its
+        statistics at the grid nodes, all that the reduction reads of it; a new
+        problem drops it before solving, and a solve that raises stores nothing.
+        Each call gets a new list of read-only values.
         """
-        if reduce is None:
-            reduce_key = None
-        elif reduce_key is None:
-            return solve_fpk(self.model, self.p0, self.t_end, self.dt, self.stride, reduce=reduce)
-        key = (*self.key, reduce_key)
+        key = (self.key if family is None
+               else (*self.key, family.values_at(self.p0.x).tobytes()))
         if key not in _solved:
             _solved.clear()
-            _solved[key] = solve_fpk(self.model, self.p0, self.t_end, self.dt, self.stride,
-                                     reduce=reduce)
+            _solved[key] = solve_fpk(
+                self.model, self.p0, self.t_end, self.dt, self.stride,
+                reduce=None if family is None else lambda snap: _moments(snap, family))
         return list(_solved[key])
 
 
@@ -431,6 +429,13 @@ def stat_expectations(p: GridDensity, family) -> np.ndarray:
     so the family's memo evaluates each statistic once per run.
     """
     return np.array([p.expect(row) for row in family.values_at(p.x)])
+
+
+def _moments(snap: GridDensity, family) -> tuple:
+    """(time, E_p[stats]) of one snapshot, the expectations read-only."""
+    eta = stat_expectations(snap, family)
+    eta.setflags(write=False)
+    return snap.time, eta
 
 
 def metric_project_ef(p: GridDensity, fam: ExpFamily) -> np.ndarray:
@@ -541,26 +546,19 @@ def decay_experiment(model: SdeModel, family, p0: GridDensity, t_end: float,
     epsilon exactly and the fitted rates should match the eigenvalues.
     `start` optionally sets the projection's initial expectation
     coordinates; by default they are matched to p0, making epsilon(0) = 0.
-    The reference solve keeps only each snapshot's time and E_p[stats],
-    reduced as the snapshot is made, so the experiment never holds more
-    than one reference density at a time.  The statistics at the grid
-    nodes are all that the reduction reads of the family, so their bytes
-    key the memo of `ReferenceProblem.solve`: two experiments on one
-    reference problem and one family's statistics, with different starts,
-    solve once.
+    The reference solve, `ReferenceProblem.solve(family)`, keeps only each
+    snapshot's time and E_p[stats], reduced as the snapshot is made, so the
+    experiment never holds more than one reference density at a time.  Its
+    memo is keyed on the family's statistics at the grid nodes: two
+    experiments on one reference problem and one family's statistics, with
+    different starts, solve once.
     """
     ode = ProjectedOde(family, model, family.expectation_method)
     lambdas = _eigenvalues_for(family, ode.lc)
     # every snapshot must fall on an ODE step
     ode_stride = whole_steps(sample_stride * pde_dt, ode_dt, "sample_stride * pde_dt")
 
-    def reduce(snap):
-        eta = stat_expectations(snap, family)
-        eta.setflags(write=False)
-        return snap.time, eta
-
-    moments = ReferenceProblem(model, p0, t_end, pde_dt, sample_stride).solve(
-        reduce, reduce_key=family.values_at(p0.x).tobytes())
+    moments = ReferenceProblem(model, p0, t_end, pde_dt, sample_stride).solve(family)
     times = np.array([t for t, _ in moments])
     ref_moments = np.vstack([eta for _, eta in moments])
     y0 = ref_moments[0] if start is None else np.asarray(start, dtype=float)

@@ -154,7 +154,8 @@ def _run_decay(scenario: Scenario, model, family, problem, start) -> _Outcome:
 
 def run_scenario(scenario: Scenario, output_dir, quiet: bool = False) -> ResultTable:
     """Execute a scenario with the build validation made (`Scenario.built`) and write
-    its output files."""
+    its output files: trajectory.csv, decay.json for a decay experiment, and
+    `density_file(t)` for each of `outputs.density_times`."""
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     model, family, problem, start = scenario.built
@@ -162,12 +163,12 @@ def run_scenario(scenario: Scenario, output_dir, quiet: bool = False) -> ResultT
                "decay-experiment": _run_decay}.get(scenario.method, _run_trajectory_method)
     out = execute(scenario, model, family, problem, start)
     table = ResultTable(header=trajectory_header(family.n), rows=out.rows)
-    write_csv(output_dir / scenario.outputs["trajectory"], table)
+    write_csv(output_dir / "trajectory.csv", table)
     times = [snap.time for snap in out.snapshots]
     for t in scenario.outputs["density_times"]:
         write_density_csv(output_dir / density_file(t), out.snapshots[snapshot_index(times, t)])
     if out.report is not None:
-        write_decay_json(output_dir / scenario.outputs["decay"], out.report)
+        write_decay_json(output_dir / "decay.json", out.report)
     if not quiet:
         print(f"{scenario.name}: {out.summary}")
     return table

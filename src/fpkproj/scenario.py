@@ -250,11 +250,7 @@ _INITIAL = {
     "density": (lambda spec, path: _parse_typed(spec, DENSITIES, path), None),
 }
 
-_OUTPUTS = {
-    "trajectory": (_file_name, "trajectory.csv"),
-    "decay": (_file_name, "decay.json"),
-    "density_times": (_numbers, ()),
-}
+_OUTPUTS = {"density_times": (_numbers, ())}
 
 
 @dataclass(frozen=True)

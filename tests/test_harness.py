@@ -397,24 +397,53 @@ def test_eta_starts_that_no_gaussian_has_are_refused(name, override, capsys):
         "give must be positive and finite\n")
 
 
-@pytest.mark.parametrize("override, key", [
-    ("outputs.trajectory=../x.csv", "outputs.trajectory"),
-    ("outputs.trajectory=sub/x.csv", "outputs.trajectory"),
-    ("outputs.trajectory=.", "outputs.trajectory"),
-    ("outputs.decay=..", "outputs.decay"),
-    # a NUL ended the run in a ValueError traceback when the file was opened
-    ('outputs.trajectory="a\\0b.csv"', "outputs.trajectory"),
-    ("name=../escaped", "scenario.name"),
-    ("name=..", "scenario.name"),
+@pytest.mark.parametrize("override", [
+    "name=../escaped", "name=..", "name=sub/x", "name=.",
+    # a NUL cannot be in a path: refused here, not by the operating system
+    'name="a\\0b"',
 ])
-def test_output_names_are_single_path_components(tmp_path, capsys, override, key):
-    # outputs.trajectory=../x.csv wrote x.csv next to the run directory
+def test_output_names_are_single_path_components(tmp_path, capsys, override):
     out = tmp_path / "run"
     args = ["run", str(SCENARIO_DIR / "ou_ep2_ada.yaml"), "--override", override,
             "--override", "numerics.t_end=0.05", "--output-dir", str(out), "--quiet"]
     assert cli_main(args) == 2
-    assert capsys.readouterr().err.startswith(f"validation error: {key} must be a file name")
+    assert capsys.readouterr().err.startswith(
+        "validation error: scenario.name must be a file name")
     assert not list(tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize("name, override, key", [
+    ("ou_metric_projection.yaml", "outputs.trajectory=density_t0.csv", "trajectory"),
+    ("ou_hermite_decay.yaml", "outputs.decay=trajectory.csv", "decay"),
+])
+def test_result_file_names_cannot_be_set(tmp_path, capsys, name, override, key):
+    # both exited 0: the t = 0 slice overwrote trajectory.csv, and the decay
+    # JSON was left in trajectory.csv
+    args = ["run", str(SCENARIO_DIR / name), "--override", override,
+            "--output-dir", str(tmp_path / "run"), "--quiet"]
+    assert cli_main(args) == 2
+    assert capsys.readouterr().err == f"validation error: unknown key {key!r} in outputs\n"
+    assert not list(tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize("name, overrides, files", [
+    ("ou_ep2_tangent.yaml", ["numerics.t_end=0.05"], {"trajectory.csv"}),
+    ("circle_galerkin.yaml", ["numerics.t_end=0.05"], {"trajectory.csv"}),
+    ("ou_ep2_ada.yaml", ["numerics.t_end=0.1", "numerics.sample_stride=50",
+                         "numerics.attach_reference=true", "outputs.density_times=[0.05]",
+                         "initial.density={type: gaussian, mean: 0.5, var: 0.25}"],
+     {"trajectory.csv", "density_t0.05.csv"}),
+    ("ou_metric_projection.yaml", ["numerics.t_end=0.2", "numerics.pde_nx=601",
+                                   "outputs.density_times=[0.0, 0.2]"],
+     {"trajectory.csv", "density_t0.csv", "density_t0.2.csv"}),
+    ("ou_hermite_decay.yaml", ["numerics.t_end=0.2", "numerics.pde_nx=601",
+                               "numerics.sample_stride=20"], {"trajectory.csv", "decay.json"}),
+], ids=["tangent-ef", "galerkin", "ada-ef-attached", "metric-projection", "decay"])
+def test_each_method_writes_its_fixed_files(tmp_path, name, overrides, files):
+    sc = load_scenario(SCENARIO_DIR / name, overrides)
+    assert set(sc.outputs) == {"density_times"}
+    run_scenario(sc, tmp_path, quiet=True)
+    assert {p.name for p in tmp_path.iterdir()} == files
 
 
 def test_plain_output_names_still_run(tmp_path):
@@ -423,12 +452,11 @@ def test_plain_output_names_still_run(tmp_path):
     raw = yaml.safe_load((SCENARIO_DIR / "ou_ep2_ada.yaml").read_text())
     raw["name"] = "plain.name"
     raw["numerics"]["t_end"] = 0.05
-    raw["outputs"] = {"trajectory": "moments..csv"}
     (tmp_path / "in").mkdir()
     (tmp_path / "in" / "scenario.yaml").write_text(yaml.safe_dump(raw))
     assert cli_main(args) == 0
     assert [p.relative_to(out) for p in out.rglob("*")] == [
-        Path("plain.name"), Path("plain.name/moments..csv")]
+        Path("plain.name"), Path("plain.name/trajectory.csv")]
 
 
 def test_run_all_refuses_two_files_that_name_one_scenario(tmp_path, capsys):
@@ -480,7 +508,7 @@ def test_a_run_builds_once_what_validation_built(tmp_path, monkeypatch):
 def test_scenario_sections_are_read_only(tmp_path):
     sc = load_scenario(SCENARIO_DIR / "ou_ep2_tangent.yaml", ["numerics.t_end=0.1"])
     for section, key in ((sc.model, "kappa"), (sc.family, "n"), (sc.initial, "theta"),
-                         (sc.outputs, "trajectory")):
+                         (sc.outputs, "density_times")):
         with pytest.raises(TypeError):
             section[key] = section[key]
     with pytest.raises(TypeError):

@@ -7,8 +7,12 @@ Oracles:
     component last give gamma = I/(4 pi) and beta = 0.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpkproj import (
     DifferentiableFn,
@@ -27,7 +31,7 @@ from fpkproj.errors import (
     UnderResolvedQuadrature,
     ValidationError,
 )
-from fpkproj.mixture import MixtureFamily
+from fpkproj.mixture import WEIGHT_MARGIN, MixtureFamily
 from fpkproj.quadrature import QUADRATURE_TOL
 
 
@@ -149,6 +153,46 @@ def test_admissibility_and_clamping():
     for bad in ([np.nan, 0.1], [np.inf, 0.1], [0.2, -np.inf]):
         with pytest.raises(InadmissibleWeights):
             fam.clamp_weights(np.array(bad))
+
+
+CLAMP_FAMILIES = (gaussian_mixture_family(MEANS, VARS), cosine_circle_family([1, 2, 3]))
+EDGE_WEIGHTS = (0.0, -0.0, WEIGHT_MARGIN, -WEIGHT_MARGIN, 1.0 - WEIGHT_MARGIN, 1.0,
+                np.nan, np.inf, -np.inf)
+
+
+@st.composite
+def weight_blocks(draw):
+    """A family and a block of weight rows: edge values, small and ordinary floats, and
+    rows whose last entry puts their sum a few ulps from WEIGHT_MARGIN or 1 - WEIGHT_MARGIN."""
+    fam = draw(st.sampled_from(CLAMP_FAMILIES))
+    value = st.one_of(st.sampled_from(EDGE_WEIGHTS), st.floats(-1.5, 1.5),
+                      st.floats(-3.0 * WEIGHT_MARGIN, 3.0 * WEIGHT_MARGIN))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = [draw(value) for _ in range(fam.n)]
+        target = draw(st.sampled_from((None, WEIGHT_MARGIN, 1.0 - WEIGHT_MARGIN)))
+        if target is not None:
+            last = target - sum(row[:-1])
+            for _ in range(draw(st.integers(0, 3))):
+                last = math.nextafter(last, draw(st.sampled_from((-math.inf, math.inf))))
+            row[-1] = last
+        rows.append(row)
+    return fam, np.array(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=weight_blocks())
+def test_needs_clamp_flags_the_rows_that_clamp_weights_moves(case):
+    # _step_affine accepts a block up to the first row needs_clamp flags, and
+    # constrains that row with clamp_weights: the two must agree row by row
+    fam, rows = case
+    for row, flag in zip(rows, fam.needs_clamp(rows), strict=True):
+        if np.all(np.isfinite(row)):
+            assert flag == fam.clamp_weights(row)[1], row
+        else:
+            assert flag, row
+            with pytest.raises(InadmissibleWeights):
+                fam.clamp_weights(row)
 
 
 def test_inadmissible_expectation_target_raises_with_value():

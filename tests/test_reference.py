@@ -488,24 +488,34 @@ def test_a_memoized_problem_solves_once_and_each_call_gets_a_new_list(solves):
 
 def test_an_unreduced_and_a_reduced_solve_of_one_problem_solve_twice(solves):
     p0 = grid_density(DOM, 201, gaussian_pdf_fn(0.5, 0.3))
-
-    def reduce(snap):
-        return snap.time
-
     problem = ReferenceProblem(OU, p0, 0.05, 1e-3, 10)
     for _ in range(2):
         snaps = problem.solve()
-        times = problem.solve(reduce, reduce_key=b"")
-        assert times == [s.time for s in snaps]
+        moments = problem.solve(hermite_family([1, 2]))
+        assert [t for t, _ in moments] == [s.time for s in snaps]
     # one entry: each call replaced the other's
     assert len(solves) == 4
 
 
-def test_a_reducer_without_a_key_always_solves(solves):
+def test_a_reduced_solve_is_shared_only_by_equal_node_statistics(solves):
     p0 = grid_density(DOM, 201, gaussian_pdf_fn(0.5, 0.3))
-    for _ in range(2):
-        ReferenceProblem(OU, p0, 0.05, 1e-3, 10).solve(lambda snap: snap.time)
+    problem = ReferenceProblem(OU, p0, 0.05, 1e-3, 10)
+    hermite = hermite_family([1, 2])
+    first = problem.solve(hermite)
+    want = [(s.time, stat_expectations(s, hermite)) for s in solve_fpk(OU, p0, 0.05, 1e-3, 10)]
+    assert [(t, eta.tobytes()) for t, eta in first] == [(t, eta.tobytes()) for t, eta in want]
+    first.clear()
+    # another family object on another rule, with the same statistics at the nodes
+    same = hermite_family([1, 2], rule=trapezoid_rule(DOM, 9))
+    second = problem.solve(same)
+    assert len(solves) == 1 and len(second) == 6 and second is not solves[0]
+    for _, eta in second:
+        with pytest.raises(ValueError):
+            eta[0] = 1.0
+    # x^2 is not He_2 = x^2 - 1: another reduction, so another solve
+    other = problem.solve(ep_family(2))
     assert len(solves) == 2
+    assert [eta[1] for _, eta in other] == pytest.approx([eta[1] + 1.0 for _, eta in second])
 
 
 def test_domains_of_one_width_do_not_share_a_solve(solves):
