@@ -102,9 +102,9 @@ class MixtureFamily(Statistics):
     # -- weights ------------------------------------------------------
 
     def _violation(self, theta):
-        total = float(theta.sum())
+        # the sum comes last: weights within [-WEIGHT_MARGIN, 1 + WEIGHT_MARGIN] cannot overflow
         if (theta.min() < -WEIGHT_MARGIN or theta.max() > 1.0 + WEIGHT_MARGIN
-                or not WEIGHT_MARGIN <= total <= 1.0 - WEIGHT_MARGIN):
+                or not WEIGHT_MARGIN <= float(theta.sum()) <= 1.0 - WEIGHT_MARGIN):
             return f"weights {theta} violate the open-simplex constraints"
         return None
 
@@ -113,14 +113,19 @@ class MixtureFamily(Statistics):
 
         An over-full vector is rescaled to sum 1 - 2 WEIGHT_MARGIN: rounding
         in the rescale can leave the sum a few ulps above its target, and
-        the extra margin keeps the result admissible.  Non-finite weights
-        cannot be repaired and raise InadmissibleWeights.
+        the extra margin keeps the result admissible.  Finite weights whose
+        sum overflows are divided by their largest entry first.  Non-finite
+        weights cannot be repaired and raise InadmissibleWeights.
         """
         theta = np.asarray(theta, dtype=float)
         if not np.all(np.isfinite(theta)):
             raise InadmissibleWeights(f"weights {theta} are not finite")
         clamped = np.where(theta < 0.0, 0.0, theta)
-        total = float(clamped.sum())
+        with np.errstate(over="ignore"):
+            total = float(clamped.sum())
+        if total == np.inf:
+            clamped = clamped / clamped.max()
+            total = float(clamped.sum())
         if total > 1.0 - WEIGHT_MARGIN:
             clamped = clamped * ((1.0 - 2.0 * WEIGHT_MARGIN) / total)
             total = float(clamped.sum())
@@ -132,7 +137,8 @@ class MixtureFamily(Statistics):
     def needs_clamp(self, thetas) -> np.ndarray:
         """Rows of weights that `clamp_weights` would move, or that are not finite."""
         thetas = np.asarray(thetas, dtype=float)
-        with np.errstate(invalid="ignore"):  # inf - inf: a total that is not finite
+        # inf - inf, or finite weights that overflow: a total that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
             total = thetas.sum(axis=-1)
         return ((thetas < 0.0).any(axis=-1) | (total > 1.0 - WEIGHT_MARGIN)
                 | (total < WEIGHT_MARGIN) | ~np.isfinite(total))

@@ -2,12 +2,15 @@
 
 Every float is written with 17 significant digits so repeated runs of the
 same scenario are byte-identical; optional columns are left empty rather
-than filled with sentinels.
+than filled with sentinels.  A rerun into the same directory writes each
+result file over the old one in place and cuts it to the new length.
 """
 
 import json
+import os
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain, compress, groupby
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +42,8 @@ class ResultTable:
 
 
 def format_value(value) -> str:
+    """One CSV cell: empty for None, 1 or 0 for a bool, an integer as is, and any
+    other number as a float with 17 significant digits."""
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -55,20 +60,44 @@ def trajectory_header(n: int) -> tuple:
             + ("residual", "kl", "hellinger", "l2", "clamped"))
 
 
+# printf conversions that render a value of exactly this type as format_value
+# does; a value of any other type is rendered by format_value and put in as "%s"
+_CELL_FORMATS = {float: "%.17g", bool: "%d", int: "%d", type(None): ""}
+
+
+def _write_text(path, text: str):
+    """Write `text` to `path`, over the bytes of an existing file, then cut the file
+    to the new length: opened without O_TRUNC, which on some file systems costs
+    more than the write.  A new file gets mode 0o666 less the umask."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text.encode())
+        f.truncate()
+
+
 def write_csv(path, table: ResultTable):
-    lines = [",".join(table.header)]
-    for row in table.rows:
-        lines.append(",".join(format_value(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    """The header, then one line per row with each cell as `format_value` renders it.
+
+    Consecutive rows whose cells have the same types are filled into one printf
+    template with one `%`; None cells are empty in the template and take no value.
+    """
+    parts = [",".join(table.header), "\n"]
+    for kinds, group in groupby(table.rows, key=lambda row: tuple(map(type, row))):
+        rows = list(group)
+        line = ",".join(_CELL_FORMATS.get(kind, "%s") for kind in kinds) + "\n"
+        filled = [kind is not type(None) for kind in kinds]
+        cells = chain.from_iterable(compress(row, filled) for row in rows)
+        if not _CELL_FORMATS.keys() >= set(kinds):
+            cells = (v if type(v) in _CELL_FORMATS else format_value(v) for v in cells)
+        parts.append(line * len(rows) % tuple(cells))
+    _write_text(path, "".join(parts))
 
 
 def write_decay_json(path, report: DecayReport):
-    Path(path).write_text(
-        json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n", newline="\n")
+    _write_text(path, json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def write_density_csv(path, snap: GridDensity):
-    Path(path).write_text(snap.csv_text, newline="\n")
+    _write_text(path, snap.csv_text)
 
 
 def _divergences(snap, family, theta, psi=None):

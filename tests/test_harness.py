@@ -5,6 +5,8 @@ import dataclasses
 import gc
 import itertools
 import json
+import math
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fpkproj import (
     circle_diffusion,
@@ -39,7 +43,13 @@ from fpkproj.mixture import MixtureFamily, gaussian_mixture_family
 from fpkproj.projection import MAX_STEPS, whole_steps
 from fpkproj.quadrature import MIN_LEVEL
 from fpkproj.reference import GridDensity
-from fpkproj.runner import format_value, trajectory_header, write_density_csv
+from fpkproj.runner import (
+    ResultTable,
+    format_value,
+    trajectory_header,
+    write_csv,
+    write_density_csv,
+)
 from fpkproj.scenario import (
     DENSITIES,
     FAMILIES,
@@ -854,6 +864,83 @@ def test_density_csv_renders_each_value_as_format_value(tmp_path):
     expected = "x,p\n" + "".join(f"{format_value(x)},{format_value(p)}\n"
                                  for x, p in zip(snap.x, snap.values))
     assert (tmp_path / "d.csv").read_bytes() == expected.encode()
+
+
+SPECIAL_FLOATS = st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308))
+CELL_KINDS = (
+    st.floats() | SPECIAL_FLOATS,
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    (st.floats() | SPECIAL_FLOATS).map(np.float64),
+    st.booleans().map(np.bool_),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+)
+
+
+@st.composite
+def result_tables(draw):
+    """Rows of one width, each drawn in one of up to three kind patterns, so that
+    runs of rows share their kinds and the None positions change between runs."""
+    width = draw(st.integers(1, 6))
+    patterns = draw(st.lists(st.tuples(*[st.sampled_from(CELL_KINDS)] * width),
+                             min_size=1, max_size=3))
+    rows = [tuple(draw(kind) for kind in draw(st.sampled_from(patterns)))
+            for _ in range(draw(st.integers(0, 12)))]
+    return ResultTable(header=tuple(f"c{i}" for i in range(width)), rows=rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=result_tables())
+def test_csv_renders_each_value_as_format_value(table, tmp_path):
+    # every example writes over the last one's file, longer or shorter
+    path = tmp_path / "table.csv"
+    write_csv(path, table)
+    expected = "".join([",".join(table.header) + "\n",
+                        *(",".join(map(format_value, row)) + "\n" for row in table.rows)])
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("old", [b"", b"t,p\n", b"t,p\n0,1\n" + b"junk\n" * 2000])
+def test_result_text_replaces_the_old_bytes(old, tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_bytes(old)
+    runner_module._write_text(path, "t,p\n0,1\n")
+    assert path.read_bytes() == b"t,p\n0,1\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_result_files_get_the_mode_that_write_text_gives(umask, tmp_path):
+    old = os.umask(umask)
+    try:
+        runner_module._write_text(tmp_path / "new.csv", "a\n")
+        (tmp_path / "text.csv").write_text("a\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.csv").stat().st_mode == (tmp_path / "text.csv").stat().st_mode
+    # an existing file keeps its mode, as under write_text
+    (tmp_path / "new.csv").chmod(0o600)
+    runner_module._write_text(tmp_path / "new.csv", "b\n")
+    assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o600
+
+
+def test_a_rerun_over_padded_result_files_writes_a_fresh_runs_bytes(tmp_path):
+    # every kind of result file: trajectory.csv, density slices and decay.json
+    runs = [validate_scenario(_shared_raw("ou_shared_ep2")),
+            load_scenario(SCENARIO_DIR / "ou_hermite_decay.yaml", ["numerics.t_end=0.2"])]
+    for sc in runs:
+        run_scenario(sc, tmp_path / "fresh" / sc.name, quiet=True)
+    fresh = _files(tmp_path / "fresh")
+    assert {path.name for path in fresh} == {
+        "trajectory.csv", "density_t0.csv", "density_t0.1.csv", "decay.json"}
+    for path, data in fresh.items():
+        padded = tmp_path / "padded" / path
+        padded.parent.mkdir(parents=True, exist_ok=True)
+        padded.write_bytes(data + b"junk\n" * 100)
+    for sc in runs:
+        run_scenario(sc, tmp_path / "padded" / sc.name, quiet=True)
+    assert _files(tmp_path / "padded") == fresh
 
 
 def test_trajectory_header_layout():

@@ -155,6 +155,26 @@ def test_admissibility_and_clamping():
             fam.clamp_weights(np.array(bad))
 
 
+@pytest.mark.filterwarnings("error")
+def test_finite_weights_whose_sum_overflows_are_clamped_without_a_warning():
+    # the sum overflows to inf: the clamp divides by the largest weight before it
+    # sums, so the weights keep their ratio instead of all becoming WEIGHT_MARGIN / n
+    fam = gaussian_mixture_family(MEANS, VARS)
+    clamped, changed = fam.clamp_weights(np.array([1e308, 1e308]))
+    assert changed and fam.is_admissible(clamped)
+    assert clamped.tolist() == [0.5 - WEIGHT_MARGIN] * 2
+    fam3 = cosine_circle_family([1, 2, 3])
+    clamped, changed = fam3.clamp_weights(np.array([1e308, 1.5e308, -1e308]))
+    assert changed and fam3.is_admissible(clamped)
+    np.testing.assert_allclose(clamped, (1.0 - 2.0 * WEIGHT_MARGIN) * np.array([0.4, 0.6, 0.0]),
+                               rtol=1e-15, atol=0.0)
+    rows = np.array([[1e308, 1e308], [1.7e308, 1.7e308], [0.3, 0.3]])
+    assert fam.needs_clamp(rows).tolist() == [True, True, False]
+    assert not fam.is_admissible(rows[0])
+    with pytest.raises(InadmissibleWeights, match="open-simplex"):
+        fam.require_admissible(rows[0])
+
+
 CLAMP_FAMILIES = (gaussian_mixture_family(MEANS, VARS), cosine_circle_family([1, 2, 3]))
 EDGE_WEIGHTS = (0.0, -0.0, WEIGHT_MARGIN, -WEIGHT_MARGIN, 1.0 - WEIGHT_MARGIN, 1.0,
                 np.nan, np.inf, -np.inf)
