@@ -13,21 +13,17 @@ __version__ = "0.1.0"
 from .errors import FpkprojError, UnderResolvedQuadrature, ValidationError
 from .functions import (
     DifferentiableFn,
-    check_derivatives,
     constant_fn,
     cosine_fn,
     gaussian_pdf_fn,
     hermite_fn,
     monomial_fn,
     polynomial_fn,
-    spline_fn,
 )
 from .quadrature import (
     Domain,
     QuadratureRule,
     default_domain,
-    inner_product,
-    integrate,
     simpson_rule,
     trapezoid_rule,
 )

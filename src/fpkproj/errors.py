@@ -83,7 +83,8 @@ class TrajectoryExit(FpkprojError):
 
 
 class SchemeInstability(FpkprojError):
-    """Grid solver produced negative mass or lost conservation."""
+    """Grid solver produced negative mass or lost conservation, or an RK4 step
+    would grow a mode that the projected field damps."""
 
 
 class SupportViolation(FpkprojError):

@@ -3,7 +3,6 @@
 import numpy as np
 
 from .errors import DerivativeUnavailable
-from .quadrature import Domain
 
 
 class DifferentiableFn:
@@ -209,30 +208,3 @@ def cosine_series_pdf_fn(coefficients) -> DifferentiableFn:
     scale = 1.0 / (2.0 * np.pi)
     terms = [cosine_fn(k, amplitude=a * scale) for k, a in enumerate(coefficients, 1) if a != 0.0]
     return sum(terms, constant_fn(scale))
-
-
-def spline_fn(xs, ys) -> DifferentiableFn:
-    """Natural cubic spline through tabulated samples."""
-    # imported here so that importing the package does not load scipy.interpolate
-    from scipy.interpolate import CubicSpline
-
-    cs = CubicSpline(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), bc_type="natural")
-    return DifferentiableFn(cs, cs.derivative(1), cs.derivative(2), representation="tabulated-spline")
-
-
-def check_derivatives(fn: DifferentiableFn, domain: Domain, points: int = 25,
-                      rng=None, h: float = 1e-5) -> float:
-    """Max relative deviation of d1/d2 from central differences at random points."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    pad = 2 * h * domain.width
-    x = rng.uniform(domain.lower + pad, domain.upper - pad, size=points)
-    step = h * max(1.0, domain.width / 24.0)
-    f0 = fn(x)
-    fp = fn(x + step)
-    fm = fn(x - step)
-    scale1 = np.maximum(1.0, np.abs(fn.d1(x)))
-    scale2 = np.maximum(1.0, np.abs(fn.d2(x)))
-    err1 = np.abs((fp - fm) / (2 * step) - fn.d1(x)) / scale1
-    err2 = np.abs((fp - 2 * f0 + fm) / step ** 2 - fn.d2(x)) / scale2
-    return float(max(err1.max(), err2.max()))

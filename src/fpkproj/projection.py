@@ -41,7 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FpkprojError, NonFiniteIntegrand, TrajectoryExit, ValidationError
+from .errors import FpkprojError, NonFiniteIntegrand, SchemeInstability, TrajectoryExit
+from .errors import ValidationError
 from .expfamily import ExpFamily
 from .mixture import MixtureFamily
 from .sde import SdeModel
@@ -53,6 +54,8 @@ STEP_TOL = 1e-8
 BLOCK_STEPS = 1024
 # most steps on any time grid: a run keeps a state per step
 MAX_STEPS = 10 ** 7
+# RK4 is stable on the real axis for -RK4_REAL_LIMIT <= dt lambda <= 0, to the digits given
+RK4_REAL_LIMIT = 2.785
 
 
 def whole_steps(span: float, dt: float, what: str) -> int:
@@ -426,8 +429,32 @@ def _step_stages(ode: ProjectedOde, states, dt: float, theta, rows) -> list:
     return thetas
 
 
+def _require_rk4_stable(a, dt: float):
+    """SchemeInstability, naming numerics.ode_dt, when RK4 steps of dt grow a mode that
+    y_dot = A y + c damps: an eigenvalue lambda of A with Re lambda <= 0 and
+    |R(dt lambda)| > 1, for R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 RK4's stability
+    polynomial.  A mode that grows in the field itself (Re lambda > 0) is allowed, and
+    a field that is not finite is left to its first step, which it ends."""
+    if not np.all(np.isfinite(a)):
+        return
+    lam = np.linalg.eigvals(a)
+    lam = lam[lam.real <= 0.0]
+    z = dt * lam
+    # a |z| that overflows R gives inf or NaN, and is unstable
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
+    if not np.all(growth <= 1.0):
+        worst = int(np.argmax(growth))
+        largest = (f"; the largest stable step is {RK4_REAL_LIMIT / np.max(np.abs(lam)):.6g}"
+                   if np.isrealobj(lam) else "")
+        raise SchemeInstability(
+            f"RK4 is unstable at numerics.ode_dt = {dt:g}: the field's eigenvalue "
+            f"{lam[worst]:.6g} gives |R(dt lambda)| = {growth[worst]:.6g} > 1{largest}")
+
+
 def _step_affine(ode: ProjectedOde, states, dt: float):
-    """Fill `states` by powers of the RK4 step matrix S = [[Phi, phi], [0, 1]].
+    """Fill `states` by powers of the RK4 step matrix S = [[Phi, phi], [0, 1]],
+    once `_require_rk4_stable` has checked the step against the field.
 
     A block of L steps from y is P[:L] @ [y; 1], with P the stacked powers
     S^1..S^L, extended by doubling as the blocks grow (up to BLOCK_STEPS, or
@@ -436,6 +463,7 @@ def _step_affine(ode: ProjectedOde, states, dt: float):
     constrained and the flow takes plain steps y <- Phi y + phi until a
     step needs no clamp.  Returns the clamp events.
     """
+    _require_rk4_stable(ode.affine[0], dt)
     phi, phi_c = rk4_propagator(*ode.affine, dt)
     powers = np.eye(ode.dim + 1)[None]
     powers[0, :-1, :-1], powers[0, :-1, -1] = phi, phi_c

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonFiniteIntegrand, UnderResolvedQuadrature, ValidationError
+from .errors import UnderResolvedQuadrature, ValidationError
 
 DOMAIN_KINDS = ("unbounded-truncated", "bounded-reflecting")
 
@@ -260,30 +260,3 @@ def simpson_rule(domain: Domain, level: int = DEFAULT_LEVEL) -> QuadratureRule:
     weights = 4.0 * fine
     weights[::2] -= trapezoid_grid(domain, 2 ** (level - 1) + 1)[1]
     return QuadratureRule(nodes=nodes, weights=weights / 3.0, domain=domain)
-
-
-def _evaluate(f, nodes: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(nodes), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(nodes.shape, float(vals))
-    if vals.shape != nodes.shape:
-        raise ValueError("integrand did not broadcast over the nodes")
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise NonFiniteIntegrand(
-            f"integrand is {vals[bad]} at node {nodes[bad]} (index {bad})",
-            node=float(nodes[bad]),
-            index=bad,
-        )
-    return vals
-
-
-def integrate(f, rule: QuadratureRule) -> float:
-    """Integral of f over the rule's domain."""
-    return float(rule.weights @ _evaluate(f, rule.nodes))
-
-
-def inner_product(f, g, rule: QuadratureRule) -> float:
-    """L2 inner product <f, g> under the rule."""
-    vals = _evaluate(f, rule.nodes) * _evaluate(g, rule.nodes)
-    return float(rule.weights @ vals)

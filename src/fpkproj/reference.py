@@ -49,6 +49,8 @@ MOMENT_MATCH_TOL = 1e-7
 EIGEN_RESIDUAL_TOL = 1e-8
 DECAY_FLOOR = 1e-8
 FLIP_SKIP = 2
+# fewest usable samples a decay rate is fitted to
+FIT_SAMPLES = 5
 MAX_LOG_SPAN = 600.0
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -512,7 +514,7 @@ def fit_decay_rates(times: np.ndarray, epsilon: np.ndarray, window=None) -> list
 
     Samples with |epsilon_i| <= DECAY_FLOOR, and FLIP_SKIP samples on each
     side of a sign flip, are left out.  Returns one rate per column of
-    epsilon, or None where fewer than five usable samples remain.
+    epsilon, or None where fewer than FIT_SAMPLES usable samples remain.
     """
     times = np.asarray(times, dtype=float)
     epsilon = np.asarray(epsilon, dtype=float)
@@ -525,7 +527,7 @@ def fit_decay_rates(times: np.ndarray, epsilon: np.ndarray, window=None) -> list
         flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
         for j in flips:
             usable[max(0, j - FLIP_SKIP + 1): j + FLIP_SKIP + 1] = False
-        if usable.sum() < 5:
+        if usable.sum() < FIT_SAMPLES:
             rates.append(None)
             continue
         t = times[usable]

@@ -49,7 +49,7 @@ from .quadrature import (
     trapezoid_grid,
     trapezoid_rule,
 )
-from .reference import GridDensity, ReferenceProblem, grid_density, snapshot_index
+from .reference import FIT_SAMPLES, GridDensity, ReferenceProblem, grid_density, snapshot_index
 from .sde import circle_diffusion, ornstein_uhlenbeck, polynomial_drift
 
 REFERENCE_METHODS = ("metric-projection", "decay-experiment")
@@ -375,6 +375,12 @@ def build_run(scenario: Scenario):
     stride = num.sample_stride if method in REFERENCE_METHODS else whole_steps(
         num.sample_stride * num.ode_dt, num.pde_dt, "numerics.sample_stride * numerics.ode_dt")
     times = [k * num.pde_dt for k in sample_steps(nsteps, stride)]
+    if num.fit_window is not None:
+        lo, hi = num.fit_window
+        inside = sum(lo <= t <= hi for t in times)
+        if inside < FIT_SAMPLES:
+            raise ValidationError(f"numerics.fit_window [{lo:g}, {hi:g}] holds {inside} snapshot "
+                                  f"times; fitting a decay rate needs {FIT_SAMPLES}")
     # slices that share a file name must be one slice, or the last would overwrite the rest
     written = {}
     for t in scenario.outputs["density_times"]:
@@ -426,8 +432,18 @@ def validate_scenario(raw: dict, name: str = "scenario") -> Scenario:
     if outputs["density_times"] and (not reference or method == "decay-experiment"):
         raise ValidationError("outputs.density_times needs reference snapshots: method "
                               "metric-projection, or numerics.attach_reference on a trajectory method")
-    if numerics.record_residual and method in MixtureFamily.methods:
-        raise ValidationError("numerics.record_residual applies to exponential-family methods")
+    # numerics keys that this run would ignore, refused when given
+    unread = {"domain": model["type"] == "circle-diffusion",
+              "ode_dt": method == "metric-projection",
+              "pde_nx": not reference, "pde_dt": not reference,
+              "fit_window": method != "decay-experiment",
+              "record_residual": method not in ExpFamily.methods,
+              "attach_reference": method in REFERENCE_METHODS}
+    for key in raw["numerics"]:
+        if unread.get(key):
+            without = " without a reference" if key.startswith("pde_") else ""
+            raise ValidationError(f"{method} on the {model['type']} model does not read "
+                                  f"numerics.{key}{without}")
     if family["type"] == "cosine-circle" and model["type"] != "circle-diffusion":
         raise ValidationError("cosine-circle families require the circle-diffusion model")
     # the name is the run's directory under the output directory

@@ -16,7 +16,6 @@ import pytest
 
 from fpkproj import (
     canonical_from_moments,
-    check_derivatives,
     custom_poly_family,
     default_domain,
     ep_family,
@@ -35,6 +34,8 @@ from fpkproj.errors import (
 )
 from fpkproj.expfamily import ExpFamily, _Cholesky
 from fpkproj.quadrature import Domain
+
+from finite_difference import check_derivatives
 
 
 def psi_gauss(t1, t2):

@@ -9,7 +9,6 @@ from numpy.polynomial import HermiteE, Polynomial
 
 from fpkproj import (
     DifferentiableFn,
-    check_derivatives,
     constant_fn,
     cosine_fn,
     default_domain,
@@ -18,10 +17,11 @@ from fpkproj import (
     monomial_fn,
     polynomial_fn,
     simpson_rule,
-    spline_fn,
 )
 from fpkproj.errors import DerivativeUnavailable
 from fpkproj.quadrature import Domain
+
+from finite_difference import check_derivatives
 
 
 X = np.linspace(-2.0, 2.0, 41)
@@ -132,19 +132,10 @@ def test_missing_derivative_raises():
         raw.d1(X)
 
 
-def test_spline_tracks_samples_and_slope():
-    xs = np.linspace(-3.0, 3.0, 301)
-    s = spline_fn(xs, np.sin(xs))
-    mid = np.linspace(-2.5, 2.5, 57)
-    assert np.max(np.abs(s(mid) - np.sin(mid))) <= 1e-6
-    assert np.max(np.abs(s.d1(mid) - np.cos(mid))) <= 1e-4
-
-
 def test_package_import_leaves_interpolation_unloaded():
-    # spline_fn imports scipy.interpolate on first use, and the reference
-    # solver loads the LAPACK extension scipy.linalg._flapack when it runs
-    # (scipy.linalg itself stays unloaded even then); importing the package
-    # must pay for none of scipy.interpolate, scipy.sparse and scipy.linalg
+    # the reference solver loads the LAPACK extension scipy.linalg._flapack when
+    # it runs (scipy.linalg itself stays unloaded even then); importing the
+    # package must pay for none of scipy.interpolate, scipy.sparse and scipy.linalg
     code = ("import sys, fpkproj; "
             "print([m for m in ('scipy.interpolate', 'scipy.sparse', 'scipy.linalg')"
             " if m in sys.modules])")

@@ -705,6 +705,73 @@ def test_initial_keys_the_method_does_not_read_are_refused(name, overrides, mess
     assert message in capsys.readouterr().err
 
 
+# each of these validated, and the run ignored the key or fitted no rate
+@pytest.mark.parametrize("name, override, message", [
+    ("circle_ada.yaml", "numerics.fit_window=[0.1,0.5]", "does not read numerics.fit_window"),
+    ("circle_ada.yaml", "numerics.domain=[-1,1]", "does not read numerics.domain"),
+    ("circle_decay.yaml", "numerics.domain=[-1,1]", "does not read numerics.domain"),
+    ("ou_metric_projection.yaml", "numerics.ode_dt=0.01", "does not read numerics.ode_dt"),
+    ("ou_ep2_ada.yaml", "numerics.pde_dt=0.01",
+     "does not read numerics.pde_dt without a reference"),
+    ("ou_ep2_tangent.yaml", "numerics.pde_nx=201",
+     "does not read numerics.pde_nx without a reference"),
+    ("circle_galerkin.yaml", "numerics.record_residual=false",
+     "does not read numerics.record_residual"),
+    ("ou_hermite_decay.yaml", "numerics.record_residual=true",
+     "does not read numerics.record_residual"),
+    ("ou_metric_projection.yaml", "numerics.attach_reference=true",
+     "does not read numerics.attach_reference"),
+    ("ou_hermite_decay.yaml", "numerics.fit_window=[5,6]", "holds 0 snapshot times"),
+    ("ou_hermite_decay.yaml", "numerics.fit_window=[0,0.03]", "holds 4 snapshot times"),
+])
+def test_numerics_keys_the_run_does_not_use_are_refused(name, override, message, capsys):
+    assert cli_main(["validate", str(SCENARIO_DIR / name), "--override", override]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_fit_window_of_five_snapshot_times_is_accepted():
+    # snapshots every 0.01: 0, 0.01, ..., 0.04 are five
+    assert cli_main(["validate", str(SCENARIO_DIR / "ou_hermite_decay.yaml"),
+                     "--override", "numerics.fit_window=[0,0.04]"]) == 0
+
+
+@pytest.mark.parametrize("method", ["tangent-mix", "ada-mix", "galerkin"])
+def test_rk4_steps_that_grow_a_damped_mode_are_refused(method, tmp_path, capsys):
+    # the field's eigenvalues are -k^2 a / 2: -350 and -3150 at a = 700, where
+    # dt * 3150 = 3.15 lies outside RK4's real stability interval [-2.785, 0];
+    # the weights grew until clamped, theta_2 -> 1, where the exact flow goes to 0
+    path = tmp_path / "stiff.yaml"
+    path.write_text(yaml.safe_dump({
+        "name": "stiff", "method": method,
+        "model": {"type": "circle-diffusion", "diffusion": 700},
+        "family": {"type": "cosine-circle", "harmonics": [1, 3]},
+        "numerics": {"t_end": 0.2}, "initial": {"theta": [0.3, 0.3]}}))
+    args = ["run", str(path), "--quiet", "--output-dir", str(tmp_path / "out")]
+    assert cli_main(args) == 3
+    err = capsys.readouterr().err
+    assert "numerics.ode_dt = 0.001" in err and "largest stable step is 0.000884127" in err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+    # at a = 600, dt * 2700 = 2.7 lies inside it: the weights decay, unclamped
+    assert cli_main([*args, "--override", "model.diffusion=600"]) == 0
+    with open(tmp_path / "out" / "trajectory.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 21 and all(row["clamped"] == "0" for row in rows)
+    assert max(abs(float(rows[-1][f"theta_{i}"])) for i in (1, 2)) < 1e-11
+
+
+def test_closed_ada_ef_refuses_an_unstable_step(tmp_path, capsys):
+    # OU EP(2) at kappa = 1 has eigenvalues -1 and -2; at ode_dt 1.5 the run
+    # ended with eta_2(3) = 1.4727, where the exact eta_2(3) is 1.0006
+    args = ["run", str(SCENARIO_DIR / "ou_ep2_ada.yaml"), "--override", "numerics.t_end=3",
+            "--override", "numerics.sample_stride=1", "--quiet",
+            "--output-dir", str(tmp_path)]
+    assert cli_main([*args, "--override", "numerics.ode_dt=1.5"]) == 3
+    err = capsys.readouterr().err
+    assert "numerics.ode_dt = 1.5" in err and "largest stable step is 1.3925" in err
+    # 2 kappa ode_dt = 2 < 2.785
+    assert cli_main([*args, "--override", "numerics.ode_dt=1"]) == 0
+
+
 def test_density_times_must_be_snapshot_times():
     raw = yaml.safe_load((SCENARIO_DIR / "ou_metric_projection.yaml").read_text())
     raw["outputs"]["density_times"] = [0.0, 0.25]

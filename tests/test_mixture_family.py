@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from fpkproj import (
     DifferentiableFn,
-    check_derivatives,
     cosine_circle_family,
     default_domain,
     gaussian_mixture_family,
@@ -33,6 +32,8 @@ from fpkproj.errors import (
 )
 from fpkproj.mixture import WEIGHT_MARGIN, MixtureFamily
 from fpkproj.quadrature import QUADRATURE_TOL
+
+from finite_difference import check_derivatives
 
 
 MEANS = [-1.0, 0.2, 1.1]

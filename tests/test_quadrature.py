@@ -24,8 +24,6 @@ from fpkproj import (
     gaussian_mixture_family,
     gaussian_pdf_fn,
     hermite_family,
-    inner_product,
-    integrate,
     monomial_fn,
     simpson_rule,
     trapezoid_rule,
@@ -33,7 +31,6 @@ from fpkproj import (
 from fpkproj.errors import (
     InadmissibleParameter,
     InadmissibleWeights,
-    NonFiniteIntegrand,
     ValidationError,
 )
 from fpkproj.expfamily import ADMISSIBILITY_MARGIN as TAIL
@@ -103,13 +100,14 @@ def test_simpson_exact_on_cubics():
     dom = Domain(-1.0, 2.0, "unbounded-truncated")
     rule = simpson_rule(dom, 2)
     exact = (2.0**4 - 1.0) / 4.0 + (2.0**2 - 1.0) / 2.0
-    got = integrate(lambda x: x**3 + x, rule)
+    x = rule.nodes
+    got = rule.weights @ (x**3 + x)
     assert abs(got - exact) <= 1e-13
 
 
 def test_gaussian_mass_to_tight_tolerance():
     rule = simpson_rule(default_domain(1.2), 12)
-    got = integrate(gaussian_pdf_fn(0.3, 1.44), rule)
+    got = rule.weights @ gaussian_pdf_fn(0.3, 1.44)(rule.nodes)
     assert abs(got - 1.0) <= 1e-12
 
 
@@ -118,27 +116,7 @@ def test_gaussian_product_against_closed_form():
     f = gaussian_pdf_fn(-0.4, 0.8)
     g = gaussian_pdf_fn(0.9, 1.7)
     oracle = gaussian_product_integral(-0.4, 0.8, 0.9, 1.7)
-    assert abs(inner_product(f, g, rule) - oracle) <= 1e-13
-
-
-def test_scalar_integrand_is_broadcast():
-    dom = Domain(0.0, 2.0, "unbounded-truncated")
-    rule = simpson_rule(dom, 4)
-    assert abs(integrate(lambda x: 1.0, rule) - 2.0) <= 1e-14
-
-
-def test_nonfinite_integrand_reports_node():
-    dom = Domain(-1.0, 1.0, "unbounded-truncated")
-    rule = simpson_rule(dom, 4)
-
-    def bad(x):
-        out = np.asarray(x, dtype=float).copy()
-        out[out > 0.5] = np.nan
-        return out
-
-    with pytest.raises(NonFiniteIntegrand) as info:
-        integrate(bad, rule)
-    assert info.value.node is not None and info.value.node > 0.5
+    assert abs(rule.weights @ (f(rule.nodes) * g(rule.nodes)) - oracle) <= 1e-13
 
 
 def test_rule_rejects_mismatched_weight_total():
