@@ -23,10 +23,6 @@ class NonFiniteIntegrand(FpkprojError):
         self.index = index
 
 
-class DerivativeUnavailable(FpkprojError):
-    """A function was asked for a derivative it does not carry."""
-
-
 class InadmissibleParameter(FpkprojError):
     """Canonical parameter lies outside the family's admissible set."""
 

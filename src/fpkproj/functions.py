@@ -2,53 +2,32 @@
 
 import numpy as np
 
-from .errors import DerivativeUnavailable
-
 
 class DifferentiableFn:
-    """A callable x -> f(x) bundled with optional d1 and d2 callables.
+    """A callable x -> f(x) carrying its first and second derivatives, the
+    callables d1 and d2.
 
-    Instances are immutable by convention.  Linear combinations preserve
-    derivative availability; anything with a missing derivative raises
-    DerivativeUnavailable when that derivative is requested.
+    Instances are immutable by convention.  Sums and scalar multiples carry
+    the derivatives along.
     """
 
-    __slots__ = ("_value", "_d1", "_d2", "representation")
+    __slots__ = ("_value", "d1", "d2")
 
-    def __init__(self, value, d1=None, d2=None, representation="custom"):
+    def __init__(self, value, d1, d2):
         self._value = value
-        self._d1 = d1
-        self._d2 = d2
-        self.representation = representation
+        self.d1 = d1
+        self.d2 = d2
 
     def __call__(self, x):
         return self._value(x)
-
-    @property
-    def has_derivatives(self):
-        return self._d1 is not None and self._d2 is not None
-
-    def d1(self, x):
-        if self._d1 is None:
-            raise DerivativeUnavailable(f"{self.representation} function has no first derivative")
-        return self._d1(x)
-
-    def d2(self, x):
-        if self._d2 is None:
-            raise DerivativeUnavailable(f"{self.representation} function has no second derivative")
-        return self._d2(x)
 
     def _combine(self, other, sign):
         if not isinstance(other, DifferentiableFn):
             other = constant_fn(float(other))
         a, b = self, other
-        d1 = None
-        d2 = None
-        if a._d1 is not None and b._d1 is not None:
-            d1 = lambda x: a._d1(x) + sign * b._d1(x)
-        if a._d2 is not None and b._d2 is not None:
-            d2 = lambda x: a._d2(x) + sign * b._d2(x)
-        return DifferentiableFn(lambda x: a._value(x) + sign * b._value(x), d1, d2)
+        return DifferentiableFn(lambda x: a._value(x) + sign * b._value(x),
+                                lambda x: a.d1(x) + sign * b.d1(x),
+                                lambda x: a.d2(x) + sign * b.d2(x))
 
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -58,25 +37,10 @@ class DifferentiableFn:
     def __sub__(self, other):
         return self._combine(other, -1.0)
 
-    def __neg__(self):
-        return self.__mul__(-1.0)
-
     def __mul__(self, other):
-        if isinstance(other, DifferentiableFn):
-            a, b = self, other
-            d1 = None
-            d2 = None
-            if a._d1 is not None and b._d1 is not None:
-                d1 = lambda x: a._d1(x) * b._value(x) + a._value(x) * b._d1(x)
-                if a._d2 is not None and b._d2 is not None:
-                    d2 = lambda x: (a._d2(x) * b._value(x)
-                                    + 2.0 * a._d1(x) * b._d1(x)
-                                    + a._value(x) * b._d2(x))
-            return DifferentiableFn(lambda x: a._value(x) * b._value(x), d1, d2)
         c = float(other)
-        d1 = None if self._d1 is None else (lambda x: c * self._d1(x))
-        d2 = None if self._d2 is None else (lambda x: c * self._d2(x))
-        return DifferentiableFn(lambda x: c * self._value(x), d1, d2)
+        return DifferentiableFn(lambda x: c * self._value(x), lambda x: c * self.d1(x),
+                                lambda x: c * self.d2(x))
 
     __rmul__ = __mul__
 
@@ -87,7 +51,6 @@ def constant_fn(c: float) -> DifferentiableFn:
         lambda x: np.full_like(np.asarray(x, dtype=float), c),
         lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        representation="polynomial",
     )
 
 
@@ -124,13 +87,13 @@ def _derivative(c, order):
     return c
 
 
-def _series_fn(series, coeffs, representation) -> DifferentiableFn:
+def _series_fn(series, coeffs) -> DifferentiableFn:
     c = np.array(coeffs, dtype=float, ndmin=1)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must be a nonempty list of numbers")
     d1, d2 = _derivative(c, 1), _derivative(c, 2)
     return DifferentiableFn(lambda x: series(x, c), lambda x: series(x, d1),
-                            lambda x: series(x, d2), representation=representation)
+                            lambda x: series(x, d2))
 
 
 def polynomial_fn(coeffs) -> DifferentiableFn:
@@ -139,7 +102,7 @@ def polynomial_fn(coeffs) -> DifferentiableFn:
     Values and derivatives are those of numpy's `Polynomial`, bit for bit,
     without importing numpy.polynomial.
     """
-    return _series_fn(_power_series, coeffs, "polynomial")
+    return _series_fn(_power_series, coeffs)
 
 
 def monomial_fn(power: int) -> DifferentiableFn:
@@ -152,7 +115,7 @@ def hermite_fn(index: int) -> DifferentiableFn:
     """Probabilists' Hermite polynomial He_index, evaluated as numpy's `HermiteE`."""
     if index < 0:
         raise ValueError("index must be nonnegative")
-    return _series_fn(_hermite_series, np.eye(index + 1)[index], "hermite-combination")
+    return _series_fn(_hermite_series, np.eye(index + 1)[index])
 
 
 def cosine_fn(harmonic: int, amplitude: float = 1.0, offset: float = 0.0) -> DifferentiableFn:
@@ -166,7 +129,6 @@ def cosine_fn(harmonic: int, amplitude: float = 1.0, offset: float = 0.0) -> Dif
         lambda x: a * np.cos(k * x) + c,
         lambda x: -a * k * np.sin(k * x),
         lambda x: -a * k * k * np.cos(k * x),
-        representation="cosine-combination",
     )
 
 
@@ -190,7 +152,7 @@ def gaussian_pdf_fn(mean: float, var: float) -> DifferentiableFn:
         z = np.asarray(x, dtype=float) - mu
         return (z * z / (v * v) - 1.0 / v) * value(x)
 
-    return DifferentiableFn(value, d1, d2, representation="gaussian")
+    return DifferentiableFn(value, d1, d2)
 
 
 def gaussian_mixture_pdf_fn(weights, means, variances) -> DifferentiableFn:

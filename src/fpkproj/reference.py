@@ -378,13 +378,8 @@ _KL_SKIP = 1e-14
 
 
 def _eval_on_grid(q, grid: GridDensity) -> np.ndarray:
-    if isinstance(q, GridDensity):
-        if q.nx == grid.nx and q.domain == grid.domain:
-            vals = np.array(q.values, dtype=float)
-        else:
-            vals = np.interp(grid.x, q.x, q.values)
-    else:
-        vals = np.asarray(q(grid.x) if callable(q) else q, dtype=float)
+    """q's values at the grid nodes: q is those values or a callable."""
+    vals = np.asarray(q(grid.x) if callable(q) else q, dtype=float)
     if vals.shape != grid.values.shape:
         raise ValueError("density values do not match the grid")
     if not np.all(np.isfinite(vals)):

@@ -541,11 +541,12 @@ def build_reference_start(scenario: Scenario, model) -> GridDensity:
     """The initial density sampled on the reference grid, whose trapezoid mass must be
     within COMPONENT_MASS_TOL of 1: the normalized samples of a start that lies partly
     outside the domain, or that the grid does not resolve, are not the start."""
-    density = build_initial_density(scenario.initial["density"])
     nx = scenario.numerics.pde_nx
-    p0 = grid_density(model.domain, nx, density)
     x, w = trapezoid_grid(model.domain, nx)
-    mass = float(w @ density(x))
+    samples = build_initial_density(scenario.initial["density"])(x)
+    # one sampling: the grid density normalizes the samples whose mass is checked
+    p0 = grid_density(model.domain, nx, lambda _: samples)
+    mass = float(w @ samples)
     if not abs(mass - 1.0) <= COMPONENT_MASS_TOL:
         raise ValidationError(f"mass {mass:.6g} on the {nx}-node reference grid misses 1 by "
                               f"more than {COMPONENT_MASS_TOL:g}; widen numerics.domain or "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DerivativeUnavailable, ValidationError
+from .errors import ValidationError
 from .functions import DifferentiableFn, constant_fn, polynomial_fn
 from .quadrature import Domain, default_domain
 
@@ -41,26 +41,11 @@ class SdeModel:
         if not np.all(np.isfinite(a)) or np.min(a) <= 0:
             raise ValidationError("diffusion coefficient must be positive on the domain")
 
-    def apply_generator(self, phi: DifferentiableFn):
-        """Return x -> f(x) phi'(x) + a(x) phi''(x) / 2."""
-        if not phi.has_derivatives:
-            raise DerivativeUnavailable("generator needs phi with two derivatives")
-        return lambda x: self.generator_values(x, phi.d1(x), phi.d2(x))
-
     def generator_values(self, x, phi_d1, phi_d2) -> np.ndarray:
         """(L phi)(x) from phi' and phi'' sampled at x (rows broadcast over x)."""
         f = np.asarray(self.drift(x), dtype=float)
         a = np.asarray(self.diffusion(x), dtype=float)
         return f * phi_d1 + 0.5 * a * phi_d2
-
-    def apply_adjoint(self, p: DifferentiableFn):
-        """Return the density-side operator x -> (L* p)(x) = -(f p)'(x) + (a p)''(x) / 2."""
-        if not p.has_derivatives:
-            raise DerivativeUnavailable("adjoint needs p with two derivatives")
-        if not (self.drift.has_derivatives and self.diffusion.has_derivatives):
-            raise DerivativeUnavailable("adjoint needs differentiable drift and diffusion")
-        fp, ap = self.drift * p, self.diffusion * p
-        return lambda x: -fp.d1(x) + 0.5 * ap.d2(x)
 
 
 def ornstein_uhlenbeck(kappa: float = 1.0, sigma: float = np.sqrt(2.0),

@@ -9,6 +9,7 @@ from numpy.polynomial import HermiteE, Polynomial
 
 from fpkproj import (
     DifferentiableFn,
+    circle_diffusion,
     constant_fn,
     cosine_fn,
     default_domain,
@@ -18,8 +19,8 @@ from fpkproj import (
     polynomial_fn,
     simpson_rule,
 )
-from fpkproj.errors import DerivativeUnavailable
 from fpkproj.quadrature import Domain
+from fpkproj.scenario import DENSITIES, FAMILIES, MODELS
 
 from finite_difference import check_derivatives
 
@@ -114,22 +115,16 @@ def test_arithmetic_preserves_values_and_derivatives():
     assert np.allclose(h(X), f(X) + 2.0 * g(X) - 0.25, atol=1e-14)
     assert np.allclose(h.d1(X), f.d1(X) + 2.0 * g.d1(X), atol=1e-14)
     assert np.allclose(h.d2(X), f.d2(X) + 2.0 * g.d2(X), atol=1e-14)
-    prod = f * g
-    assert np.allclose(prod(X), f(X) * g(X), atol=1e-14)
-    assert np.allclose(prod.d1(X), f.d1(X) * g(X) + f(X) * g.d1(X), atol=1e-13)
 
 
-def test_negation():
-    f = monomial_fn(2)
-    assert np.allclose((-f)(X), -(X**2), atol=1e-14)
-    assert np.allclose((-f).d2(X), -2.0, atol=1e-14)
-
-
-def test_missing_derivative_raises():
-    raw = DifferentiableFn(lambda x: np.abs(x))
-    assert not raw.has_derivatives
-    with pytest.raises(DerivativeUnavailable):
-        raw.d1(X)
+def test_both_derivatives_are_required():
+    with pytest.raises(TypeError):
+        DifferentiableFn(np.abs)
+    with pytest.raises(TypeError):
+        DifferentiableFn(np.sin, np.cos)
+    # a product of two functions has no rule here: only scalars scale a function
+    with pytest.raises(TypeError):
+        monomial_fn(1) * cosine_fn(1)
 
 
 def test_package_import_leaves_interpolation_unloaded():
@@ -158,3 +153,60 @@ def test_check_derivatives_flags_wrong_slope():
     dom = Domain(-2.0, 2.0, "unbounded-truncated")
     dev = check_derivatives(wrong, dom, rng=np.random.default_rng(7))
     assert dev > 0.5
+
+
+# one example per preset of each scenario table, its parameters as a scenario names them
+MODEL_EXAMPLES = {
+    "ou": {"kappa": 1.3, "sigma": 0.8},
+    "circle-diffusion": {"diffusion": 2.0},
+    "polynomial-drift": {"coefficients": [0.5, -1.0, 0.2, -0.3], "diffusion": 1.5},
+}
+FAMILY_EXAMPLES = {
+    "ep": {"n": 4},
+    "hermite": {"indices": [1, 3, 4]},
+    "custom-poly": {"exponents": [1, 3, 6]},
+    "gaussian-mixture": {"means": [-1.0, 0.2, 1.1], "variances": [0.5, 0.8, 0.6]},
+    "cosine-circle": {"harmonics": [1, 2, 5]},
+}
+DENSITY_EXAMPLES = {
+    "gaussian": {"mean": 0.3, "var": 0.7},
+    "gaussian-mixture": {"weights": [0.3, 0.7], "means": [-0.8, 0.6], "variances": [0.4, 0.9]},
+    "cosine": {"coefficients": [0.4, 0.0, -0.3]},
+}
+
+
+def _preset_functions():
+    """(name, function, domain) for every DifferentiableFn the preset tables build."""
+    assert (set(MODEL_EXAMPLES), set(FAMILY_EXAMPLES), set(DENSITY_EXAMPLES)) == (
+        set(MODELS), set(FAMILIES), set(DENSITIES))
+    out = []
+    for kind, params in MODEL_EXAMPLES.items():
+        model = MODELS[kind].build(**params, domain=default_domain())
+        out += [(f"model {kind} drift", model.drift, model.domain),
+                (f"model {kind} diffusion", model.diffusion, model.domain)]
+    for kind, params in FAMILY_EXAMPLES.items():
+        fam = FAMILIES[kind].build(**params)
+        fns = [*fam.stats, *getattr(fam, "components", ())]
+        out += [(f"family {kind} {i}", fn, fam.domain) for i, fn in enumerate(fns)]
+    for kind, params in DENSITY_EXAMPLES.items():
+        domain = circle_diffusion().domain if kind == "cosine" else default_domain()
+        out.append((f"density {kind}", DENSITIES[kind].build(**params), domain))
+    return out
+
+
+def test_preset_functions_carry_consistent_derivatives():
+    # second differences at step 1e-5 round off by about 4 eps |f| / 1e-10 = 9e-6 |f|
+    # relative to max(1, |f''|) when f rounds by one ulp; sums and cos(kx) round by a
+    # few, so the bound is 5e-5 times the largest ratio |f| / max(1, |f''|) on the
+    # domain (1 to 72 here; 1.1e-5 at ratio 1 is the largest deviation seen), and a
+    # wrong derivative is off by O(1)
+    fns = _preset_functions()
+    rng = np.random.default_rng(11)
+    for (name, f, domain), (_, g, _) in zip(fns, fns[1:] + fns[:1]):
+        combos = {"": f, " + g": f + g, " - g": f - g, " * 1.7": 1.7 * f,
+                  " * -0.4 + 2": f * -0.4 + 2.0}
+        x = np.linspace(domain.lower, domain.upper, 1001)
+        for label, fn in combos.items():
+            ratio = np.max(np.abs(fn(x)) / np.maximum(1.0, np.abs(fn.d2(x))))
+            dev = check_derivatives(fn, domain, rng=rng)
+            assert dev <= 5e-5 * max(1.0, ratio), f"{name}{label}: {dev:.3g}"

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fpkproj import (
+    DifferentiableFn,
     circle_diffusion,
     default_domain,
     divergence_kl,
@@ -58,6 +59,8 @@ from fpkproj.scenario import (
     apply_overrides,
     build_family,
     build_initial_density,
+    build_model,
+    build_reference_start,
     build_run,
     scenario_domain,
 )
@@ -258,6 +261,19 @@ def test_a_reference_start_partly_outside_the_domain_is_refused(tmp_path, capsys
         "misses 1 by more than 1e-08; widen numerics.domain or raise numerics.pde_nx\n")
     assert not (tmp_path / "trajectory.csv").exists()
     assert cli_main([*args, "--override", "numerics.domain=[-12, 20]"]) == 0
+
+
+def test_the_reference_start_is_sampled_once(monkeypatch):
+    sc = validate_scenario(yaml.safe_load((SCENARIO_DIR / "gauss_mix_tangent.yaml").read_text()))
+    model = build_model(sc, scenario_domain(sc))
+    calls = []
+    density = build_initial_density(sc.initial["density"])
+    counted = DifferentiableFn(lambda x: calls.append(1) or density(x), density.d1, density.d2)
+    monkeypatch.setattr(scenario_module, "build_initial_density", lambda spec: counted)
+    p0 = build_reference_start(sc, model)
+    assert len(calls) == 1
+    want = grid_density(model.domain, sc.numerics.pde_nx, density)
+    assert p0.values.tobytes() == want.values.tobytes()
 
 
 def test_unstable_closed_ada_ef_flow_exits_3_without_warnings(tmp_path, capsys):

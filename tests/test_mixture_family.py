@@ -264,7 +264,7 @@ def test_cosine_family_requires_positive_harmonics():
 def test_density_at_is_the_density_function_bit_for_bit_from_one_table(fam, theta):
     calls = []
     # components that count their evaluations; their values are the originals'
-    fam.components = tuple(DifferentiableFn(lambda x, c=c: calls.append(1) or c(x))
+    fam.components = tuple(DifferentiableFn(lambda x, c=c: calls.append(1) or c(x), c.d1, c.d2)
                            for c in fam.components)
     x = np.linspace(fam.domain.lower, fam.domain.upper, 801)
     x.setflags(write=False)

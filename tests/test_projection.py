@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fpkproj import (
@@ -49,6 +51,7 @@ from fpkproj.errors import (
     InadmissibleParameter,
     InadmissibleRecovery,
     NonIntegrable,
+    SchemeInstability,
     TrajectoryExit,
     ValidationError,
 )
@@ -56,6 +59,13 @@ import fpkproj.projection
 from fpkproj.expfamily import ExpFamily, _Cholesky
 from fpkproj.mixture import MixtureFamily
 from fpkproj.projection import METHODS, ProjectedOde, rk4_propagator, sample_steps
+
+from exact import (
+    circle_cosine_rates,
+    circle_cosine_rk4_weights,
+    circle_cosine_weights,
+    rk4_growth,
+)
 
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -938,3 +948,41 @@ def test_float_rk4_steps_leave_the_family_at_the_step_of_the_numpy_loop():
     assert info.value.step == 19
     assert str(info.value) == ("rhs failed at step 19: leading coefficient must be negative, "
                                "got theta_n = 0.0006385094497688919")
+
+
+def test_rk4_weights_of_the_circle_flow_converge_to_its_closed_form():
+    # the oracle's own check: RK4 is fourth order, so halving dt divides the error
+    # at t = 1 by about 16
+    theta0, harmonics, a = [0.3, 0.2], [1, 3], 2.0
+    exact = circle_cosine_weights(theta0, harmonics, a, [1.0])[0]
+    errors = [np.max(np.abs(circle_cosine_rk4_weights(theta0, harmonics, a, 1.0 / n, n)[-1]
+                            - exact)) for n in (80, 160, 320)]
+    assert all(15.0 <= coarse / fine <= 17.0 for coarse, fine in zip(errors, errors[1:]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(diffusion=st.floats(0.1, 1000.0), dt=st.floats(1e-4, 1e-2),
+       harmonics=st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True),
+       nsteps=st.integers(1, 15), data=st.data())
+def test_mixture_rk4_runs_on_the_circle_match_the_discrete_closed_form(
+        diffusion, dt, harmonics, nsteps, data):
+    # every projection of circle diffusion onto the cosine family is the field
+    # theta_k' = lambda_k theta_k, lambda_k = -k^2 a / 2: a run RK4 accepts takes the
+    # weights to theta_k(0) R(dt lambda_k)^n with every |R| <= 1, and a refused one
+    # has a step that grows some mode.  On the stable interval R >= 0.27, so 15 steps
+    # keep the weights far above the simplex margin, and nothing is clamped
+    harmonics = sorted(harmonics)
+    theta0 = np.array(data.draw(st.lists(st.floats(0.05, 0.3), min_size=len(harmonics),
+                                         max_size=len(harmonics))))
+    fam, model = cosine_circle_family(harmonics), circle_diffusion(diffusion)
+    growth = np.abs(rk4_growth(dt * circle_cosine_rates(harmonics, diffusion)))
+    want = circle_cosine_rk4_weights(theta0, harmonics, diffusion, dt, nsteps)
+    for method in ("tangent-mix", "ada-mix", "galerkin"):
+        start = fam.expectation_params(theta0) if method == "ada-mix" else theta0
+        try:
+            traj = integrate_ode(make_ode(fam, model, method), start, t_end=nsteps * dt, dt=dt)
+        except SchemeInstability:
+            assert growth.max() > 1.0
+            continue
+        assert growth.max() <= 1.0 and not traj.clamp_events
+        assert np.max(np.abs(traj.thetas - want)) <= 1e-12

@@ -202,17 +202,20 @@ def test_divergences_match_gaussian_closed_forms():
 
 def test_divergences_vanish_on_identical_densities():
     p = grid_density(DOM, 801, gaussian_pdf_fn(0.1, 0.8))
-    assert abs(divergence_kl(p, p)) <= 1e-13
-    assert divergence_hellinger(p, p) == 0.0
-    assert divergence_l2(p, p) == 0.0
+    assert abs(divergence_kl(p, p.values)) <= 1e-13
+    assert divergence_hellinger(p, p.values) == 0.0
+    assert divergence_l2(p, p.values) == 0.0
 
 
 def test_grid_density_comparison_argument():
+    # q is its values at p's nodes or a callable; another grid's density is neither
     p = grid_density(DOM, 801, gaussian_pdf_fn(0.0, 1.0))
     q_same = grid_density(DOM, 801, gaussian_pdf_fn(0.5, 1.0))
-    q_coarse = grid_density(DOM, 401, gaussian_pdf_fn(0.5, 1.0))
-    assert abs(divergence_kl(p, q_same) - 0.125) <= 1e-9
-    assert abs(divergence_kl(p, q_coarse) - 0.125) <= 1e-4
+    assert abs(divergence_kl(p, q_same.values) - 0.125) <= 1e-9
+    with pytest.raises(ValueError):
+        divergence_l2(p, grid_density(DOM, 401, gaussian_pdf_fn(0.5, 1.0)).values)
+    with pytest.raises(TypeError):
+        divergence_l2(p, q_same)
 
 
 def test_support_mismatch_is_flagged():
