@@ -227,7 +227,7 @@ def _flapack_alone():
 
 
 def _tridiagonal_lapack():
-    """LAPACK's (dgttrf, dgttrs, dpttrf, dpttrs) for `solve_fpk`.
+    """LAPACK's (dgttrf, dgttrs, dpttrf, dpttrs) for `_cn_step`.
 
     They come from the extension `scipy.linalg._flapack`, the one already
     loaded or else `_flapack_alone`, which spares a reference run the
@@ -239,6 +239,46 @@ def _tridiagonal_lapack():
     if lapack is None:
         from scipy.linalg import lapack
     return lapack.dgttrf, lapack.dgttrs, lapack.dpttrf, lapack.dpttrs
+
+
+def _cn_step(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, dt: float):
+    """One Crank-Nicolson step of the bands (lower, diag, upper) of L: (d, step).
+
+    With M = I - (dt/2) L, the step p <- M^-1 (I + (dt/2) L) p equals
+    p <- 2 M^-1 p - p, since I + (dt/2) L = 2I - M.  The factorization
+    is made once, of M/2 = I/2 - (dt/4) L: halving is exact in binary
+    floating point away from subnormal numbers, so (M/2)^-1 q is 2 M^-1 q
+    to the bit and `step(q)` returns ((M/2)^-1 q - q, LAPACK info) with
+    one subtraction.
+    The off-diagonal bands of L are positive multiples of B(-Pe) and
+    B(Pe) (a birth-death generator), so the diagonal similarity d of
+    `_symmetrizer` turns L into a symmetric S = D L D^-1, and the step
+    acts on q = d p with the symmetric positive definite
+    M_S/2 = I/2 - (dt/4) S:
+    `dpttrf` (LDL^T) once, `dpttrs` per step.  Where d does not exist in
+    double precision (a band underflows to zero or is not finite, or
+    log d spans more than MAX_LOG_SPAN, as for strongly confining drifts
+    on wide domains) it steps p itself with `dgttrf`/`dgttrs`, and d is
+    all ones.  Raises SchemeInstability when M is singular.
+    """
+    dgttrf, dgttrs, dpttrf, dpttrs = _tridiagonal_lapack()
+    quarter = 0.25 * dt
+    d = _symmetrizer(lower, upper)
+    if d is None:
+        d = np.ones(diag.size)
+        factors, solve = dgttrf(-quarter * lower, 0.5 - quarter * diag, -quarter * upper), dgttrs
+    else:
+        off = -quarter * (np.sqrt(lower) * np.sqrt(upper))
+        factors, solve = dpttrf(0.5 - quarter * diag, off), dpttrs
+    if factors[-1] != 0:
+        raise SchemeInstability(f"Crank-Nicolson matrix is singular (LAPACK info {factors[-1]})")
+    factors = factors[:-1]
+
+    def step(q):
+        y, info = solve(*factors, q)
+        return np.subtract(y, q, out=y), info
+
+    return d, step
 
 
 def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
@@ -254,39 +294,16 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
     snapshot as soon as the step that makes it finishes and returns the
     list of its results instead, keeping nothing else of the snapshot: a
     caller that needs a few numbers per snapshot then holds no more than
-    one grid vector at a time.  With M = I - (dt/2) L, the step
-    p <- M^-1 (I + (dt/2) L) p equals p <- 2 M^-1 p - p, since
-    I + (dt/2) L = 2I - M: one LAPACK solve per step on a factorization of
-    M made once.  The off-diagonal bands of L are positive multiples of
-    B(-Pe) and B(Pe) (a birth-death generator), so the diagonal
-    similarity d of `_symmetrizer` turns L into a symmetric
-    S = D L D^-1, and the solver steps q = d p with the symmetric positive
-    definite M_S = I - (dt/2) S: `dpttrf` (LDL^T) once, `dpttrs` per step,
-    and snapshots p = q / d.  Where d does not exist in double precision
-    (a band underflows to zero or is not finite, or log d spans more than
-    MAX_LOG_SPAN, as for strongly confining drifts on wide domains) it
-    steps p itself with `dgttrf`/`dgttrs`; the path is chosen once per
-    solve.  Either way every step checks the LAPACK status,
+    one grid vector at a time.  `_cn_step` builds the step once per solve
+    and chooses its LAPACK path; this one loop steps q = d p and takes
+    the snapshots p = q / d.  Every step checks the LAPACK status,
     negativity (q < -NEGATIVITY_TOL d) and the mass (w / d) . q, and
-    raises SchemeInstability when M is singular or a solve fails, on
-    negative densities beyond round-off or on loss of mass conservation.
+    raises SchemeInstability when a solve fails, on negative densities
+    beyond round-off or on loss of mass conservation.
     """
-    dgttrf, dgttrs, dpttrf, dpttrs = _tridiagonal_lapack()
-
     nsteps = whole_steps(t_end, dt, "t_end")
     recorded = set(sample_steps(nsteps, sample_stride))
-    lower, diag, upper = fpk_operator(model, p0.domain, p0.nx)
-    half = 0.5 * dt
-    d = _symmetrizer(lower, upper)
-    if d is None:
-        d = np.ones(p0.nx)
-        factors, solve = dgttrf(-half * lower, 1.0 - half * diag, -half * upper), dgttrs
-    else:
-        off = -half * (np.sqrt(lower) * np.sqrt(upper))
-        factors, solve = dpttrf(1.0 - half * diag, off), dpttrs
-    if factors[-1] != 0:
-        raise SchemeInstability(f"Crank-Nicolson matrix is singular (LAPACK info {factors[-1]})")
-    factors = factors[:-1]
+    d, step = _cn_step(*fpk_operator(model, p0.domain, p0.nx), dt)
     weights = p0.trapezoid_weights / d
     floor = -NEGATIVITY_TOL * d
     q = d * p0.values
@@ -294,12 +311,9 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
     snapshots = [keep(GridDensity(domain=p0.domain, values=p0.values, time=0.0))]
     prev_mass = float(weights @ q)
     for k in range(1, nsteps + 1):
-        y, info = solve(*factors, q)
+        q, info = step(q)
         if info != 0:
             raise SchemeInstability(f"tridiagonal solve failed at step {k} (LAPACK info {info})")
-        y *= 2.0
-        y -= q
-        q = y
         if q.min() < 0.0 and np.any(q < floor):
             raise SchemeInstability(
                 f"density dropped to {(q / d).min()} at step {k} with dt = {dt:g}; "

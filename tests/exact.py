@@ -7,6 +7,11 @@ decays on its own, theta_k(t) = theta_k(0) e^(lambda_k t).  Every projection
 of that flow onto the cosine-circle family is the linear field
 theta_k' = lambda_k theta_k, which n classic RK4 steps of dt take to
 theta_k(0) R(dt lambda_k)^n exactly, R being RK4's stability polynomial.
+
+The Ornstein-Uhlenbeck flow dX = -kappa X dt + sigma dW is linear, so it
+carries a Gaussian mixture to a Gaussian mixture: each weight stays, each
+mean mu becomes mu e^(-kappa t) and each variance v becomes
+v e^(-2 kappa t) + sigma^2 (1 - e^(-2 kappa t)) / (2 kappa).
 """
 
 import numpy as np
@@ -34,3 +39,15 @@ def circle_cosine_rk4_weights(theta0, harmonics, diffusion: float, dt: float,
     """theta_k(0) R(dt lambda_k)^n for n = 0..nsteps: the same flow after n RK4 steps."""
     growth = rk4_growth(dt * circle_cosine_rates(harmonics, diffusion))
     return np.asarray(theta0, dtype=float) * growth ** np.arange(nsteps + 1)[:, None]
+
+
+def ou_gaussian_mixture_pdf(x, t: float, weights, means, variances, kappa: float,
+                            sigma: float) -> np.ndarray:
+    """Density at x and time t of OU started at sum_k w_k N(mu_k, v_k)."""
+    decay = np.exp(-kappa * t)
+    x = np.asarray(x, dtype=float)[:, None]
+    mu = np.asarray(means, dtype=float) * decay
+    var = (np.asarray(variances, dtype=float) * decay ** 2
+           + sigma ** 2 * (1.0 - decay ** 2) / (2.0 * kappa))
+    pdf = np.exp(-(x - mu) ** 2 / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    return pdf @ np.asarray(weights, dtype=float)

@@ -57,6 +57,8 @@ from fpkproj import reference
 from fpkproj.reference import ReferenceProblem, _symmetrizer, fpk_operator, stat_expectations
 from fpkproj.scenario import load_scenario
 
+from exact import ou_gaussian_mixture_pdf
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 DOM = default_domain(1.0)
@@ -97,6 +99,22 @@ def test_transient_moments_match_closed_form():
         var = snap.expect(lambda x: x * x) - mean * mean
         assert abs(mean - 0.5 * np.exp(-t)) <= 5e-5
         assert abs(var - (1.0 + (0.25 - 1.0) * np.exp(-2.0 * t))) <= 5e-5
+
+
+@pytest.mark.parametrize("steps", [
+    [(101, 5e-4), (201, 5e-4), (401, 5e-4)],      # in nx, where the time error is negligible
+    [(8001, 0.1), (8001, 0.05), (8001, 0.025)],   # in dt, where the space error is negligible
+], ids=["nx", "dt"])
+def test_ou_mixture_reference_converges_at_order_two(steps):
+    # the L1 error at t = 0.5 against the closed form falls by about 4 per halving
+    mixture = dict(weights=[0.3, 0.7], means=[-1.0, 1.5], variances=[0.3, 0.4])
+    errors = []
+    for nx, dt in steps:
+        p0 = grid_density(DOM, nx, gaussian_mixture_pdf_fn(**mixture))
+        end = solve_fpk(OU, p0, t_end=0.5, dt=dt, sample_stride=round(0.5 / dt))[-1]
+        exact = ou_gaussian_mixture_pdf(end.x, 0.5, kappa=1.0, sigma=np.sqrt(2.0), **mixture)
+        errors.append(float(end.trapezoid_weights @ np.abs(end.values - exact)))
+    assert all(3.5 <= coarse / fine <= 4.5 for coarse, fine in zip(errors, errors[1:]))
 
 
 def test_mass_is_conserved_along_the_run():
@@ -150,6 +168,36 @@ def test_either_step_path_matches_the_dense_step(quartic, kappa, a, b, diffusion
     # p >= 0 and the floor applied to snapshots never acts
     dt = min(2e-3, 1.0 / np.max(-fpk_operator(model, model.domain, nx)[1]))
     _assert_matches_dense_step(model, nx, mean, var, dt)
+
+
+@pytest.mark.parametrize("model", [OU, CUBIC], ids=["dpttrs", "dgttrs"])
+def test_the_step_on_half_of_m_is_the_step_on_m_to_the_bit(model):
+    # the solve factors M/2 = I/2 - (dt/4) L and steps (M/2)^-1 q - q; here the
+    # step is 2 M^-1 q - q on the factors of M = I - (dt/2) L itself
+    dgttrf, dgttrs, dpttrf, dpttrs = reference._tridiagonal_lapack()
+    dt, nx = 2e-3, 201
+    p0 = grid_density(model.domain, nx, gaussian_pdf_fn(0.6, 0.4))
+    lower, diag, upper = fpk_operator(model, model.domain, nx)
+    d = _symmetrizer(lower, upper)
+    assert (d is None) == (model is CUBIC)
+    half = 0.5 * dt
+    if d is None:
+        d = np.ones(nx)
+        *factors, info = dgttrf(-half * lower, 1.0 - half * diag, -half * upper)
+        solve = dgttrs
+    else:
+        *factors, info = dpttrf(1.0 - half * diag, -half * (np.sqrt(lower) * np.sqrt(upper)))
+        solve = dpttrs
+    assert info == 0
+    q = d * p0.values
+    expected = [p0.values]
+    for _ in range(100):
+        y, info = solve(*factors, q)
+        assert info == 0
+        q = 2 * y - q
+        expected.append(np.maximum(q / d, 0.0))
+    snaps = solve_fpk(model, p0, t_end=100 * dt, dt=dt, sample_stride=1)
+    assert [s.values.tobytes() for s in snaps] == [v.tobytes() for v in expected]
 
 
 def test_operator_of_a_stiff_drift_is_finite_without_overflow_warnings():
