@@ -114,6 +114,10 @@ class _Cholesky:
         self.entries = g
         self.lower = factor(g)
 
+    def solve_floats(self, b: list) -> list:
+        """x with g x = b for a list b of n floats, as a list of floats."""
+        return self._solve(self.lower, b)
+
     def solve(self, b) -> np.ndarray:
         """x with g x = b for a list b of n floats."""
         return np.array(self._solve(self.lower, b))
@@ -259,25 +263,27 @@ class ExpFamily(Statistics):
         return embedded_gap((self.row_stack @ values).tolist(),
                             (self._coarse_stack @ values[::2]).tolist())
 
-    def _pass(self, theta, rows):
-        """(shift, z, e, m) at an admissible theta: one exp and one product.
+    def _pass(self, theta: list, rows):
+        """(shift, z, e, m) at an admissible theta, a list of n floats: one exp and one
+        product.
 
         e = exp(theta . c - shift) with shift = max theta . c, z = w . e the
         product with the first row, which must be w, and m = rows @ e / z as a
-        list of floats.  The n-sized work is in floats: when sum |theta_i|
+        list of floats.  The n-sized work is in floats, and theta becomes an
+        array for the product theta . c alone: when sum |theta_i|
         max |c_i| is within _PRODUCT_BOUND, theta . c and theta . c - shift are
         finite at every node and nothing can overflow; only above it are the
         product and the shift taken under np.errstate, the product refused
         (NonIntegrable) when its max or min is not finite, which catches NaN,
         +inf and -inf nodes, and a node whose shift overflows left at -inf, e = 0.
         """
-        if sum(map(mul, map(abs, theta.tolist()), self._reach)) <= _PRODUCT_BOUND:
-            s = theta @ self._C
+        if sum(map(mul, map(abs, theta), self._reach)) <= _PRODUCT_BOUND:
+            s = np.array(theta) @ self._C
             shift = s.max()
             s -= shift
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                s = theta @ self._C
+                s = np.array(theta) @ self._C
                 shift = s.max()
                 if not (math.isfinite(shift) and math.isfinite(s.min())):
                     raise NonIntegrable("log-density is not finite at the quadrature nodes")
@@ -304,7 +310,7 @@ class ExpFamily(Statistics):
         memo = self._memo
         if memo is not None and memo.key == key:
             return memo
-        shift, z, e, m = self._pass(theta, self.row_stack)
+        shift, z, e, m = self._pass(theta.tolist(), self.row_stack)
         pvals = e / z
         memo = _Moments(key, shift + np.log(z), m, pvals, self.rule.weights * pvals)
         self._memo = memo

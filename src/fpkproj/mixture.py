@@ -103,9 +103,9 @@ class MixtureFamily(Statistics):
 
     def _violation(self, theta):
         # the sum comes last: weights within [-WEIGHT_MARGIN, 1 + WEIGHT_MARGIN] cannot overflow
-        if (theta.min() < -WEIGHT_MARGIN or theta.max() > 1.0 + WEIGHT_MARGIN
-                or not WEIGHT_MARGIN <= float(theta.sum()) <= 1.0 - WEIGHT_MARGIN):
-            return f"weights {theta} violate the open-simplex constraints"
+        if (min(theta) < -WEIGHT_MARGIN or max(theta) > 1.0 + WEIGHT_MARGIN
+                or not WEIGHT_MARGIN <= float(np.add.reduce(theta)) <= 1.0 - WEIGHT_MARGIN):
+            return f"weights {np.array(theta)} violate the open-simplex constraints"
         return None
 
     def clamp_weights(self, theta):

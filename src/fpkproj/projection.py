@@ -270,9 +270,12 @@ class ProjectedOde:
 
     Everything that does not depend on the state is assembled here, from
     L c, the generator applied to the family's statistics at the nodes.
-    A tangent-ef stage is one exp and one product with the family's row
-    stack extended by w L c, which gives eta, E[c c'] and E[L c] at once,
-    then one Cholesky factor of the Fisher matrix in floats, which both
+    The tangent-ef field is a function from a list of n floats to a list of
+    n floats, which `rhs` wraps in an array and `stage_field` hands to the
+    RK4 loop as it is.  A tangent-ef stage is the admissibility check in
+    floats, one exp and one product with the family's row stack
+    extended by w L c, which gives eta, E[c c'] and E[L c] at once, then
+    one Cholesky factor of the Fisher matrix in floats, which both
     certifies and solves; an open ada-ef stage is a Newton
     inversion and one matvec with L c.  The
     mixture methods are the constant affine field state_dot = A state + c:
@@ -318,10 +321,34 @@ class ProjectedOde:
             return a @ state + c
         fam = self.family
         if self.method == "tangent-ef":
-            m = fam._pass(fam.require_admissible(state), self._rows)[-1]
-            return fam._fisher(m).solve(m[-self.dim:])
+            return np.array(self._tangent_field(fam.require_admissible(state).tolist()))
         theta = fam.expectation_to_canonical(state, initial=theta_guess)
         return self.lc @ fam._moments(theta).wp
+
+    def _tangent_field(self, theta: list) -> list:
+        """g(theta)^-1 E_theta[L c] at theta, a list of n floats, as a list of floats."""
+        fam = self.family
+        problem = fam._problem(theta)
+        if problem is not None:
+            raise fam.error(problem)
+        m = fam._pass(theta, self._rows)[-1]
+        return fam._fisher(m).solve_floats(m[-self.dim:])
+
+    def stage_field(self, state: list, theta):
+        """(field, finish) for one RK4 step of tangent-ef or open ada-ef from `state`, a
+        list of n floats whose coordinates are theta.
+
+        field maps a stage state, a list of n floats, to the field there, a list of
+        floats, and finish(raw) is `constrain` at the step's new state.  tangent-ef's
+        pair is the same at every step; open ada-ef's field is `rhs` as a list, and it
+        seeds each inversion, at the stages and at the new state, from
+        `newton_seeds(state, theta)`.
+        """
+        if self.method == "tangent-ef":
+            return self._tangent_field, self.constrain
+        seed = self.newton_seeds(state, theta)
+        return (lambda near: self.rhs(near, seed(near)).tolist(),
+                lambda raw: self.constrain(raw, seed(raw)))
 
     def prepare_initial(self, state):
         """Validated start state and its canonical/weight coordinates."""
@@ -349,7 +376,7 @@ class ProjectedOde:
         factor = fam._fisher(fam._moments(theta).m)
 
         def seed(near):
-            guess = theta + factor.solve((near - state).tolist())
+            guess = theta + factor.solve([a - b for a, b in zip(near, state)])
             return guess if fam.is_admissible(guess) else theta
 
         return seed
@@ -364,14 +391,16 @@ class ProjectedOde:
         """Post-step repair: (state, its canonical/weight coordinates, clamped?).
 
         Mixture weights are clamped to the margin-shrunk simplex; a
-        canonical state outside the admissible set ends the trajectory.
+        canonical state outside the admissible set ends the trajectory.  The
+        exponential-family states may be lists of n floats, which tangent-ef
+        checks in floats.
         """
         fam = self.family
         if self.method == "ada-ef":
             return state, fam.expectation_to_canonical(state, initial=theta_guess), False
         if self.method == "tangent-ef":
-            if not fam.is_admissible(state):
-                raise TrajectoryExit(f"canonical state left the admissible set: {state}")
+            if fam._problem(state) is not None:
+                raise TrajectoryExit(f"canonical state left the admissible set: {np.array(state)}")
             return state, state, False
         theta = self.weights(state)
         clamped, changed = fam.clamp_weights(theta)
@@ -392,35 +421,27 @@ def _step_failure(err: FpkprojError, k: int) -> TrajectoryExit:
     return TrajectoryExit(f"rhs failed at step {k}: {err}", step=k)
 
 
-def _axpy(a, h: float, b) -> np.ndarray:
-    """a + h b for lists of floats a and b, as numpy's `a + h * b` rounds it."""
-    return np.array([u + h * v for u, v in zip(a, b)])
-
-
 def _step_stages(ode: ProjectedOde, states, dt: float, theta, rows) -> list:
     """RK4 through the field's stages (tangent-ef, open ada-ef); thetas at `rows`.
 
-    The stage states and the step are combined in Python floats, in the order of
-    operations of y + (dt / 2) k1, ..., y + dt / 6 ((k1 + 2 (k2 + k3)) + k4), so
-    they are bitwise those of the numpy expressions without their calls on n-vectors.
+    The state is a list of Python floats from step to step, and so is every stage:
+    `stage_field` gives the field on such lists and the check of the new state.  The
+    stage states and the step are combined in the order of operations of
+    y + (dt / 2) k1, ..., y + dt / 6 ((k1 + 2 (k2 + k3)) + k4), so they are bitwise
+    those of the numpy expressions, and each step writes one row of `states`.
     """
     thetas = [theta]
-    y = states[0]
+    y = states[0].tolist()
     half, sixth = 0.5 * dt, dt / 6.0
     for k in range(1, states.shape[0]):
         try:
-            seed = ode.newton_seeds(y, theta)
-            y0 = y.tolist()
-            k1 = ode.rhs(y, theta).tolist()
-            y2 = _axpy(y0, half, k1)
-            k2 = ode.rhs(y2, seed(y2)).tolist()
-            y3 = _axpy(y0, half, k2)
-            k3 = ode.rhs(y3, seed(y3)).tolist()
-            y4 = _axpy(y0, dt, k3)
-            k4 = ode.rhs(y4, seed(y4)).tolist()
-            raw = np.array([a + sixth * ((b + 2.0 * (c + d)) + e)
-                            for a, b, c, d, e in zip(y0, k1, k2, k3, k4)])
-            y, theta, _ = ode.constrain(raw, seed(raw))
+            field, finish = ode.stage_field(y, theta)
+            k1 = field(y)
+            k2 = field([a + half * b for a, b in zip(y, k1)])
+            k3 = field([a + half * b for a, b in zip(y, k2)])
+            k4 = field([a + dt * b for a, b in zip(y, k3)])
+            y, theta, _ = finish([a + sixth * ((b + 2.0 * (c + d)) + e)
+                                  for a, b, c, d, e in zip(y, k1, k2, k3, k4)])
         except FpkprojError as err:
             raise _step_failure(err, k) from err
         states[k] = y

@@ -115,9 +115,10 @@ class Statistics:
 
     The base of `ExpFamily` and `MixtureFamily`.  Node values are evaluated
     at construction (or passed in as `values`), derivative values on first
-    use.  A subclass sets `error` and `_violation(theta)`, the message for a
-    finite length-n parameter outside its admissible set or None, and gets
-    both admissibility checks from that one rule.  It sets
+    use.  A subclass sets `error` and `_violation(theta)`, the message for n
+    finite floats (a list, or an array of shape (n,)) outside its admissible
+    set or None, and gets from that one rule both admissibility checks and
+    `_problem`, the check of a list of n floats that tangent-ef stages run.  It sets
     `quadrature_error(theta)`, the embedded estimate (`embedded_gap`) on the
     integrals that define the member at theta.  It also names its flows,
     `methods`, the one in expectation coordinates, `expectation_method`, and
@@ -176,18 +177,23 @@ class Statistics:
         return 0.5 * (g + g.T)
 
     def _problem(self, theta):
-        if theta.shape != (self.n,):
-            return f"theta must have length {self.n}, got shape {theta.shape}"
-        if not all(map(math.isfinite, theta.tolist())):
+        """The message for n floats (a list, or an array of shape (n,)) outside the
+        admissible set, else None: the checks after the shape, in floats."""
+        if not all(map(math.isfinite, theta)):
             return "theta must be finite"
         return self._violation(theta)
 
+    def _array_problem(self, theta: np.ndarray):
+        if theta.shape != (self.n,):
+            return f"theta must have length {self.n}, got shape {theta.shape}"
+        return self._problem(theta.tolist())
+
     def is_admissible(self, theta) -> bool:
-        return self._problem(np.asarray(theta, dtype=float)) is None
+        return self._array_problem(np.asarray(theta, dtype=float)) is None
 
     def require_admissible(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        problem = self._problem(theta)
+        problem = self._array_problem(theta)
         if problem is not None:
             raise self.error(problem)
         return theta

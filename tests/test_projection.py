@@ -749,6 +749,20 @@ def test_tangent_ef_run_leaving_the_admissible_set_exits_at_the_step():
         "step 1: canonical state left the admissible set: [0.26399682 0.14907387]"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta, message", [
+    # sum |theta_i| max |c_i| overflows: the product is taken under errstate, -inf at the ends
+    ([0.0, -1e307], "log-density is not finite at the quadrature nodes"),
+    ([0.0, -1e8], "Fisher matrix is not positive definite"),  # collapsed on one node
+], ids=["errstate", "fisher"])
+def test_tangent_ef_run_whose_first_stage_is_refused_exits_at_step_1(theta, message):
+    ode = ProjectedOde(ep_family(2), OU, "tangent-ef")
+    with pytest.raises(TrajectoryExit) as info:
+        integrate_ode(ode, np.array(theta), t_end=0.01, dt=1e-3)
+    assert info.value.step == 1
+    assert str(info.value) == f"rhs failed at step 1: {message}"
+
+
 def test_ode_runs_leave_scipy_unloaded(tmp_path):
     # the moment pass and the affine propagator are numpy and the Fisher solve is
     # Python floats; only the reference solver needs LAPACK's tridiagonal routines

@@ -230,6 +230,33 @@ def test_negative_density_stops_the_run_at_the_step_it_appears():
         solve_fpk(ornstein_uhlenbeck(1.0, 1.0), p0, t_end=1.0, dt=0.5)
 
 
+@pytest.mark.parametrize("stride", [1, 10])
+def test_a_nan_state_stops_the_run_at_the_step_it_appears(stride, monkeypatch):
+    # NaN passes `min < 0` and `drift > guard`, both False for it: a step that writes
+    # one NaN node must end the run there, not at the next snapshot's density check
+    cn_step = reference._cn_step
+
+    def nan_at_step_3(*args):
+        d, step = cn_step(*args)
+        calls = []
+
+        def poisoned(q):
+            y, info = step(q)
+            calls.append(1)
+            if len(calls) == 3:
+                y[y.size // 2] = np.nan
+            return y, info
+
+        return d, poisoned
+
+    monkeypatch.setattr(reference, "_cn_step", nan_at_step_3)
+    p0 = grid_density(DOM, 401, gaussian_pdf_fn(0.0, 1.0))
+    with pytest.raises(SchemeInstability) as info:
+        solve_fpk(ornstein_uhlenbeck(1.0, 2.0 ** 0.5), p0, t_end=0.02, dt=1e-3,
+                  sample_stride=stride)
+    assert str(info.value) == "mass drifted by nan in step 3"
+
+
 def test_circle_modes_decay_at_quadratic_rates():
     model = circle_diffusion(2.0)
     p0 = grid_density(model.domain, 1001,
