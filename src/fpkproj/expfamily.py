@@ -250,7 +250,7 @@ class ExpFamily(Statistics):
         """Embedded estimate at theta: T_L against T_{L-1} on the even nodes, over eta
         and E[c c'], from the moment pass and one product on half the nodes."""
         mom = self._moments(theta)
-        coarse = (self._coarse_stack @ mom.pvals[::2]).tolist()
+        coarse = self._coarse_stack.dot(mom.pvals[::2]).tolist()
         z = coarse[0]
         if not z > 0:
             return math.inf  # the density underflows at every even node
@@ -278,18 +278,18 @@ class ExpFamily(Statistics):
         +inf and -inf nodes, and a node whose shift overflows left at -inf, e = 0.
         """
         if sum(map(mul, map(abs, theta), self._reach)) <= _PRODUCT_BOUND:
-            s = np.array(theta) @ self._C
-            shift = s.max()
+            s = np.array(theta).dot(self._C)
+            shift = np.maximum.reduce(s)
             s -= shift
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                s = np.array(theta) @ self._C
-                shift = s.max()
-                if not (math.isfinite(shift) and math.isfinite(s.min())):
+                s = np.array(theta).dot(self._C)
+                shift = np.maximum.reduce(s)
+                if not (math.isfinite(shift) and math.isfinite(np.minimum.reduce(s))):
                     raise NonIntegrable("log-density is not finite at the quadrature nodes")
                 s -= shift
         e = np.exp(s, out=s)
-        m = (rows @ e).tolist()
+        m = rows.dot(e).tolist()
         z = m[0]
         return shift, z, e, [v / z for v in m]
 

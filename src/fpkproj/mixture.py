@@ -168,7 +168,7 @@ class MixtureFamily(Statistics):
 
     def expectation_params(self, theta) -> np.ndarray:
         theta = self.require_admissible(theta)
-        return self.gamma @ theta + self.beta
+        return self.gamma.dot(theta) + self.beta
 
     def expectations_to_weights(self, m) -> np.ndarray:
         m = np.asarray(m, dtype=float)

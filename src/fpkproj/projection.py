@@ -194,26 +194,26 @@ def residual_terms(fam: ExpFamily, model: SdeModel, theta, values=None) -> dict:
     x = fam.rule.nodes
     f, a, f1, a1, a2 = model_values(fam, model) if values is None else values
     c1, c2 = fam.stat_derivative_values()
-    s1 = theta @ c1
-    s2 = theta @ c2
+    s1 = theta.dot(c1)
+    s2 = theta.dot(c2)
     ratio = -(f1 + f * s1) + 0.5 * (a2 + 2.0 * a1 * s1 + a * (s2 + s1 * s1))
     mom = fam._moments(theta)
-    if not np.all(np.isfinite(ratio)):
+    if not np.logical_and.reduce(np.isfinite(ratio)):
         bad = int(np.flatnonzero(~np.isfinite(ratio))[0])
         raise NonFiniteIntegrand("adjoint ratio is not finite", node=float(x[bad]), index=bad)
     wp, eta = mom.wp, np.array(mom.m[1:fam.n + 1])
-    w_norm_sq = float(wp @ (ratio * ratio)) / 4.0
+    w_norm_sq = float(wp.dot(ratio * ratio)) / 4.0
     centered = fam.stat_values() - eta[:, None]
-    b = (centered * wp) @ ratio / 4.0
+    b = (centered * wp).dot(ratio) / 4.0
     coeff = fam._fisher(mom.m).solve(b.tolist())
-    proj_norm_sq = 4.0 * float(b @ coeff)
-    tangent = coeff @ centered
-    proj_pointwise_sq = float(wp @ (tangent * tangent))
+    proj_norm_sq = 4.0 * float(b.dot(coeff))
+    tangent = coeff.dot(centered)
+    proj_pointwise_sq = float(wp.dot(tangent * tangent))
     # integrating the squared pointwise difference avoids the catastrophic
     # cancellation of w_norm_sq - proj_norm_sq when the flow stays in the
     # family, where the residual is zero to round-off
     diff = 0.5 * ratio - 2.0 * tangent
-    residual_sq = float(wp @ (diff * diff))
+    residual_sq = float(wp.dot(diff * diff))
     return {
         "w_norm_sq": w_norm_sq,
         "proj_norm_sq": proj_norm_sq,
@@ -323,7 +323,7 @@ class ProjectedOde:
         if self.method == "tangent-ef":
             return np.array(self._tangent_field(fam.require_admissible(state).tolist()))
         theta = fam.expectation_to_canonical(state, initial=theta_guess)
-        return self.lc @ fam._moments(theta).wp
+        return self.lc.dot(fam._moments(theta).wp)
 
     def _tangent_field(self, theta: list) -> list:
         """g(theta)^-1 E_theta[L c] at theta, a list of n floats, as a list of floats."""

@@ -74,14 +74,14 @@ class GridDensity:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 3:
             raise ValidationError("values must be a vector with at least three samples")
-        if not np.all(np.isfinite(values)):
+        if not np.logical_and.reduce(np.isfinite(values)):
             raise ValidationError("density values must be finite")
-        if values.min() < -1e-14:
+        if np.minimum.reduce(values) < -1e-14:
             raise ValidationError(f"density has negative values down to {values.min()}")
         values = np.where(values < 0.0, 0.0, values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        mass = float(self.trapezoid_weights @ values)
+        mass = float(self.trapezoid_weights.dot(values))
         if abs(mass - 1.0) > 1e-6:
             raise ValidationError(f"density mass {mass} deviates from 1 beyond tolerance")
 
@@ -108,14 +108,14 @@ class GridDensity:
         return _density_template(self.domain, self.nx) % tuple(self.values.tolist())
 
     def mass(self) -> float:
-        return float(self.trapezoid_weights @ self.values)
+        return float(self.trapezoid_weights.dot(self.values))
 
     def expect(self, values) -> float:
         """Expectation of a function given by values at the grid points (or callable)."""
         if callable(values):
             values = values(self.x)
         values = np.asarray(values, dtype=float)
-        return float(self.trapezoid_weights @ (self.values * values))
+        return float(self.trapezoid_weights.dot(self.values * values))
 
 
 def grid_density(domain: Domain, nx: int, fn) -> GridDensity:
@@ -309,16 +309,16 @@ def solve_fpk(model: SdeModel, p0: GridDensity, t_end: float, dt: float,
     q = d * p0.values
     keep = (lambda snap: snap) if reduce is None else reduce
     snapshots = [keep(GridDensity(domain=p0.domain, values=p0.values, time=0.0))]
-    prev_mass = float(weights @ q)
+    prev_mass = float(weights.dot(q))
     for k in range(1, nsteps + 1):
         q, info = step(q)
         if info != 0:
             raise SchemeInstability(f"tridiagonal solve failed at step {k} (LAPACK info {info})")
-        if q.min() < 0.0 and np.any(q < floor):
+        if np.minimum.reduce(q) < 0.0 and np.logical_or.reduce(q < floor):
             raise SchemeInstability(
                 f"density dropped to {(q / d).min()} at step {k} with dt = {dt:g}; "
                 "reduce numerics.pde_dt")
-        mass = float(weights @ q)
+        mass = float(weights.dot(q))
         # NaN compares False: a NaN node makes the mass NaN, which fails this test
         if not abs(mass - prev_mass) <= MASS_DRIFT_GUARD:
             raise SchemeInstability(
@@ -397,7 +397,7 @@ def _eval_on_grid(q, grid: GridDensity) -> np.ndarray:
     vals = np.asarray(q(grid.x) if callable(q) else q, dtype=float)
     if vals.shape != grid.values.shape:
         raise ValueError("density values do not match the grid")
-    if not np.all(np.isfinite(vals)):
+    if not np.logical_and.reduce(np.isfinite(vals)):
         raise ValueError("comparison density must be finite on the grid")
     return vals
 
@@ -410,25 +410,25 @@ def divergence_kl(p: GridDensity, q) -> float:
     """
     qv = _eval_on_grid(q, p)
     pv = p.values
-    if np.any((pv > _SUPPORT_LEVEL) & (qv < _DENSITY_FLOOR)):
+    if np.logical_or.reduce((pv > _SUPPORT_LEVEL) & (qv < _DENSITY_FLOOR)):
         raise SupportViolation("q vanishes where p carries mass")
     mask = pv > _KL_SKIP
     ratio = np.log(pv[mask]) - np.log(np.maximum(qv[mask], _DENSITY_FLOOR))
-    return float(p.trapezoid_weights[mask] @ (pv[mask] * ratio))
+    return float(p.trapezoid_weights[mask].dot(pv[mask] * ratio))
 
 
 def divergence_hellinger(p: GridDensity, q) -> float:
     """Squared Hellinger-type distance integral (sqrt p - sqrt q)^2."""
     qv = np.maximum(_eval_on_grid(q, p), 0.0)
     diff = np.sqrt(p.values) - np.sqrt(qv)
-    return float(p.trapezoid_weights @ (diff * diff))
+    return float(p.trapezoid_weights.dot(diff * diff))
 
 
 def divergence_l2(p: GridDensity, q) -> float:
     """Squared direct L2 distance integral (p - q)^2."""
     qv = _eval_on_grid(q, p)
     diff = p.values - qv
-    return float(p.trapezoid_weights @ (diff * diff))
+    return float(p.trapezoid_weights.dot(diff * diff))
 
 
 # -- metric (global) projections --------------------------------------
@@ -465,7 +465,7 @@ def metric_project_ef(p: GridDensity, fam: ExpFamily) -> np.ndarray:
         except FpkprojError:
             pass
     theta = fam.expectation_to_canonical(eta_target, initial=initial)
-    gap = float(np.max(np.abs(fam.expectation_params(theta) - eta_target)))
+    gap = float(np.maximum.reduce(np.abs(fam.expectation_params(theta) - eta_target)))
     if gap > MOMENT_MATCH_TOL:
         warnings.warn(
             f"moment match residual {gap:.3e} exceeds {MOMENT_MATCH_TOL}",

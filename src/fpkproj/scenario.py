@@ -55,6 +55,9 @@ from .sde import circle_diffusion, ornstein_uhlenbeck, polynomial_drift
 REFERENCE_METHODS = ("metric-projection", "decay-experiment")
 METHODS = ODE_METHODS + REFERENCE_METHODS
 REQUIRED = object()
+# most bytes a run may hold in the reference snapshots it keeps whole and in its
+# trajectory's times and states (1 GiB)
+MAX_HELD_BYTES = 2 ** 30
 
 _TOP_KEYS = {"name", "model", "family", "method", "numerics", "initial", "outputs"}
 
@@ -350,6 +353,23 @@ def density_file(t) -> str:
     return f"density_t{format(float(t), 'g')}.csv"
 
 
+def _require_held_bytes(num: Numerics, n: int, ode_steps: int, snapshots: int):
+    """ValidationError, naming the keys that set them, unless the bytes the run would
+    hold are within MAX_HELD_BYTES: `snapshots` reference snapshots kept whole, of
+    numerics.pde_nx floats each, and the trajectory's times and states, 1 + n floats
+    at each of its ode_steps + 1 steps (none for a metric projection)."""
+    trajectory = 0 if ode_steps == 0 else 8 * (ode_steps + 1) * (1 + n)
+    held = 8 * snapshots * num.pde_nx + trajectory
+    if held > MAX_HELD_BYTES:
+        parts = [f"{snapshots} reference snapshots of numerics.pde_nx = {num.pde_nx} nodes "
+                 f"(numerics.sample_stride = {num.sample_stride})"] if snapshots else []
+        if trajectory:
+            parts.append(f"a trajectory of {ode_steps + 1} steps (numerics.t_end / "
+                         f"numerics.ode_dt) of {1 + n} floats")
+        raise ValidationError(f"the run would hold {held} bytes in {' and '.join(parts)}, "
+                              f"more than the {MAX_HELD_BYTES} (MAX_HELD_BYTES) a run may hold")
+
+
 def build_run(scenario: Scenario):
     """Build what a run builds and check the step grids it will walk; validation
     builds with this, once per scenario, through `Scenario.built`.  Returns
@@ -363,18 +383,24 @@ def build_run(scenario: Scenario):
     domain = _built("numerics.domain", scenario_domain, scenario)
     model = _built("model", build_model, scenario, domain)
     family, start = _built("family", build_family, scenario, domain)
-    if method != "metric-projection":
-        whole_steps(num.t_end, num.ode_dt, "numerics.t_end")
+    ode_steps = 0 if method == "metric-projection" else whole_steps(
+        num.t_end, num.ode_dt, "numerics.t_end")
     if method == "decay-experiment":
         whole_steps(num.sample_stride * num.pde_dt, num.ode_dt,
                     "numerics.sample_stride * numerics.pde_dt")
     if method not in REFERENCE_METHODS and not num.attach_reference:
+        _require_held_bytes(num, family.n, ode_steps, 0)
         return model, family, None, start
-    p0 = _built("initial.density", build_reference_start, scenario, model)
     nsteps = whole_steps(num.t_end, num.pde_dt, "numerics.t_end")
     stride = num.sample_stride if method in REFERENCE_METHODS else whole_steps(
         num.sample_stride * num.ode_dt, num.pde_dt, "numerics.sample_stride * numerics.ode_dt")
+    # counted before the times are listed, which at 10**7 steps is itself 0.8 GB; a
+    # decay experiment reduces each snapshot to its moments as it is made
+    snapshots = len(range(0, nsteps, stride)) + 1
+    _require_held_bytes(num, family.n, ode_steps,
+                        0 if method == "decay-experiment" else snapshots)
     times = [k * num.pde_dt for k in sample_steps(nsteps, stride)]
+    p0 = _built("initial.density", build_reference_start, scenario, model)
     if num.fit_window is not None:
         lo, hi = num.fit_window
         inside = sum(lo <= t <= hi for t in times)

@@ -12,9 +12,16 @@ The Ornstein-Uhlenbeck flow dX = -kappa X dt + sigma dW is linear, so it
 carries a Gaussian mixture to a Gaussian mixture: each weight stays, each
 mean mu becomes mu e^(-kappa t) and each variance v becomes
 v e^(-2 kappa t) + sigma^2 (1 - e^(-2 kappa t)) / (2 kappa).
+
+The reference solver's semi-discrete system p' = L p, L the tridiagonal
+adjoint generator on the grid, is solved exactly by p(t) = exp(t L) p(0).
+L is a birth-death generator, so a diagonal D makes S = D L D^-1 symmetric,
+and exp(t L) = D^-1 V e^(t Lambda) V' D from the eigenpairs of S: the
+solution the Crank-Nicolson steps converge to as dt -> 0 on a fixed grid.
 """
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 
 def rk4_growth(z):
@@ -51,3 +58,17 @@ def ou_gaussian_mixture_pdf(x, t: float, weights, means, variances, kappa: float
            + sigma ** 2 * (1.0 - decay ** 2) / (2.0 * kappa))
     pdf = np.exp(-(x - mu) ** 2 / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
     return pdf @ np.asarray(weights, dtype=float)
+
+
+def semi_discrete_fpk(lower, diag, upper, p0, t: float) -> np.ndarray:
+    """exp(t L) p0 for the tridiagonal L with sub-, main and super-diagonal bands
+    (lower, diag, upper), both off-diagonal bands positive.
+
+    (d_{i+1} / d_i)^2 = upper_i / lower_i gives S = D L D^-1 the diagonal diag and the
+    off-diagonal sqrt(lower_i upper_i); d is scaled to at most 1, which needs log d
+    to span less than the exponent range.
+    """
+    log_d = np.concatenate(([0.0], np.cumsum(0.5 * (np.log(upper) - np.log(lower)))))
+    d = np.exp(log_d - log_d.max())
+    lam, v = eigh_tridiagonal(diag, np.sqrt(lower * upper))
+    return v @ (np.exp(t * lam) * (v.T @ (d * np.asarray(p0, dtype=float)))) / d

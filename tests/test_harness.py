@@ -410,6 +410,70 @@ def test_the_step_bound_is_counted_before_anything_is_allocated():
             whole_steps(1.0, 1.0 / steps, "t_end")
 
 
+# the command's exit code and peak RSS in KiB, from a fresh wrapper whose one child it
+# is; the child's address space is capped at 2 GiB (BLAS on one thread), so that a run
+# the budget lets through ends in a MemoryError instead of exhausting the machine
+_CHILD_PEAK = (
+    "import os, resource, subprocess, sys\n"
+    "def cap():\n"
+    "    resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))\n"
+    "res = subprocess.run([sys.executable, '-m', 'fpkproj', *sys.argv[1:]],"
+    " capture_output=True, text=True, preexec_fn=cap,"
+    " env={**os.environ, 'OPENBLAS_NUM_THREADS': '1', 'OMP_NUM_THREADS': '1'})\n"
+    "print(res.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    "sys.stderr.write(res.stderr)\n")
+
+
+@pytest.mark.parametrize("overrides, held", [
+    # validate passed this at 78 MB; its run keeps 1001 snapshots of 10**6 nodes, 8 GB
+    (["numerics.pde_nx=1000000"], "8008000000 bytes in 1001 reference snapshots of "
+                                  "numerics.pde_nx = 1000000"),
+    # 10**7 steps: listing the snapshot times before counting them peaked at 0.8 GB
+    (["numerics.pde_dt=1e-7", "numerics.pde_nx=101"],
+     "8080000808 bytes in 10000001 reference snapshots of numerics.pde_nx = 101"),
+], ids=["nodes", "steps"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_runs_holding_more_than_the_byte_budget_are_refused_before_sampling(
+        command, overrides, held, tmp_path):
+    args = [command, str(SCENARIO_DIR / "ou_metric_projection.yaml"),
+            "--override", "numerics.sample_stride=1"]
+    for override in overrides:
+        args += ["--override", override]
+    if command == "run":
+        args += ["--quiet", "--output-dir", str(tmp_path)]
+    out = subprocess.run([sys.executable, "-c", _CHILD_PEAK, *args],
+                         capture_output=True, text=True, check=True)
+    status, peak_kib = map(int, out.stdout.split())
+    assert status == 2
+    assert peak_kib < 100 * 1024
+    assert out.stderr == (
+        f"validation error: the run would hold {held} nodes (numerics.sample_stride = 1), "
+        f"more than the {scenario_module.MAX_HELD_BYTES} (MAX_HELD_BYTES) a run may hold\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name, held, what", [
+    # 1001 steps of t and theta_1, theta_2
+    ("ou_ep2_tangent.yaml", 8 * 1001 * 3, "a trajectory of 1001 steps"),
+    # the trajectory alone: the solve keeps each snapshot's moments, not its 1201 nodes
+    ("ou_hermite_decay.yaml", 8 * 2001 * 3, "a trajectory of 2001 steps"),
+    # 11 snapshots of 1201 nodes and no trajectory
+    ("ou_metric_projection.yaml", 8 * 11 * 1201, "11 reference snapshots"),
+    # a snapshot at each of the 21 rows, and the trajectory
+    ("gauss_mix_tangent.yaml", 8 * 21 * 1201 + 8 * 1001 * 3, "21 reference snapshots"),
+], ids=["tangent-ef", "decay-experiment", "metric-projection", "attached-reference"])
+def test_the_byte_budget_counts_whole_snapshots_and_the_trajectory(
+        name, held, what, monkeypatch, capsys):
+    monkeypatch.setattr(scenario_module, "MAX_HELD_BYTES", held)
+    assert cli_main(["validate", str(SCENARIO_DIR / name)]) == 0
+    monkeypatch.setattr(scenario_module, "MAX_HELD_BYTES", held - 1)
+    capsys.readouterr()
+    assert cli_main(["validate", str(SCENARIO_DIR / name)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: the run would hold {held} bytes in {what}")
+    assert err.endswith(f"more than the {held - 1} (MAX_HELD_BYTES) a run may hold\n")
+
+
 # each of these validated, and the run exited 3: Newton inversion did not converge
 @pytest.mark.parametrize("name, override", [
     ("ou_ep2_ada.yaml", "initial.eta=[0.5, 0.2]"),

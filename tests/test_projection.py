@@ -10,6 +10,7 @@ statistics removes b' g^{-1} b = 8, and the square-root-density scaling
 divides by 4: R^2 = (32 - 8)/4 = 6.
 """
 
+import os
 import subprocess
 import sys
 from math import comb
@@ -45,6 +46,7 @@ from fpkproj import (
     polynomial_drift,
     residual,
     residual_terms,
+    solve_fpk,
 )
 from fpkproj.errors import (
     DegenerateFisher,
@@ -920,6 +922,48 @@ def test_tangent_ef_stages_enter_no_errstate_where_the_product_cannot_overflow(m
     with pytest.raises(NonIntegrable):
         ode.rhs(np.array([0.0, -1e307]))
     assert entered == [{"over": "ignore", "invalid": "ignore"}]
+
+
+def _numpy_python_calls(run) -> int:
+    """Calls of Python functions in numpy's package directory while run() runs, after
+    one warm-up run that leaves numpy's lazy imports and caches made."""
+    run()
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def _tangent_ef_run(steps: int):
+    ode = ProjectedOde(ep_family(2), OU, "tangent-ef")
+    return lambda: integrate_ode(ode, np.array([0.0, -0.5]), t_end=steps * 1e-3, dt=1e-3,
+                                 sample_stride=steps)
+
+
+def _reference_solve(steps: int):
+    p0 = grid_density(default_domain(), 2001, gaussian_pdf_fn(0.5, 1.0))
+    return lambda: solve_fpk(OU, p0, t_end=steps * 1e-3, dt=1e-3, sample_stride=steps)
+
+
+@pytest.mark.parametrize("run, steps", [(_tangent_ef_run, (40, 80)), (_reference_solve, (50, 100))],
+                         ids=["tangent-ef-stages", "crank-nicolson-steps"])
+def test_steps_and_stages_make_no_python_level_numpy_calls(run, steps):
+    # the node-sized products are ndarray.dot and the reductions ufunc .reduce, which
+    # run in C; ndarray.max(), np.all and the like go through numpy's Python wrappers
+    # once per stage or step, so the count grew with the steps (162 -> 322, 99 -> 149)
+    fewer, more = (_numpy_python_calls(run(k)) for k in steps)
+    assert fewer == more
 
 
 @pytest.mark.parametrize("fam, model, theta0, method", [
