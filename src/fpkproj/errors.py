@@ -15,12 +15,8 @@ class ValidationError(FpkprojError):
 
 
 class NonFiniteIntegrand(FpkprojError):
-    """An integrand evaluated to NaN or infinity at a quadrature node."""
-
-    def __init__(self, message, node=None, index=None):
-        super().__init__(message)
-        self.node = node
-        self.index = index
+    """An integrand evaluated to NaN or infinity at a quadrature node; the message
+    names the statistic or the node."""
 
 
 class InadmissibleParameter(FpkprojError):
@@ -88,11 +84,7 @@ class SupportViolation(FpkprojError):
 
 
 class NotAnEigenfunction(FpkprojError):
-    """A decay experiment requires eigenfunction statistics; `index` names the offender."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """A decay experiment requires eigenfunction statistics; the message names the offender."""
 
 
 class ProjectionInconsistencyWarning(UserWarning):

@@ -20,6 +20,7 @@ theta_n < 0) two algebraic facts are used heavily:
 """
 
 import math
+from collections import namedtuple
 from functools import cache, cached_property
 from operator import mul
 
@@ -114,27 +115,14 @@ class _Cholesky:
         self.entries = g
         self.lower = factor(g)
 
-    def solve_floats(self, b: list) -> list:
+    def solve(self, b) -> list:
         """x with g x = b for a list b of n floats, as a list of floats."""
         return self._solve(self.lower, b)
 
-    def solve(self, b) -> np.ndarray:
-        """x with g x = b for a list b of n floats."""
-        return np.array(self._solve(self.lower, b))
 
-
-class _Moments:
-    """One moment pass: log-partition, m = R e / z as a list of floats (eta is
-    m[1:n + 1]), density values and w * p."""
-
-    __slots__ = ("key", "psi", "m", "pvals", "wp")
-
-    def __init__(self, key, psi, m, pvals, wp):
-        self.key = key
-        self.psi = psi
-        self.m = m
-        self.pvals = pvals
-        self.wp = wp
+# one moment pass: log-partition, m = R e / z as a list of floats (eta is
+# m[1:n + 1]), density values and w * p
+_Moments = namedtuple("_Moments", "key psi m pvals wp")
 
 
 class ExpFamily(Statistics):
@@ -435,7 +423,7 @@ class ExpFamily(Statistics):
         for _ in range(NEWTON_MAX_ITER):
             if best <= NEWTON_TOL * scale:
                 return theta
-            step = -self._fisher(self._moments(theta).m).solve(res)
+            step = -np.array(self._fisher(self._moments(theta).m).solve(res))
             t = 1.0
             while t >= 2.0 ** -30:
                 cand = theta + t * step

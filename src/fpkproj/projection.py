@@ -36,6 +36,7 @@ sqrt-density geometry, between L* p and its tangent-space image:
     R^2 = ||w||^2 - 4 b' g^{-1} b,  b_i = <w, u_i>.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,6 +57,8 @@ BLOCK_STEPS = 1024
 MAX_STEPS = 10 ** 7
 # RK4 is stable on the real axis for -RK4_REAL_LIMIT <= dt lambda <= 0, to the digits given
 RK4_REAL_LIMIT = 2.785
+# a bound on |(L* p)/p| under which the ratio and its square are finite
+_RATIO_BOUND = 1e150
 
 
 def whole_steps(span: float, dt: float, what: str) -> int:
@@ -176,10 +179,15 @@ def _galerkin_affine(fam: MixtureFamily, lc):
 
 
 def model_values(fam, model: SdeModel) -> tuple:
-    """(f, a, f', a', a'') at the family's nodes: what `residual_terms` reads of the model."""
+    """(f, a, f', a', a'') at the family's nodes, what `residual_terms` reads of the model,
+    then the largest magnitude among them and the statistics' first and second
+    derivatives there, which bounds the adjoint ratio."""
     x = fam.rule.nodes
-    return tuple(np.asarray(g(x), dtype=float) for g in (
+    values = tuple(np.asarray(g(x), dtype=float) for g in (
         model.drift, model.diffusion, model.drift.d1, model.diffusion.d1, model.diffusion.d2))
+    reach = max(float(np.maximum.reduce(np.abs(v), axis=None))
+                for v in values + fam.stat_derivative_values())
+    return values + (reach,)
 
 
 def residual_terms(fam: ExpFamily, model: SdeModel, theta, values=None) -> dict:
@@ -188,24 +196,31 @@ def residual_terms(fam: ExpFamily, model: SdeModel, theta, values=None) -> dict:
     Uses the sqrt-free form (L* p)/p = -(f' + f S') + (a'' + 2 a' S' +
     a (S'' + S'^2))/2 with S = theta . c, so no square roots of small
     densities appear.  `values` is `model_values(fam, model)`, which a
-    caller at many thetas evaluates once.
+    caller at many thetas evaluates once.  With r its last entry, |(L* p)/p|
+    <= 1.5 r (1 + r sum |theta_i|)^2: within _RATIO_BOUND, the ratio and its
+    square are finite; above it they are taken under np.errstate, and a node
+    where either is not finite is refused (NonFiniteIntegrand), naming its x.
     """
     theta = fam.require_admissible(theta)
-    x = fam.rule.nodes
-    f, a, f1, a1, a2 = model_values(fam, model) if values is None else values
+    f, a, f1, a1, a2, reach = model_values(fam, model) if values is None else values
     c1, c2 = fam.stat_derivative_values()
-    s1 = theta.dot(c1)
-    s2 = theta.dot(c2)
-    ratio = -(f1 + f * s1) + 0.5 * (a2 + 2.0 * a1 * s1 + a * (s2 + s1 * s1))
+    q = 1.0 + reach * sum(map(abs, theta.tolist()))
+    with (nullcontext() if 1.5 * reach * q * q <= _RATIO_BOUND
+          else np.errstate(over="ignore", invalid="ignore")):
+        s1 = theta.dot(c1)
+        s2 = theta.dot(c2)
+        ratio = -(f1 + f * s1) + 0.5 * (a2 + 2.0 * a1 * s1 + a * (s2 + s1 * s1))
+        ratio_sq = ratio * ratio
     mom = fam._moments(theta)
-    if not np.logical_and.reduce(np.isfinite(ratio)):
-        bad = int(np.flatnonzero(~np.isfinite(ratio))[0])
-        raise NonFiniteIntegrand("adjoint ratio is not finite", node=float(x[bad]), index=bad)
+    if not np.logical_and.reduce(np.isfinite(ratio_sq)):
+        bad = int(np.flatnonzero(~np.isfinite(ratio_sq))[0])
+        raise NonFiniteIntegrand(f"the adjoint ratio (L* p)/p or its square is not finite at "
+                                 f"node {bad}, x = {fam.rule.nodes[bad]:.17g}")
     wp, eta = mom.wp, np.array(mom.m[1:fam.n + 1])
-    w_norm_sq = float(wp.dot(ratio * ratio)) / 4.0
+    w_norm_sq = float(wp.dot(ratio_sq)) / 4.0
     centered = fam.stat_values() - eta[:, None]
     b = (centered * wp).dot(ratio) / 4.0
-    coeff = fam._fisher(mom.m).solve(b.tolist())
+    coeff = np.array(fam._fisher(mom.m).solve(b.tolist()))
     proj_norm_sq = 4.0 * float(b.dot(coeff))
     tangent = coeff.dot(centered)
     proj_pointwise_sq = float(wp.dot(tangent * tangent))
@@ -283,9 +298,10 @@ class ProjectedOde:
     weight and expectation coordinates, and galerkin from the weak form.
     ada-ef is that field too when L c = A c + b on span{c, 1} at the nodes:
     then E_eta[L c] = A eta + b and no stage inverts the moment map.
-    `lc` holds L c, one row per statistic; `affine` holds (A, c) of a
-    constant affine field, else None; `model_values`, what the residual
-    reads of the model at the nodes, is evaluated on first use.
+    `lc` holds L c, one row per statistic, computed under np.errstate and
+    refused (NonFiniteIntegrand) where it is not finite; `affine` holds
+    (A, c) of a constant affine field, else None; `model_values`, what the
+    residual reads of the model at the nodes, is evaluated on first use.
     """
 
     def __init__(self, family, model: SdeModel, method: str):
@@ -297,9 +313,14 @@ class ProjectedOde:
         self.model = model
         self.method = method
         self.coordinates = "expectation" if method == family.expectation_method else "canonical"
-        self.dim = family.n
         self.affine = None
-        self.lc = model.generator_values(family.rule.nodes, *family.stat_derivative_values())
+        x = family.rule.nodes
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.lc = model.generator_values(x, *family.stat_derivative_values())
+        if not np.isfinite(self.lc).all():
+            i, j = np.argwhere(~np.isfinite(self.lc))[0]
+            raise NonFiniteIntegrand(f"L c_{i + 1}, the generator on statistic {i + 1}, "
+                                     f"is not finite at x = {x[j]:.17g}")
         if method == "tangent-ef":
             # the family's row stack and w L c: one product gives eta, E[c c'] and v
             self._rows = np.vstack([family.row_stack, family.rule.weights * self.lc])
@@ -332,7 +353,7 @@ class ProjectedOde:
         if problem is not None:
             raise fam.error(problem)
         m = fam._pass(theta, self._rows)[-1]
-        return fam._fisher(m).solve_floats(m[-self.dim:])
+        return fam._fisher(m).solve(m[-fam.n:])
 
     def stage_field(self, state: list, theta):
         """(field, finish) for one RK4 step of tangent-ef or open ada-ef from `state`, a
@@ -353,8 +374,8 @@ class ProjectedOde:
     def prepare_initial(self, state):
         """Validated start state and its canonical/weight coordinates."""
         state = np.asarray(state, dtype=float)
-        if state.shape != (self.dim,):
-            raise ValidationError(f"initial state must have length {self.dim}")
+        if state.shape != (self.family.n,):
+            raise ValidationError(f"initial state must have length {self.family.n}")
         if self.method == "ada-ef":
             return state, self.family.expectation_to_canonical(state)
         if self.method == "ada-mix":
@@ -376,7 +397,7 @@ class ProjectedOde:
         factor = fam._fisher(fam._moments(theta).m)
 
         def seed(near):
-            guess = theta + factor.solve([a - b for a, b in zip(near, state)])
+            guess = theta + np.array(factor.solve([a - b for a, b in zip(near, state)]))
             return guess if fam.is_admissible(guess) else theta
 
         return seed
@@ -486,7 +507,7 @@ def _step_affine(ode: ProjectedOde, states, dt: float):
     """
     _require_rk4_stable(ode.affine[0], dt)
     phi, phi_c = rk4_propagator(*ode.affine, dt)
-    powers = np.eye(ode.dim + 1)[None]
+    powers = np.eye(ode.family.n + 1)[None]
     powers[0, :-1, :-1], powers[0, :-1, -1] = phi, phi_c
     mixture = isinstance(ode.family, MixtureFamily)
     events = []
@@ -569,7 +590,7 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
 
     y, theta = ode.prepare_initial(initial_state)
     times = dt * np.arange(nsteps + 1)
-    states = np.empty((nsteps + 1, ode.dim))
+    states = np.empty((nsteps + 1, ode.family.n))
     states[0] = y
     events = []
     if ode.affine is None:

@@ -491,8 +491,7 @@ def _eigenvalues_for(family, lvals):
         lambdas[i] = -float(w @ (lvals[i] * vals[i])) / norm_sq
         resid = float(np.max(np.abs(lvals[i] + lambdas[i] * vals[i])))
         if resid > EIGEN_RESIDUAL_TOL:
-            raise NotAnEigenfunction(
-                f"statistic {i + 1} has eigen-residual {resid:.3e}", index=i + 1)
+            raise NotAnEigenfunction(f"statistic {i + 1} has eigen-residual {resid:.3e}")
     return lambdas
 
 

@@ -55,9 +55,16 @@ from .sde import circle_diffusion, ornstein_uhlenbeck, polynomial_drift
 REFERENCE_METHODS = ("metric-projection", "decay-experiment")
 METHODS = ODE_METHODS + REFERENCE_METHODS
 REQUIRED = object()
-# most bytes a run may hold in the reference snapshots it keeps whole and in its
-# trajectory's times and states (1 GiB)
+# most bytes a run may hold in what grows with its length (1 GiB): its snapshots,
+# its trajectory's times and states, and its result rows
 MAX_HELD_BYTES = 2 ** 30
+# bytes counted per cell of a result row, 2 n + 6 cells: the flow's records of the row,
+# the row's Python objects and its CSV text (CPython 3.11 traced 45 to 80 per cell for
+# every method at sample_stride 1, n = 2 and 4)
+CELL_BYTES = 160
+# bytes counted per reference snapshot beyond its pde_nx floats, kept whole or reduced
+# to its moments (CPython 3.11 traced 169 to 433)
+SNAPSHOT_BYTES = 512
 
 _TOP_KEYS = {"name", "model", "family", "method", "numerics", "initial", "outputs"}
 
@@ -353,20 +360,26 @@ def density_file(t) -> str:
     return f"density_t{format(float(t), 'g')}.csv"
 
 
-def _require_held_bytes(num: Numerics, n: int, ode_steps: int, snapshots: int):
+def _require_held_bytes(num: Numerics, n: int, ode_steps: int, snapshots: int, whole: bool):
     """ValidationError, naming the keys that set them, unless the bytes the run would
-    hold are within MAX_HELD_BYTES: `snapshots` reference snapshots kept whole, of
-    numerics.pde_nx floats each, and the trajectory's times and states, 1 + n floats
-    at each of its ode_steps + 1 steps (none for a metric projection)."""
+    hold are within MAX_HELD_BYTES: `snapshots` reference snapshots, SNAPSHOT_BYTES
+    each plus numerics.pde_nx floats when kept `whole`, the trajectory's times and
+    states, 1 + n floats at each of its ode_steps + 1 steps (none for a metric
+    projection), and the result rows, one per snapshot or, with none, per sampled
+    step, of 2 n + 6 cells, CELL_BYTES each."""
+    rows = snapshots or len(range(0, ode_steps, num.sample_stride)) + 1
+    nodes = 8 * num.pde_nx if whole else 0
     trajectory = 0 if ode_steps == 0 else 8 * (ode_steps + 1) * (1 + n)
-    held = 8 * snapshots * num.pde_nx + trajectory
+    held = snapshots * (SNAPSHOT_BYTES + nodes) + trajectory + rows * CELL_BYTES * (2 * n + 6)
     if held > MAX_HELD_BYTES:
-        parts = [f"{snapshots} reference snapshots of numerics.pde_nx = {num.pde_nx} nodes "
+        of = f" of numerics.pde_nx = {num.pde_nx} nodes" if whole else ""
+        parts = [f"{snapshots} reference snapshots{of} "
                  f"(numerics.sample_stride = {num.sample_stride})"] if snapshots else []
         if trajectory:
             parts.append(f"a trajectory of {ode_steps + 1} steps (numerics.t_end / "
                          f"numerics.ode_dt) of {1 + n} floats")
-        raise ValidationError(f"the run would hold {held} bytes in {' and '.join(parts)}, "
+        parts.append(f"{rows} result rows of {2 * n + 6} cells")
+        raise ValidationError(f"the run would hold {held} bytes in {', '.join(parts)}, "
                               f"more than the {MAX_HELD_BYTES} (MAX_HELD_BYTES) a run may hold")
 
 
@@ -389,7 +402,7 @@ def build_run(scenario: Scenario):
         whole_steps(num.sample_stride * num.pde_dt, num.ode_dt,
                     "numerics.sample_stride * numerics.pde_dt")
     if method not in REFERENCE_METHODS and not num.attach_reference:
-        _require_held_bytes(num, family.n, ode_steps, 0)
+        _require_held_bytes(num, family.n, ode_steps, 0, False)
         return model, family, None, start
     nsteps = whole_steps(num.t_end, num.pde_dt, "numerics.t_end")
     stride = num.sample_stride if method in REFERENCE_METHODS else whole_steps(
@@ -397,8 +410,7 @@ def build_run(scenario: Scenario):
     # counted before the times are listed, which at 10**7 steps is itself 0.8 GB; a
     # decay experiment reduces each snapshot to its moments as it is made
     snapshots = len(range(0, nsteps, stride)) + 1
-    _require_held_bytes(num, family.n, ode_steps,
-                        0 if method == "decay-experiment" else snapshots)
+    _require_held_bytes(num, family.n, ode_steps, snapshots, method != "decay-experiment")
     times = [k * num.pde_dt for k in sample_steps(nsteps, stride)]
     p0 = _built("initial.density", build_reference_start, scenario, model)
     if num.fit_window is not None:

@@ -29,7 +29,6 @@ class SdeModel:
     drift: DifferentiableFn
     diffusion: DifferentiableFn
     domain: Domain
-    name: str = "custom"
 
     def __post_init__(self):
         x = np.linspace(self.domain.lower, self.domain.upper, _PROBE_POINTS)
@@ -59,7 +58,6 @@ def ornstein_uhlenbeck(kappa: float = 1.0, sigma: float = np.sqrt(2.0),
         drift=polynomial_fn([0.0, -kappa]),
         diffusion=constant_fn(sigma * sigma),
         domain=domain,
-        name="ou",
     )
 
 
@@ -71,7 +69,6 @@ def circle_diffusion(diffusion: float = 2.0) -> SdeModel:
         drift=constant_fn(0.0),
         diffusion=constant_fn(diffusion),
         domain=Domain(0.0, 2.0 * np.pi, kind="bounded-reflecting"),
-        name="circle-diffusion",
     )
 
 
@@ -86,5 +83,4 @@ def polynomial_drift(coeffs, diffusion: float = 2.0,
         drift=polynomial_fn(coeffs),
         diffusion=constant_fn(diffusion),
         domain=domain,
-        name="polynomial-drift",
     )

@@ -342,7 +342,7 @@ def test_cholesky_solve_matches_numpy_and_the_loops_on_spd_matrices(n):
         g = _spd(rng, n, cond)
         b = rng.normal(size=n)
         factor = _Cholesky(g.ravel().tolist())
-        got, want = factor.solve(b), np.linalg.solve(g, b)
+        got, want = np.array(factor.solve(b)), np.linalg.solve(g, b)
         scale = np.max(np.abs(g)) * np.max(np.abs(want))
         assert np.max(np.abs(g @ (got - want))) <= 1e-13 * scale
         assert np.max(np.abs(got - want)) <= 1e-13 * cond * np.max(np.abs(want))

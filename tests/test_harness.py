@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -426,11 +427,13 @@ _CHILD_PEAK = (
 
 @pytest.mark.parametrize("overrides, held", [
     # validate passed this at 78 MB; its run keeps 1001 snapshots of 10**6 nodes, 8 GB
-    (["numerics.pde_nx=1000000"], "8008000000 bytes in 1001 reference snapshots of "
-                                  "numerics.pde_nx = 1000000"),
+    (["numerics.pde_nx=1000000"],
+     f"{1001 * (512 + 8 * 10 ** 6) + 1001 * 160 * 10} bytes in 1001 reference snapshots of "
+     f"numerics.pde_nx = 1000000 nodes (numerics.sample_stride = 1), 1001 result rows"),
     # 10**7 steps: listing the snapshot times before counting them peaked at 0.8 GB
     (["numerics.pde_dt=1e-7", "numerics.pde_nx=101"],
-     "8080000808 bytes in 10000001 reference snapshots of numerics.pde_nx = 101"),
+     f"{10000001 * (512 + 8 * 101 + 160 * 10)} bytes in 10000001 reference snapshots of "
+     f"numerics.pde_nx = 101 nodes (numerics.sample_stride = 1), 10000001 result rows"),
 ], ids=["nodes", "steps"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_runs_holding_more_than_the_byte_budget_are_refused_before_sampling(
@@ -447,20 +450,24 @@ def test_runs_holding_more_than_the_byte_budget_are_refused_before_sampling(
     assert status == 2
     assert peak_kib < 100 * 1024
     assert out.stderr == (
-        f"validation error: the run would hold {held} nodes (numerics.sample_stride = 1), "
+        f"validation error: the run would hold {held} of 10 cells, "
         f"more than the {scenario_module.MAX_HELD_BYTES} (MAX_HELD_BYTES) a run may hold\n")
     assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name, held, what", [
-    # 1001 steps of t and theta_1, theta_2
-    ("ou_ep2_tangent.yaml", 8 * 1001 * 3, "a trajectory of 1001 steps"),
-    # the trajectory alone: the solve keeps each snapshot's moments, not its 1201 nodes
-    ("ou_hermite_decay.yaml", 8 * 2001 * 3, "a trajectory of 2001 steps"),
-    # 11 snapshots of 1201 nodes and no trajectory
-    ("ou_metric_projection.yaml", 8 * 11 * 1201, "11 reference snapshots"),
+    # 1001 steps of t and theta_1, theta_2, and 21 rows of 10 cells
+    ("ou_ep2_tangent.yaml", 8 * 1001 * 3 + 21 * 160 * 10, "a trajectory of 1001 steps"),
+    # 201 snapshots reduced to their moments, not kept at 1201 nodes, the trajectory
+    # and a row per snapshot
+    ("ou_hermite_decay.yaml", 201 * 512 + 8 * 2001 * 3 + 201 * 160 * 10,
+     "201 reference snapshots (numerics.sample_stride = 10), a trajectory of 2001 steps"),
+    # 11 snapshots of 1201 nodes and their rows, and no trajectory
+    ("ou_metric_projection.yaml", 11 * (512 + 8 * 1201) + 11 * 160 * 10,
+     "11 reference snapshots of numerics.pde_nx = 1201 nodes"),
     # a snapshot at each of the 21 rows, and the trajectory
-    ("gauss_mix_tangent.yaml", 8 * 21 * 1201 + 8 * 1001 * 3, "21 reference snapshots"),
+    ("gauss_mix_tangent.yaml", 21 * (512 + 8 * 1201) + 8 * 1001 * 3 + 21 * 160 * 10,
+     "21 reference snapshots"),
 ], ids=["tangent-ef", "decay-experiment", "metric-projection", "attached-reference"])
 def test_the_byte_budget_counts_whole_snapshots_and_the_trajectory(
         name, held, what, monkeypatch, capsys):
@@ -472,6 +479,64 @@ def test_the_byte_budget_counts_whole_snapshots_and_the_trajectory(
     err = capsys.readouterr().err
     assert err.startswith(f"validation error: the run would hold {held} bytes in {what}")
     assert err.endswith(f"more than the {held - 1} (MAX_HELD_BYTES) a run may hold\n")
+
+
+def _counted_bytes(scenario, monkeypatch) -> int:
+    """The bytes the byte budget counts for `scenario`, read from its refusal at 0."""
+    with monkeypatch.context() as patch:
+        patch.setattr(scenario_module, "MAX_HELD_BYTES", 0)
+        with pytest.raises(ValidationError, match="the run would hold") as err:
+            build_run(scenario)
+    return int(re.search(r"the run would hold (\d+) bytes", str(err.value)).group(1))
+
+
+def _traced_run_peak(scenario, out_dir) -> int:
+    """tracemalloc's peak over a run of `scenario` that solves its reference again, after
+    a first run that loaded LAPACK and filled the family's tables."""
+    run_scenario(scenario, out_dir / "first", quiet=True)
+    reference_module._solved.clear()
+    tracemalloc.start()
+    try:
+        run_scenario(scenario, out_dir / "traced", quiet=True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# every method at sample stride 1, where the rows hold the most per step, with whole
+# snapshots (metric projection, attached reference) and reduced ones (decay experiment)
+_EVERY_ROW = ["numerics.sample_stride=1"]
+_CUBIC = "model={type: polynomial-drift, coefficients: [0, -1, 0, -0.1], diffusion: 2.0}"
+_FOUR_HARMONICS = ["family={type: cosine-circle, harmonics: [1, 2, 3, 4]}",
+                   "initial.theta=[0.1, 0.1, 0.1, 0.1]"]
+
+
+@pytest.mark.parametrize("name, overrides, t_end", [
+    ("ou_ep2_tangent.yaml", [], 0.5),
+    ("ou_ep2_tangent.yaml", ["family={type: ep, n: 4}", "initial.theta=[0, -0.5, 0, -0.001]"],
+     0.25),
+    ("ou_ep2_ada.yaml", [], 0.5),
+    ("ou_ep2_ada.yaml", [_CUBIC, "initial.eta=[0.0, 1.0]"], 0.25),
+    ("gauss_mix_tangent.yaml", ["numerics.pde_nx=201"], 0.25),
+    ("circle_ada.yaml", [], 0.5),
+    ("circle_ada.yaml", _FOUR_HARMONICS, 0.5),
+    ("circle_galerkin.yaml", _FOUR_HARMONICS, 0.5),
+    ("ou_metric_projection.yaml", ["numerics.pde_nx=201", "outputs.density_times=[0.0]"], 0.1),
+    ("circle_decay.yaml", ["numerics.fit_window=[0.0, 0.1]"], 0.25),
+], ids=["tangent-ef", "tangent-ef-ep4", "closed-ada-ef", "open-ada-ef", "tangent-mix",
+        "ada-mix", "ada-mix-4", "galerkin-4", "metric-projection", "decay-experiment"])
+def test_a_run_holds_less_than_the_byte_budget_counts(name, overrides, t_end, tmp_path,
+                                                      monkeypatch):
+    # the run of twice the length must hold less than it is counted, and so must what
+    # doubling the length adds: what the rows and snapshots hold beyond what every run does
+    counted, peaks = [], []
+    for length in (1, 2):
+        scenario = load_scenario(SCENARIO_DIR / name, overrides=[
+            *_EVERY_ROW, *overrides, f"numerics.t_end={length * t_end}"])
+        counted.append(_counted_bytes(scenario, monkeypatch))
+        peaks.append(_traced_run_peak(scenario, tmp_path / str(length)))
+    assert peaks[1] < counted[1]
+    assert peaks[1] - peaks[0] < counted[1] - counted[0]
 
 
 # each of these validated, and the run exited 3: Newton inversion did not converge
@@ -1158,6 +1223,48 @@ def test_cli_validate_and_exit_codes(tmp_path):
 
     res = cli("run", str(tmp_path / "missing.yaml"))
     assert res.returncode in (2, 4)
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["validate", "{tangent}", "--override", "numerics.t_end"], 2,
+     "validation error: override 'numerics.t_end' must look like section.key=value\n"),
+    (["validate", "{tangent}", "--override", "=1"], 2,
+     "validation error: override '=1' has an empty key path\n"),
+    (["validate", "{tangent}", "--override", "numerics.t_end=[1,"], 2,
+     "validation error: override value '[1,' is not valid YAML: "),
+    (["validate", "{tangent}", "--override", "numerics.t_end.x=1"], 2,
+     "validation error: override path 'numerics.t_end.x' crosses a non-mapping\n"),
+    (["validate", "{tmp}/missing.yaml"], 2,
+     "validation error: cannot read scenario file {tmp}/missing.yaml: "),
+    (["validate", "{tmp}/empty.yaml"], 2, "validation error: empty.yaml is empty\n"),
+    (["run", "{tmp}/unparsable.yaml"], 2, "validation error: parse error in unparsable.yaml: "),
+    (["run-all", "{tmp}/no-yaml"], 2, "validation error: no scenario files found in {tmp}/no-yaml\n"),
+    (["run", "{tangent}", "--quiet", "--output-dir", "{tmp}/a-file"], 4,
+     "io error: [Errno 17] File exists: '{tmp}/a-file'\n"),
+], ids=["no-equals", "empty-key-path", "invalid-yaml-value", "crosses-a-non-mapping",
+        "missing-file", "empty-file", "unparsable-file", "no-yaml-in-directory",
+        "output-dir-is-a-file"])
+def test_cli_input_errors_exit_with_their_code_and_message(args, code, message, tmp_path,
+                                                           capsys):
+    (tmp_path / "empty.yaml").write_text("")
+    (tmp_path / "unparsable.yaml").write_text("name: [unclosed\n")
+    (tmp_path / "no-yaml").mkdir()
+    (tmp_path / "a-file").write_text("")
+    fill = {"tangent": SCENARIO_DIR / "ou_ep2_tangent.yaml", "tmp": tmp_path}
+    assert cli_main([arg.format(**fill) for arg in args]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(message.format(**fill))
+
+
+def test_an_overflowing_generator_exits_3_naming_it(tmp_path, capsys):
+    # validated, warned "overflow encountered in multiply" building the ODE, then exited 3
+    # with "theta must be finite"; under -W error::RuntimeWarning it ended in a traceback
+    assert cli_main(["run", str(SCENARIO_DIR / "cubic_ep2_residual.yaml"), "--override",
+                     "model.coefficients=[0, 0, 0, -1e305]", "--quiet",
+                     "--output-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "NonFiniteIntegrand: L c_2, the generator on statistic 2, is not finite at x = -12\n")
 
 
 def test_cli_presets_listing():

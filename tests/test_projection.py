@@ -52,6 +52,7 @@ from fpkproj.errors import (
     DegenerateFisher,
     InadmissibleParameter,
     InadmissibleRecovery,
+    NonFiniteIntegrand,
     NonIntegrable,
     SchemeInstability,
     TrajectoryExit,
@@ -242,6 +243,21 @@ def test_residual_projection_terms_are_consistent():
     terms = residual_terms(fam, cubic, np.array([0.2, -0.6]))
     assert abs(terms["proj_norm_sq"] - 4.0 * terms["proj_pointwise_sq"]) <= 1e-10
     assert terms["residual_sq"] >= 0.0
+
+
+def test_a_non_finite_adjoint_ratio_is_refused_by_name_without_a_warning():
+    # S'^2 = (-2e300 x)^2 overflows at every node: the ratio is refused at the first, not
+    # warned about on its way there (pytest turns a RuntimeWarning into an error)
+    with pytest.raises(NonFiniteIntegrand, match=r"not finite at node 0, x = -12$"):
+        residual(ep_family(2), polynomial_drift([0.0, 0.0, 0.0, -1.0]), [0.0, -1e300])
+
+
+@pytest.mark.parametrize("method", ExpFamily.methods)
+def test_an_overflowing_generator_is_refused_as_the_ode_is_built(method):
+    # L c_2 = 2 x f = -2e305 x^4 overflows beyond |x| = 2.6, where f itself is finite
+    with pytest.raises(NonFiniteIntegrand, match=(
+            r"^L c_2, the generator on statistic 2, is not finite at x = -12$")):
+        ProjectedOde(ep_family(2), polynomial_drift([0.0, 0.0, 0.0, -1e305]), method)
 
 
 @pytest.mark.parametrize("fam, model", [
@@ -860,7 +876,8 @@ def _numpy_pass(fam, rows, theta):
 def _numpy_stage(fam, rows, theta):
     """g(theta)^-1 E[L c] from `_numpy_pass` through the stacked rows of the stage."""
     m = _numpy_pass(fam, rows, theta)[1].tolist()
-    return _Cholesky([m[k] - m[i] * m[j] for k, i, j in fam._fisher_terms]).solve(m[-fam.n:])
+    return np.array(
+        _Cholesky([m[k] - m[i] * m[j] for k, i, j in fam._fisher_terms]).solve(m[-fam.n:]))
 
 
 STAGE_FAMILIES = [ep_family(2), ep_family(4), ep_family(6), hermite_family([1, 2])]

@@ -46,7 +46,7 @@ def test_nonpositive_diffusion_rejected():
     with pytest.raises(ValidationError):
         SdeModel(drift=polynomial_fn([0.0, -1.0]),
                  diffusion=polynomial_fn([0.0, 1.0]),
-                 domain=dom, name="bad")
+                 domain=dom)
 
 
 def test_generator_on_hermite_statistics():
