@@ -36,6 +36,7 @@ sqrt-density geometry, between L* p and its tangent-space image:
     R^2 = ||w||^2 - 4 b' g^{-1} b,  b_i = <w, u_i>.
 """
 
+from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,7 +54,7 @@ METHODS = ExpFamily.methods + MixtureFamily.methods
 STEP_TOL = 1e-8
 # longest block of steps taken as one product of propagator powers
 BLOCK_STEPS = 1024
-# most steps on any time grid: a run keeps a state per step
+# most steps on any time grid: a run keeps a time per step
 MAX_STEPS = 10 ** 7
 # RK4 is stable on the real axis for -RK4_REAL_LIMIT <= dt lambda <= 0, to the digits given
 RK4_REAL_LIMIT = 2.785
@@ -257,12 +258,13 @@ class ClampEvent:
 class Trajectory:
     """Record of an integrated projected flow.
 
-    `times` and `states` (in the method's own coordinates) cover every step,
-    and `clamp_events` holds one `ClampEvent` per clamped step; `thetas`
-    (canonical/weight coordinates), `expectations`
-    (eta or m), the embedded quadrature estimates `quadrature_errors`,
-    `residuals` and, on an exponential family, the log-partitions
-    `log_partitions` cover the sampled steps `rows` only.
+    `times` covers every step, and `rows` are the indices of the sampled steps
+    in it; every other array covers those rows only: the `states` (in the
+    method's own coordinates), `thetas` (canonical/weight coordinates),
+    `expectations` (eta or m; the states themselves on ada-ef and ada-mix), the
+    embedded quadrature estimates `quadrature_errors`, `residuals` and, on an
+    exponential family, the log-partitions `log_partitions`.  `clamp_events`
+    holds one `ClampEvent` per clamped step, sampled or not, by its step index.
     """
 
     times: np.ndarray
@@ -442,19 +444,19 @@ def _step_failure(err: FpkprojError, k: int) -> TrajectoryExit:
     return TrajectoryExit(f"rhs failed at step {k}: {err}", step=k)
 
 
-def _step_stages(ode: ProjectedOde, states, dt: float, theta, rows) -> list:
-    """RK4 through the field's stages (tangent-ef, open ada-ef); thetas at `rows`.
+def _step_stages(ode: ProjectedOde, y, nsteps: int, dt: float, theta, rows) -> tuple:
+    """RK4 through the field's stages (tangent-ef, open ada-ef) for nsteps from y;
+    the states and thetas at `rows`.
 
     The state is a list of Python floats from step to step, and so is every stage:
     `stage_field` gives the field on such lists and the check of the new state.  The
     stage states and the step are combined in the order of operations of
     y + (dt / 2) k1, ..., y + dt / 6 ((k1 + 2 (k2 + k3)) + k4), so they are bitwise
-    those of the numpy expressions, and each step writes one row of `states`.
+    those of the numpy expressions; a step that is a row keeps its state and theta.
     """
-    thetas = [theta]
-    y = states[0].tolist()
+    states, thetas, y = [y], [theta], y.tolist()
     half, sixth = 0.5 * dt, dt / 6.0
-    for k in range(1, states.shape[0]):
+    for k in range(1, nsteps + 1):
         try:
             field, finish = ode.stage_field(y, theta)
             k1 = field(y)
@@ -465,10 +467,10 @@ def _step_stages(ode: ProjectedOde, states, dt: float, theta, rows) -> list:
                                   for a, b, c, d, e in zip(y, k1, k2, k3, k4)])
         except FpkprojError as err:
             raise _step_failure(err, k) from err
-        states[k] = y
         if k == rows[len(thetas)]:
+            states.append(y)
             thetas.append(theta)
-    return thetas
+    return np.array(states), thetas
 
 
 def _require_rk4_stable(a, dt: float):
@@ -494,25 +496,33 @@ def _require_rk4_stable(a, dt: float):
             f"{lam[worst]:.6g} gives |R(dt lambda)| = {growth[worst]:.6g} > 1{largest}")
 
 
-def _step_affine(ode: ProjectedOde, states, dt: float):
-    """Fill `states` by powers of the RK4 step matrix S = [[Phi, phi], [0, 1]],
-    once `_require_rk4_stable` has checked the step against the field.
+def _step_affine(ode: ProjectedOde, y, nsteps: int, dt: float, rows) -> tuple:
+    """nsteps from y by powers of the RK4 step matrix S = [[Phi, phi], [0, 1]], once
+    `_require_rk4_stable` has checked the step against the field; the states at
+    `rows` and the clamp events.
 
     A block of L steps from y is P[:L] @ [y; 1], with P the stacked powers
     S^1..S^L, extended by doubling as the blocks grow (up to BLOCK_STEPS, or
     while the powers stay finite).  Mixture blocks are accepted up to the
     first row whose weights `clamp_weights` would move; that row is
     constrained and the flow takes plain steps y <- Phi y + phi until a
-    step needs no clamp.  Returns the clamp events.
+    step needs no clamp.  Of each accepted block and plain step, the rows are kept.
     """
     _require_rk4_stable(ode.affine[0], dt)
     phi, phi_c = rk4_propagator(*ode.affine, dt)
     powers = np.eye(ode.family.n + 1)[None]
     powers[0, :-1, :-1], powers[0, :-1, -1] = phi, phi_c
     mixture = isinstance(ode.family, MixtureFamily)
+    # row 0 is the start; the stepping writes the rows after it
+    kept = np.full((len(rows), ode.family.n), y)
     events = []
-    nsteps = states.shape[0] - 1
-    y = states[0]
+
+    def keep(k, values):
+        """Keep the rows among steps k + 1 .. k + len(values), whose states are values."""
+        i, j = bisect_right(rows, k), bisect_right(rows, k + len(values))
+        if i < j:
+            kept[i:j] = values[np.subtract(rows[i:j], k + 1)]
+
     k, length, longest, plain = 0, 1, BLOCK_STEPS, False
     while k < nsteps:
         if plain:
@@ -534,10 +544,10 @@ def _step_affine(ode: ProjectedOde, states, dt: float):
             if mixture:
                 flags = np.flatnonzero(ode.family.needs_clamp(ode.weights(block)))
                 good = int(flags[0]) if flags.size else length
-            states[k + 1:k + 1 + good] = block[:good]
+            keep(k, block[:good])
             k += good
-            y = states[k]
             if good == length:
+                y = block[-1]
                 length *= 2
                 continue
             raw = block[good]
@@ -546,22 +556,22 @@ def _step_affine(ode: ProjectedOde, states, dt: float):
             y, theta, plain = ode.constrain(raw)
         except FpkprojError as err:
             raise _step_failure(err, k) from err
-        states[k] = y
+        keep(k - 1, y[None])
         length = 2
         if plain:
             events.append(ClampEvent(step=k, raw_state=tuple(raw), weights=tuple(theta)))
-    return events
+    return kept, events
 
 
 def _row_inversions(ode: ProjectedOde, states, rows, theta):
-    """Closed ada-ef's thetas at the rows: its field needs none, so the moment map is
-    inverted at the sampled steps only, each inversion seeded from the one before and
-    made when its row is recorded."""
+    """Closed ada-ef's thetas at the rows, whose states are `states`: its field needs
+    none, so the moment map is inverted at the sampled steps only, each inversion
+    seeded from the row before and made when its row is recorded."""
     yield theta
-    for prev, k in zip(rows, rows[1:]):
+    for k, prev, state in zip(rows[1:], states, states[1:]):
         try:
-            seed = ode.newton_seeds(states[prev], theta)(states[k])
-            theta = ode.family.expectation_to_canonical(states[k], initial=seed)
+            seed = ode.newton_seeds(prev, theta)(state)
+            theta = ode.family.expectation_to_canonical(state, initial=seed)
         except FpkprojError as err:
             raise _step_failure(err, k) from err
         yield theta
@@ -572,11 +582,12 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
     """Classic fixed-step fourth-order Runge-Kutta integration.
 
     Constant affine fields are stepped in blocks by powers of their RK4
-    propagator (`_step_affine`), the others stage by stage.  Thetas and
-    residuals are computed at `sample_steps(nsteps, sample_stride)` only,
-    so closed ada-ef reports leaving the moment space at the first of those
-    steps after it leaves.  Expectations there are the states, or the map
-    of theta taken with its residual, and the family's embedded quadrature
+    propagator (`_step_affine`), the others stage by stage; both keep the
+    states at the rows `sample_steps(nsteps, sample_stride)` only, and only
+    the times are kept per step.  Thetas and residuals are computed at the
+    rows too, so closed ada-ef reports leaving the moment space at the first
+    row after it leaves.  Expectations there are the states, or the map of
+    theta taken with its residual, and the family's embedded quadrature
     estimate (`quadrature_error`) with them, one moment pass per sampled step.
     Residual recording is available for exponential-family methods only.
     Mixture weights are clamped to the margin-shrunk simplex after each step
@@ -589,20 +600,18 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
         raise ValidationError("residual recording applies to exponential families only")
 
     y, theta = ode.prepare_initial(initial_state)
-    times = dt * np.arange(nsteps + 1)
-    states = np.empty((nsteps + 1, ode.family.n))
-    states[0] = y
+    times = np.arange(nsteps + 1, dtype=float)
+    times *= dt
     events = []
     if ode.affine is None:
-        thetas = _step_stages(ode, states, dt, theta, rows)
+        states, thetas = _step_stages(ode, y, nsteps, dt, theta, rows)
     elif ode.method == "ada-ef":
-        _step_affine(ode, states, dt)
+        states, _ = _step_affine(ode, y, nsteps, dt, rows)
         thetas = _row_inversions(ode, states, rows, theta)
     else:
-        events = _step_affine(ode, states, dt)
+        states, events = _step_affine(ode, y, nsteps, dt, rows)
         clamps = {event.step: np.array(event.weights) for event in events}
-        weights = ode.weights(states[rows[1:]])
-        thetas = [theta, *(clamps.get(k, w) for k, w in zip(rows[1:], weights))]
+        thetas = [theta, *map(clamps.get, rows[1:], ode.weights(states[1:]))]
 
     fam = ode.family
     canonical = ode.coordinates == "canonical"
@@ -622,7 +631,7 @@ def integrate_ode(ode: ProjectedOde, initial_state, t_end: float, dt: float,
         except FpkprojError as err:
             raise _step_failure(err, k) from err
     return Trajectory(times=times, states=states, thetas=np.array(recorded), rows=np.array(rows),
-                      expectations=np.array(expectations) if canonical else states[rows],
+                      expectations=np.array(expectations) if canonical else states,
                       quadrature_errors=np.array(errors), clamp_events=events,
                       residuals=np.array(residuals) if record_residual else None,
                       log_partitions=np.array(psis) if exponential else None)

@@ -38,7 +38,7 @@ from .expfamily import ExpFamily, custom_poly_family, ep_family, hermite_family
 from .functions import DifferentiableFn, cosine_series_pdf_fn, gaussian_mixture_pdf_fn, gaussian_pdf_fn
 from .mixture import COMPONENT_MASS_TOL, MixtureFamily
 from .mixture import cosine_circle_family, gaussian_mixture_family
-from .projection import MAX_STEPS, sample_steps, whole_steps
+from .projection import BLOCK_STEPS, MAX_STEPS, sample_steps, whole_steps
 from .projection import METHODS as ODE_METHODS
 from .quadrature import (
     MAX_LEVEL,
@@ -363,21 +363,21 @@ def density_file(t) -> str:
 def _require_held_bytes(num: Numerics, n: int, ode_steps: int, snapshots: int, whole: bool):
     """ValidationError, naming the keys that set them, unless the bytes the run would
     hold are within MAX_HELD_BYTES: `snapshots` reference snapshots, SNAPSHOT_BYTES
-    each plus numerics.pde_nx floats when kept `whole`, the trajectory's times and
-    states, 1 + n floats at each of its ode_steps + 1 steps (none for a metric
-    projection), and the result rows, one per snapshot or, with none, per sampled
-    step, of 2 n + 6 cells, CELL_BYTES each."""
+    each plus numerics.pde_nx floats when kept `whole`, the trajectory's times, a
+    float at each of its ode_steps + 1 steps, and the powers of its block steps,
+    2 BLOCK_STEPS (n + 1)^2 floats while they double (none for a metric projection),
+    and the result rows, one per snapshot or, with none, per sampled step, of 2 n + 6
+    cells, CELL_BYTES each, which hold more than the trajectory keeps of a row."""
     rows = snapshots or len(range(0, ode_steps, num.sample_stride)) + 1
     nodes = 8 * num.pde_nx if whole else 0
-    trajectory = 0 if ode_steps == 0 else 8 * (ode_steps + 1) * (1 + n)
+    trajectory = 0 if ode_steps == 0 else 8 * (ode_steps + 1 + 2 * BLOCK_STEPS * (n + 1) ** 2)
     held = snapshots * (SNAPSHOT_BYTES + nodes) + trajectory + rows * CELL_BYTES * (2 * n + 6)
     if held > MAX_HELD_BYTES:
         of = f" of numerics.pde_nx = {num.pde_nx} nodes" if whole else ""
         parts = [f"{snapshots} reference snapshots{of} "
                  f"(numerics.sample_stride = {num.sample_stride})"] if snapshots else []
         if trajectory:
-            parts.append(f"a trajectory of {ode_steps + 1} steps (numerics.t_end / "
-                         f"numerics.ode_dt) of {1 + n} floats")
+            parts.append(f"a trajectory of {ode_steps + 1} steps (numerics.t_end / numerics.ode_dt)")
         parts.append(f"{rows} result rows of {2 * n + 6} cells")
         raise ValidationError(f"the run would hold {held} bytes in {', '.join(parts)}, "
                               f"more than the {MAX_HELD_BYTES} (MAX_HELD_BYTES) a run may hold")

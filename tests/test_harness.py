@@ -456,17 +456,17 @@ def test_runs_holding_more_than_the_byte_budget_are_refused_before_sampling(
 
 
 @pytest.mark.parametrize("name, held, what", [
-    # 1001 steps of t and theta_1, theta_2, and 21 rows of 10 cells
-    ("ou_ep2_tangent.yaml", 8 * 1001 * 3 + 21 * 160 * 10, "a trajectory of 1001 steps"),
+    # the times of 1001 steps, 2048 block powers of 3 x 3 floats, and 21 rows of 10 cells
+    ("ou_ep2_tangent.yaml", 8 * (1001 + 2048 * 9) + 21 * 160 * 10, "a trajectory of 1001 steps"),
     # 201 snapshots reduced to their moments, not kept at 1201 nodes, the trajectory
     # and a row per snapshot
-    ("ou_hermite_decay.yaml", 201 * 512 + 8 * 2001 * 3 + 201 * 160 * 10,
+    ("ou_hermite_decay.yaml", 201 * 512 + 8 * (2001 + 2048 * 9) + 201 * 160 * 10,
      "201 reference snapshots (numerics.sample_stride = 10), a trajectory of 2001 steps"),
     # 11 snapshots of 1201 nodes and their rows, and no trajectory
     ("ou_metric_projection.yaml", 11 * (512 + 8 * 1201) + 11 * 160 * 10,
      "11 reference snapshots of numerics.pde_nx = 1201 nodes"),
     # a snapshot at each of the 21 rows, and the trajectory
-    ("gauss_mix_tangent.yaml", 21 * (512 + 8 * 1201) + 8 * 1001 * 3 + 21 * 160 * 10,
+    ("gauss_mix_tangent.yaml", 21 * (512 + 8 * 1201) + 8 * (1001 + 2048 * 9) + 21 * 160 * 10,
      "21 reference snapshots"),
 ], ids=["tangent-ef", "decay-experiment", "metric-projection", "attached-reference"])
 def test_the_byte_budget_counts_whole_snapshots_and_the_trajectory(
@@ -523,8 +523,11 @@ _FOUR_HARMONICS = ["family={type: cosine-circle, harmonics: [1, 2, 3, 4]}",
     ("circle_galerkin.yaml", _FOUR_HARMONICS, 0.5),
     ("ou_metric_projection.yaml", ["numerics.pde_nx=201", "outputs.density_times=[0.0]"], 0.1),
     ("circle_decay.yaml", ["numerics.fit_window=[0.0, 0.1]"], 0.25),
+    # a thousand steps per row, where the times outweigh the rows
+    ("ou_ep2_ada.yaml", ["numerics.ode_dt=1e-5", "numerics.sample_stride=1000"], 0.5),
 ], ids=["tangent-ef", "tangent-ef-ep4", "closed-ada-ef", "open-ada-ef", "tangent-mix",
-        "ada-mix", "ada-mix-4", "galerkin-4", "metric-projection", "decay-experiment"])
+        "ada-mix", "ada-mix-4", "galerkin-4", "metric-projection", "decay-experiment",
+        "closed-ada-ef-sparse"])
 def test_a_run_holds_less_than_the_byte_budget_counts(name, overrides, t_end, tmp_path,
                                                       monkeypatch):
     # the run of twice the length must hold less than it is counted, and so must what
@@ -537,6 +540,16 @@ def test_a_run_holds_less_than_the_byte_budget_counts(name, overrides, t_end, tm
         peaks.append(_traced_run_peak(scenario, tmp_path / str(length)))
     assert peaks[1] < counted[1]
     assert peaks[1] - peaks[0] < counted[1] - counted[0]
+
+
+@pytest.mark.parametrize("name", ["ou_ep2_ada.yaml", "circle_ada.yaml"],
+                         ids=["closed-ada-ef", "ada-mix"])
+def test_a_long_run_holds_its_times_and_rows_only(name, tmp_path):
+    # 10**6 steps and 101 rows: the times take 8 MB, and a state kept per step
+    # would take as much again per coordinate
+    scenario = load_scenario(SCENARIO_DIR / name, overrides=[
+        "numerics.ode_dt=1e-6", "numerics.sample_stride=10000"])
+    assert _traced_run_peak(scenario, tmp_path) < 12 * 2 ** 20
 
 
 # each of these validated, and the run exited 3: Newton inversion did not converge

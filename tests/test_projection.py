@@ -506,7 +506,7 @@ def test_sampled_rows_are_the_same_steps_of_a_dense_run(fam, model, theta0, meth
     assert np.array_equal(dense.rows, np.arange(201))
     assert np.array_equal(sparse.rows, rows)
     assert np.array_equal(sparse.times, dense.times)
-    assert np.array_equal(sparse.states, dense.states)
+    assert np.array_equal(sparse.states, dense.states[rows])
     assert sparse.clamp_events == dense.clamp_events
     # closed ada-ef seeds a sampled step's inversion from the previous one
     assert np.max(np.abs(sparse.thetas - dense.thetas[rows])) <= 1e-10
@@ -514,20 +514,44 @@ def test_sampled_rows_are_the_same_steps_of_a_dense_run(fam, model, theta0, meth
         assert np.array_equal(sparse.residuals, dense.residuals[rows])
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_trajectory_expectations_at_sampled_rows(method):
+def _stride_runs(method, stride):
+    """The family and two runs of `method` over 30 steps: at `stride` and at stride 1."""
     if method in ExpFamily.methods:
         fam, model, theta0 = ep_family(2), CLOSED_OU, np.array([0.4, -0.7])
     else:
         fam, model, theta0 = cosine_circle_family([1, 2]), circle_diffusion(2.0), np.array([0.2, 0.1])
     ode = make_ode(fam, model, method)
-    traj = integrate_ode(ode, _start(fam, method, theta0), t_end=0.3, dt=1e-2, sample_stride=7)
+    residual_too = method in ExpFamily.methods
+    return fam, *(integrate_ode(ode, _start(fam, method, theta0), t_end=0.3, dt=1e-2,
+                                record_residual=residual_too, sample_stride=s)
+                  for s in (stride, 1))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_trajectory_expectations_at_sampled_rows(method):
+    fam, traj, dense = _stride_runs(method, 7)
     assert np.array_equal(traj.rows, sample_steps(30, 7))
     if method == fam.expectation_method:
-        assert np.array_equal(traj.expectations, traj.states[traj.rows])
+        assert np.array_equal(traj.expectations, dense.states[traj.rows])
     else:
         assert np.array_equal(traj.expectations,
                               [fam.expectation_params(theta) for theta in traj.thetas])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_trajectory_keeps_its_rows_only(method):
+    # the times are the step grid; every other record holds one entry per row,
+    # the rows of a run at stride 1
+    fam, traj, dense = _stride_runs(method, 7)
+    assert traj.times.size == 31 and traj.rows.size == 6
+    assert traj.states.shape == (traj.rows.size, fam.n)
+    assert np.array_equal(traj.states, dense.states[traj.rows])
+    assert np.array_equal(traj.final_state, dense.final_state)
+    for name in ("thetas", "expectations", "quadrature_errors", "residuals", "log_partitions"):
+        if getattr(traj, name) is not None:
+            assert len(getattr(traj, name)) == traj.rows.size, name
+    if method == fam.expectation_method:
+        assert traj.expectations is traj.states
 
 
 def test_sampling_inverts_and_computes_residuals_at_sampled_steps_only(monkeypatch):
@@ -642,8 +666,9 @@ def test_clamp_events_carry_the_thetas_of_their_rows(method, stride):
     fam = gaussian_mixture_family([-1.3514, -0.2091, 1.2055], [0.6652, 0.5867, 0.3426])
     model = ornstein_uhlenbeck(kappa=1.4602, sigma=1.3115317762067376)
     ode = make_ode(fam, model, method)
-    traj = integrate_ode(ode, _start(fam, method, np.array([0.2189, 0.3573])), t_end=0.5,
-                         dt=1e-3, sample_stride=stride)
+    traj, dense = (integrate_ode(ode, _start(fam, method, np.array([0.2189, 0.3573])),
+                                 t_end=0.5, dt=1e-3, sample_stride=s) for s in (stride, 1))
+    assert traj.clamp_events == dense.clamp_events
     steps = [event.step for event in traj.clamp_events]
     assert len(steps) == 133 and steps == sorted(set(steps))
     row = {k: i for i, k in enumerate(traj.rows)}
@@ -651,8 +676,9 @@ def test_clamp_events_carry_the_thetas_of_their_rows(method, stride):
     assert len(recorded) == len([k for k in steps if k % stride == 0 or k == 500])
     for event in traj.clamp_events:
         assert fam.is_admissible(event.weights)
-        assert np.array_equal(traj.states[event.step], _start(fam, method, event.weights))
+        assert np.array_equal(dense.states[event.step], _start(fam, method, event.weights))
     for event in recorded:
+        assert np.array_equal(traj.states[row[event.step]], dense.states[event.step])
         assert np.array_equal(traj.thetas[row[event.step]], event.weights)
 
 

@@ -4,20 +4,29 @@ Each example takes one shipped scenario and a few `--override` values
 drawn from per-key lists of valid, boundary and malformed values, on top
 of a short horizon that keeps every run well under a second.  `fpkproj
 validate` must exit 0 or 2; when it exits 0, `fpkproj run` must exit 0,
-2 or 3 (a named FpkprojError), never end in a traceback.  A second test
+2 or 3 (a named FpkprojError), never end in a traceback.  The files of a
+run that exits 0 must hold what the paper's quantities are: a KL cell is
+nonnegative, a density slice is nonnegative with mass 1, and on an
+exponential family a row's theta has the row's eta as its moments.  A second test
 draws only the two decay files, with model, family or initial overrides
 and a `numerics.fit_window` that holds enough snapshot times for a
-windowed decay fit.
+windowed decay fit.  A third draws the files that solve a reference, with
+density slices at the first and last snapshot, so that the slices meet the
+oracle: with the first test's horizons, the shipped slice times are not
+snapshot times and no slice is written.
 """
 
+import csv
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpkproj.cli import main as cli_main
+from fpkproj.expfamily import ExpFamily
 from fpkproj.projection import sample_steps, whole_steps
 from fpkproj.reference import FIT_SAMPLES
 from fpkproj.scenario import DENSITIES, FAMILIES, METHODS, MODELS, load_scenario
@@ -74,6 +83,30 @@ def overrides_of(keys):
 
 OVERRIDES = overrides_of(VALUES)
 DECAY_FILES = ("circle_decay.yaml", "ou_hermite_decay.yaml")
+REFERENCE_FILES = ("gauss_mix_tangent.yaml", "ou_metric_projection.yaml")
+
+
+def check_results(family, out: Path):
+    """The oracle of a run that exited 0: every KL cell is at least -1e-12, every
+    density slice is nonnegative with trapezoid mass 1 to 1e-8, and on an exponential
+    family every row's theta maps to its eta to 1e-8."""
+    with open(out / "trajectory.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    kl = [float(row["kl"]) for row in rows if row["kl"]]
+    assert min(kl, default=0.0) >= -1e-12, kl
+    for path in out.glob("density_*.csv"):
+        x, p = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        assert np.all(p >= 0.0), path.name
+        mass = float(np.diff(x).dot(p[1:] + p[:-1])) / 2.0
+        assert abs(mass - 1.0) <= 1e-8, (path.name, mass)
+    if not isinstance(family, ExpFamily):
+        return
+    for row in rows:
+        if row["theta_1"]:
+            theta = [float(row[f"theta_{i}"]) for i in range(1, family.n + 1)]
+            eta = [float(row[f"eta_or_m_{i}"]) for i in range(1, family.n + 1)]
+            assert np.allclose(family.expectation_params(theta), eta, rtol=1e-8, atol=1e-8), (
+                row["t"], theta, eta)
 
 
 def validate_then_run(name, items):
@@ -85,7 +118,10 @@ def validate_then_run(name, items):
     assert code in (0, 2)
     if code == 0:
         with tempfile.TemporaryDirectory() as out:
-            assert cli_main(["run", path, *flags, "--output-dir", out, "--quiet"]) in (0, 2, 3)
+            code = cli_main(["run", path, *flags, "--output-dir", out, "--quiet"])
+            assert code in (0, 2, 3)
+            if code == 0:
+                check_results(load_scenario(path, overrides=items).built[1], Path(out))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -93,6 +129,14 @@ def validate_then_run(name, items):
        overrides=st.lists(OVERRIDES, max_size=3))
 def test_validated_scenarios_run_or_fail_by_name(name, t_end, overrides):
     validate_then_run(name, [f"numerics.t_end={t_end}", *overrides])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(REFERENCE_FILES), t_end=st.sampled_from(T_ENDS),
+       overrides=st.lists(OVERRIDES, max_size=2))
+def test_density_slices_run_or_fail_by_name(name, t_end, overrides):
+    validate_then_run(name, [f"numerics.t_end={t_end}",
+                             f"outputs.density_times=[0.0, {t_end}]", *overrides])
 
 
 def _has(tree, key):
